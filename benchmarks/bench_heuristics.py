@@ -9,8 +9,8 @@ objective.
 """
 
 from repro.analysis.tables import render_table
-from repro.core.optimizer import ExhaustiveOptimizer
-from repro.exts.heuristics import (
+from repro.core.search import (
+    ExhaustiveOptimizer,
     GreedyGrowth,
     SimulatedAnnealing,
     full_candidate_space,
@@ -20,7 +20,7 @@ from repro.exts.heuristics import (
 def test_heuristics_vs_exhaustive_paper_cluster(
     benchmark, spec, nl_pipeline, write_result
 ):
-    estimator = nl_pipeline.estimator()
+    estimator = nl_pipeline.estimate_grid
     n = 8000
     space = full_candidate_space(spec, max_procs=6)
     exhaustive = ExhaustiveOptimizer(estimator, space).optimize(n)

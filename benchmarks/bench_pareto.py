@@ -16,7 +16,7 @@ Gates:
 """
 
 from repro.analysis.tables import render_table
-from repro.core.search import create_search, synthetic_problem
+from repro.core.search import create_search, synthetic_estimator, synthetic_problem
 from repro.cost.pareto import enumerate_frontier
 from repro.cost.presets import synthetic_rate_card
 
@@ -32,7 +32,7 @@ def _problem():
 def test_pruned_frontier_evaluation_gate(benchmark, write_result):
     problem = _problem()
     brute = enumerate_frontier(
-        problem.estimator, problem.resolved_candidates(), N, problem.cost
+        synthetic_estimator(n_kinds=4), problem.resolved_candidates(), N, problem.cost
     )
     pruned = create_search("budget-frontier", problem).frontier(N)
 

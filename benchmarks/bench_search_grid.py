@@ -2,17 +2,20 @@
 
 The 4-kind synthetic instance (28 560 candidates, the same instance
 ``bench_search_backends`` uses for its exact-search gate) pits each
-backend's grid path against its scalar reference — the identical backend
-with the kernel unplugged, so both sides run the same control flow and
-produce bitwise-equal outcomes (asserted before any timing is trusted).
+backend's vectorized grid objective against the pointwise reference —
+the identical backend fed the per-cell ``synthetic_estimator`` lifted
+with :func:`~repro.core.search.pointwise`, so both sides run the same
+control flow and produce bitwise-equal outcomes (asserted before any
+timing is trusted).
 
-Gates (from the ISSUE):
+Gates:
 
 * **exhaustive, full space**: ranking all 28 560 candidates through the
-  grid estimator is **>= 10x** faster than the per-candidate scalar loop;
+  vectorized grid objective is **>= 10x** faster than through the
+  pointwise reference;
 * **beam/anneal frontier rounds**: evaluating a round's deduplicated
-  neighbor frontier as one block is **>= 3x** faster than evaluating it
-  state by state.
+  neighbor frontier as one vectorized block is **>= 3x** faster than
+  evaluating the same block pointwise, cell by cell.
 
 Alongside the rendered tables this bench writes machine-readable numbers
 to ``benchmarks/results/search_grid.json`` so tooling can trend the
@@ -27,7 +30,12 @@ import time
 from pathlib import Path
 
 from repro.analysis.tables import render_table
-from repro.core.search import create_search, synthetic_problem
+from repro.core.search import (
+    create_search,
+    pointwise,
+    synthetic_estimator,
+    synthetic_problem,
+)
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -41,8 +49,10 @@ def _problem():
     return synthetic_problem(n_kinds=4, pes_per_kind=4, max_procs=3)
 
 
-def _scalar_problem(problem):
-    return dataclasses.replace(problem, grid_estimator=None)
+def _pointwise_problem(problem):
+    return dataclasses.replace(
+        problem, grid_estimator=pointwise(synthetic_estimator(n_kinds=4))
+    )
 
 
 def _best_of(fn, reps: int) -> float:
@@ -66,18 +76,18 @@ def _merge_json(update: dict) -> None:
 def test_exhaustive_full_space_gate(benchmark, write_result):
     problem = _problem()
     grid = create_search("exhaustive", problem)
-    scalar = create_search("exhaustive", _scalar_problem(problem))
+    pointwise_search = create_search("exhaustive", _pointwise_problem(problem))
 
     # Bitwise equivalence first; a fast wrong answer gates nothing.
     grid_outcome = grid.optimize(N)
-    scalar_outcome = scalar.optimize(N)
+    pointwise_outcome = pointwise_search.optimize(N)
     assert [(e.config.key(), e.estimate_s) for e in grid_outcome.ranking] == [
-        (e.config.key(), e.estimate_s) for e in scalar_outcome.ranking
+        (e.config.key(), e.estimate_s) for e in pointwise_outcome.ranking
     ]
 
     grid_s = _best_of(lambda: grid.optimize(N), 3)
-    scalar_s = _best_of(lambda: scalar.optimize(N), 2)
-    speedup = scalar_s / grid_s
+    pointwise_s = _best_of(lambda: pointwise_search.optimize(N), 2)
+    speedup = pointwise_s / grid_s
 
     candidates = len(grid.candidates)
     write_result(
@@ -85,7 +95,7 @@ def test_exhaustive_full_space_gate(benchmark, write_result):
         render_table(
             ["path", "seconds", "candidates/s"],
             [
-                ["scalar", f"{scalar_s:.4f}", f"{candidates / scalar_s:,.0f}"],
+                ["pointwise", f"{pointwise_s:.4f}", f"{candidates / pointwise_s:,.0f}"],
                 ["grid", f"{grid_s:.4f}", f"{candidates / grid_s:,.0f}"],
                 ["speedup", f"{speedup:.1f}x", ""],
             ],
@@ -99,7 +109,7 @@ def test_exhaustive_full_space_gate(benchmark, write_result):
         {
             "exhaustive": {
                 "candidates": candidates,
-                "scalar_seconds": scalar_s,
+                "pointwise_seconds": pointwise_s,
                 "grid_seconds": grid_s,
                 "speedup": speedup,
                 "gate": EXHAUSTIVE_GATE,
@@ -136,7 +146,7 @@ def _captured_frontiers(problem, tag: str):
 
 def test_frontier_round_gate(write_result):
     problem = _problem()
-    estimator = problem.estimator
+    reference = _pointwise_problem(problem).grid_estimator
     grid_estimator = problem.grid_estimator
 
     rows = []
@@ -145,25 +155,24 @@ def test_frontier_round_gate(write_result):
         frontiers = _captured_frontiers(problem, tag)
         assert frontiers, f"{tag} produced no frontier rounds to measure"
 
-        def scalar_rounds():
+        def pointwise_rounds():
             for configs in frontiers:
-                for config in configs:
-                    estimator(config, N)
+                reference(configs, [N])
 
         def grid_rounds():
             for configs in frontiers:
                 grid_estimator(configs, [N])
 
-        scalar_s = _best_of(scalar_rounds, 5)
+        pointwise_s = _best_of(pointwise_rounds, 5)
         grid_s = _best_of(grid_rounds, 5)
-        speedup = scalar_s / grid_s
+        speedup = pointwise_s / grid_s
         states = sum(len(f) for f in frontiers)
         rows.append(
             [
                 tag,
                 len(frontiers),
                 states,
-                f"{scalar_s * 1e3:.2f}",
+                f"{pointwise_s * 1e3:.2f}",
                 f"{grid_s * 1e3:.2f}",
                 f"{speedup:.1f}x",
             ]
@@ -171,7 +180,7 @@ def test_frontier_round_gate(write_result):
         results[tag] = {
             "rounds": len(frontiers),
             "states": states,
-            "scalar_seconds": scalar_s,
+            "pointwise_seconds": pointwise_s,
             "grid_seconds": grid_s,
             "speedup": speedup,
             "gate": FRONTIER_GATE,
@@ -180,7 +189,7 @@ def test_frontier_round_gate(write_result):
     write_result(
         "search_grid_frontiers",
         render_table(
-            ["backend", "rounds", "states", "scalar [ms]", "grid [ms]", "speedup"],
+            ["backend", "rounds", "states", "pointwise [ms]", "grid [ms]", "speedup"],
             rows,
             title=(
                 f"Frontier-round block evaluation at N={N} "

@@ -11,7 +11,7 @@ This bench quantifies the trade on the Basic and NS datasets:
 """
 
 from repro.analysis.tables import render_table
-from repro.core.optimizer import ExhaustiveOptimizer
+from repro.core.search import ExhaustiveOptimizer
 from repro.core.unified_model import UnifiedEstimator
 
 
@@ -32,7 +32,7 @@ def test_unified_vs_stacked(benchmark, basic_pipeline, ns_pipeline, write_result
     rows = []
     worst = {"stacked": 0.0, "unified": 0.0}
     for n in (4800, 6400, 8000, 9600):
-        stacked_regret, _ = _regret(basic_pipeline, basic_pipeline.estimator(), n)
+        stacked_regret, _ = _regret(basic_pipeline, basic_pipeline.estimate_grid, n)
         unified_regret, _ = _regret(basic_pipeline, unified_basic.estimator(), n)
         worst["stacked"] = max(worst["stacked"], stacked_regret)
         worst["unified"] = max(worst["unified"], unified_regret)

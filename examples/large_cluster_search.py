@@ -15,12 +15,13 @@ import time
 
 from repro import synthetic_cluster
 from repro.analysis.tables import render_table
-from repro.core.optimizer import ExhaustiveOptimizer
-from repro.exts.heuristics import (
+from repro.core.search import (
+    ExhaustiveOptimizer,
     GreedyGrowth,
     HillClimber,
     SimulatedAnnealing,
     full_candidate_space,
+    pointwise,
 )
 
 spec = synthetic_cluster([0.2, 0.4, 0.8, 1.6, 3.2], nodes_per_kind=2, cpus_per_node=1)
@@ -29,7 +30,7 @@ print(spec.describe(), "\n")
 rates = {kind.name: kind.peak_gflops * 1e9 for kind in spec.kinds}
 
 
-def objective(config, n):
+def per_cell(config, n):
     """Bottleneck-kind time + a P-growing communication tax — the shape the
     fitted models produce, in closed form so the example runs instantly."""
     p = config.total_processes
@@ -43,6 +44,10 @@ def objective(config, n):
         for alloc in config.active
     )
     return slowest + 2e-7 * float(n) ** 2 * (1 + 0.1 * p)
+
+
+# Search backends take a (configs, sizes) -> (C, S) grid objective.
+objective = pointwise(per_cell)
 
 
 N = 20000

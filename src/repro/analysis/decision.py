@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis.tables import render_table
 from repro.cluster.config import ClusterConfig
-from repro.core.optimizer import SearchOutcome
+from repro.core.search import SearchOutcome
 from repro.core.pipeline import EstimationPipeline
 from repro.errors import SearchError
 

@@ -18,7 +18,7 @@ Pipeline (Section 3 of the paper):
    transformation calibrated at one large configuration
    (:mod:`repro.core.adjustment`).
 7. **Optimize**: estimate every candidate configuration's execution time
-   and pick the argmin (:mod:`repro.core.optimizer`).
+   and pick the argmin (:mod:`repro.core.search`).
 
 :mod:`repro.core.pipeline` wires all of it into the paper's Basic / NL / NS
 protocols.

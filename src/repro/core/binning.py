@@ -40,7 +40,7 @@ class ModelSelector(Estimator):
 
     A thin constructor over :class:`~repro.core.estimator.Estimator`;
     every query method (``select``, ``estimate_kind``,
-    ``estimate_kind_batch``, ...) is the facade's.
+    ``estimate_kinds``, ...) is the facade's.
     """
 
     def __init__(

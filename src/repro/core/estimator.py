@@ -7,10 +7,13 @@ layers — :class:`~repro.core.model_store.ModelStore` (the container),
 facade collapses them: a **backend** knows how to route a
 ``(kind, P, Mi)`` query to a :class:`~repro.core.model_api.TimeModel`,
 and the facade owns everything above routing (memory-pressure bins,
-clamping/validity semantics, vectorized batches, per-configuration
-bottleneck composition, fingerprinting).  The optimizer, the estimate
-cache, the pipeline and the analysis code all call models only through
-this class.
+clamping/validity semantics, per-configuration bottleneck composition,
+fingerprinting).  This is the scalar path, with the per-kind breakdown
+the analyses print; :class:`~repro.core.grid_kernel.GridKernel` is its
+vectorized form over whole ``(configs, sizes)`` blocks, bitwise equal
+cell for cell.  The optimizer, the estimate cache, the pipeline and the
+analysis code all call models only through this class or the kernel
+built on it.
 
 Two backends ship today:
 
@@ -36,8 +39,6 @@ from typing import (
     Sequence,
     Tuple,
 )
-
-import numpy as np
 
 from repro.core.model_api import TimeModel
 from repro.errors import ModelError
@@ -252,7 +253,7 @@ class Estimator:
 
         bin_label = "default"
         if self.memory_bins and memory_ratio is not None:
-            chosen = self._bin_for(memory_ratio)
+            chosen = self.bin_for(memory_ratio)
             ta *= chosen.ta_scale
             tc *= chosen.tc_scale
             bin_label = chosen.label or f"ratio<={chosen.max_ratio:g}"
@@ -267,37 +268,8 @@ class Estimator:
             valid=(ta + tc) > 0.0,
         )
 
-    def estimate_kind_batch(
-        self,
-        kind: str,
-        ns: Sequence[float],
-        p: int,
-        mi: int,
-        memory_ratios: Optional[Sequence[float]] = None,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized :meth:`estimate_kind` over an array of problem orders.
-
-        Returns ``(ta, tc, valid)`` arrays aligned with ``ns``.  Model
-        routing happens once (``P``/``Mi`` are fixed across the batch);
-        the polynomial evaluation, memory-bin scaling, clamping and
-        validity logic are element-for-element identical to the scalar
-        path, so the batch values are bitwise those of ``estimate_kind``
-        called per size.
-        """
-        _, model = self.select(kind, p, mi)
-        n_arr = np.asarray(ns, dtype=float)
-        ta = np.asarray(model.predict_ta(n_arr, p), dtype=float)
-        tc = np.asarray(model.predict_tc(n_arr, p), dtype=float)
-
-        if self.memory_bins and memory_ratios is not None:
-            bins = [self._bin_for(float(r)) for r in memory_ratios]
-            ta = ta * np.array([b.ta_scale for b in bins])
-            tc = tc * np.array([b.tc_scale for b in bins])
-
-        valid = (ta + tc) > 0.0
-        return np.maximum(ta, 0.0), np.maximum(tc, 0.0), valid
-
-    def _bin_for(self, ratio: float) -> MemoryBin:
+    def bin_for(self, ratio: float) -> MemoryBin:
+        """The memory bin a ratio falls in (the last bin is open-ended)."""
         for bin_ in self.memory_bins:
             if ratio <= bin_.max_ratio:
                 return bin_
@@ -325,38 +297,6 @@ class Estimator:
             for alloc in config.active
         )
 
-    def estimate_kinds_batch(
-        self, config, ns: Sequence[float]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorized bottleneck composition over problem orders.
-
-        Returns ``(total, valid)`` arrays: the per-size maximum of the
-        per-kind totals (the slowest kind bounds the run — every process
-        holds an equal share of rows) and whether every kind's model was
-        inside its trustworthy domain.
-        """
-        n_arr = np.asarray([float(n) for n in ns], dtype=float)
-        p = config.total_processes
-        total: Optional[np.ndarray] = None
-        valid: Optional[np.ndarray] = None
-        for alloc in config.active:
-            ratios = (
-                [
-                    self.memory_ratio_fn(config, int(n), alloc.kind_name)
-                    for n in n_arr
-                ]
-                if self.memory_bins and self.memory_ratio_fn is not None
-                else None
-            )
-            ta, tc, kind_valid = self.estimate_kind_batch(
-                alloc.kind_name, n_arr, p, alloc.procs_per_pe, memory_ratios=ratios
-            )
-            kind_total = ta + tc
-            total = kind_total if total is None else np.maximum(total, kind_total)
-            valid = kind_valid if valid is None else (valid & kind_valid)
-        assert total is not None and valid is not None
-        return total, valid
-
     def estimate_total(self, config, n: int) -> float:
         """Estimated execution time of a configuration (bottleneck kind),
         unadjusted.  Returns ``inf`` when any kind's model is out of its
@@ -365,12 +305,3 @@ class Estimator:
         if not all(estimate.valid for estimate in per_kind):
             return float("inf")
         return max(estimate.total for estimate in per_kind)
-
-    def objective(self):
-        """Objective-function form for the optimizers:
-        ``(config, n) -> seconds``."""
-
-        def objective(config, n: int) -> float:
-            return self.estimate_total(config, n)
-
-        return objective

@@ -5,39 +5,40 @@ candidate configuration; only the size axis was vectorized.  This module
 vectorizes the *candidate* axis too: :class:`GridKernel` packs the
 coefficients of every routed N-T / P-T model into tensors (grown lazily
 as new ``(kind, P, Mi)`` queries appear, re-packed only when a new model
-is routed) and evaluates the polynomial fits, the max-over-kinds
-composition and the linear adjustment for a whole ``(C, S)`` block of
-candidates x sizes in a handful of NumPy passes.
+is routed) and evaluates the polynomial fits, the memory bins, the
+max-over-kinds composition and the linear adjustment for a whole
+``(C, S)`` block of candidates x sizes in a handful of NumPy passes.  It
+is the only vectorized evaluator of a fitted model: search backends,
+``estimate_totals`` (a 1 x k block) and the served estimate cache all
+go through it.
 
 **Bitwise-equivalence contract.**  Cell ``[i, j]`` of
 :meth:`GridKernel.evaluate` is bitwise the value of
-``EstimationPipeline.estimate_totals(configs[i], ns)[j]`` (itself
-documented element-identical to ``estimate(config, n).total``):
+``EstimationPipeline.estimate(configs[i], ns[j]).total``:
 
 * polynomial rows use the same Horner recurrence as
   :func:`repro.core.lsq.polyval` (``np.polyval``), evaluated per packed
   row — elementwise float64 ops, identical bits;
 * the P-T formulas replicate :meth:`repro.core.pt_model.PTModel.predict_ta`
   / ``predict_tc`` operation-for-operation, association order included;
+* memory bins scale ``Ta`` / ``Tc`` per cell by the bin
+  :meth:`~repro.core.estimator.Estimator.bin_for` picks for
+  ``memory_ratio_fn(config, n, kind)``, before the validity test and the
+  clamp — :meth:`~repro.core.estimator.Estimator.estimate_kind`'s order;
 * per-kind validity is checked on the *pre-clamp* sum ``(Ta + Tc) > 0``
-  and the phases are clamped with ``np.maximum(x, 0.0)``, exactly as
-  :meth:`repro.core.estimator.Estimator.estimate_kind_batch`;
+  and the phases are clamped with ``np.maximum(x, 0.0)``;
 * composition scatters with ``np.maximum.at`` / ``np.logical_and.at``
   from identities (``-inf`` / ``True``) — max over non-negative
   (or NaN/inf) values is order-independent bitwise, so the scatter
-  equals the scalar loop's sequential ``np.maximum`` over
-  ``config.active``;
+  equals the scalar path's ``max`` over ``config.active``;
 * the adjustment multiplies ``scale_for(max Mi)`` per candidate row and
-  invalid cells become ``+inf``, the same ``np.where`` the scalar path
-  applies.
+  invalid cells become ``+inf``.
 
-Configurations the kernel cannot vectorize — a non-binned backend
-(:class:`~repro.core.estimator.UnifiedBackend`) or active memory bins —
-take the per-candidate ``batch_fallback`` instead, preserving the
-contract at reduced speed; :class:`~repro.perf.report.GridKernelStats`
-makes the split observable (``--profile`` renders it).
+Only the paper's binned backend is vectorized; a kernel over any other
+facade (:class:`~repro.core.estimator.UnifiedBackend`) is a
+:class:`~repro.errors.ModelError`.
 
-Errors surface exactly as the scalar loop would: candidates are
+Errors surface exactly as the scalar path would: candidates are
 validated and routed in block order, so the first failing candidate
 raises the same :class:`~repro.errors.ConfigurationError` /
 :class:`~repro.errors.ModelError` the scalar estimator would have raised
@@ -71,8 +72,7 @@ class GridKernel:
     ----------
     facade:
         The :class:`~repro.core.estimator.Estimator` whose models answer
-        the queries; only a :class:`BinnedBackend` without memory bins
-        takes the vectorized path (anything else rides ``batch_fallback``).
+        the queries; it must route through a :class:`BinnedBackend`.
     adjustment:
         The pipeline's :class:`~repro.core.adjustment.LinearAdjustment`.
     validate:
@@ -81,11 +81,6 @@ class GridKernel:
         validation errors match the scalar path's.
     stats:
         Optional :class:`~repro.perf.report.GridKernelStats` sink.
-    batch_fallback:
-        Per-candidate vectorized objective ``(config, ns) -> (S,)`` used
-        when the kernel cannot vectorize the candidate axis (the
-        pipeline's ``estimate_totals``).  Required for non-binned or
-        memory-binned facades.
     """
 
     def __init__(
@@ -94,16 +89,20 @@ class GridKernel:
         adjustment,
         validate: Optional[Callable[[object], None]] = None,
         stats=None,
-        batch_fallback: Optional[Callable[[object, Sequence[int]], np.ndarray]] = None,
     ):
+        if not isinstance(facade.backend, BinnedBackend):
+            raise ModelError(
+                "grid kernel vectorizes the binned N-T/P-T backend only, "
+                f"not the {facade.backend.name!r} backend"
+            )
         self.facade = facade
         self.adjustment = adjustment
         self.validate = validate
         self.stats = stats
-        self.batch_fallback = batch_fallback
-        #: Whether the candidate axis is vectorizable at all.
-        self.vectorized = isinstance(facade.backend, BinnedBackend) and not (
-            facade.memory_bins
+        # Memory bins apply only when the facade can compute a ratio —
+        # the same condition under which estimate_kind applies them.
+        self._binned = bool(facade.memory_bins) and (
+            facade.memory_ratio_fn is not None
         )
         # Routing memo: (kind, P, Mi) -> ("nt" | "pt", packed row index).
         # Routing goes through facade.select once per distinct query, so a
@@ -129,7 +128,7 @@ class GridKernel:
             row = len(self._nt_models)
             self._nt_models.append(model)
             self._nt_pack = None
-        elif label == "pt":
+        else:
             # One P-T model serves every P > Mi of a (kind, Mi) pair —
             # share its packed row across those routes.
             pt_key = (kind, mi)
@@ -139,10 +138,6 @@ class GridKernel:
                 self._pt_models.append(model)
                 self._pt_keys[pt_key] = row
                 self._pt_pack = None
-        else:  # pragma: no cover - BinnedBackend only emits nt/pt
-            raise ModelError(
-                f"grid kernel cannot vectorize model label {label!r}"
-            )
         self._routes[key] = (label, row)
         return label, row
 
@@ -190,15 +185,16 @@ class GridKernel:
         """Adjusted estimates of every ``(config, n)`` cell, ``(C, S)``."""
         sizes = np.asarray([float(n) for n in ns], dtype=float)
         count, width = len(configs), sizes.size
-        if not self.vectorized:
-            return self._fallback(configs, ns, count, width)
 
         nt_cand: List[int] = []
         nt_row: List[int] = []
+        nt_owner: List[Tuple[object, str]] = []
         pt_cand: List[int] = []
         pt_row: List[int] = []
         pt_p: List[int] = []
+        pt_owner: List[Tuple[object, str]] = []
         scale = np.empty(count, dtype=float)
+        binned = self._binned
         for i, config in enumerate(configs):
             if self.validate is not None:
                 self.validate(config)
@@ -209,18 +205,16 @@ class GridKernel:
                 if label == "nt":
                     nt_cand.append(i)
                     nt_row.append(row)
+                    if binned:
+                        nt_owner.append((config, alloc.kind_name))
                 else:
                     pt_cand.append(i)
                     pt_row.append(row)
                     pt_p.append(p)
+                    if binned:
+                        pt_owner.append((config, alloc.kind_name))
                 if alloc.procs_per_pe > max_mi:
                     max_mi = alloc.procs_per_pe
-            if not config.active:
-                # Match the scalar path: estimate_kinds_batch asserts on a
-                # configuration with no active allocations.
-                raise AssertionError(
-                    f"configuration {config.label()} has no active kinds"
-                )
             scale[i] = self._scale_for(max_mi)
 
         # Composition identities: max over clamped (>= 0) kind totals and
@@ -230,22 +224,18 @@ class GridKernel:
 
         if nt_cand:
             ka, kc = self._nt_tensors()
+            # Every packed model once (a handful of rows), gathered per
+            # (candidate, kind) row.
             rows = np.asarray(nt_row)
-            uniq, inverse = np.unique(rows, return_inverse=True)
-            ta = polyval_rows(ka[uniq], sizes)
-            tc = polyval_rows(kc[uniq], sizes)
-            kind_valid = (ta + tc) > 0.0
-            kind_total = np.maximum(ta, 0.0) + np.maximum(tc, 0.0)
-            idx = np.asarray(nt_cand)
-            np.maximum.at(total, idx, kind_total[inverse])
-            np.logical_and.at(valid, idx, kind_valid[inverse])
+            ta = polyval_rows(ka, sizes)[rows]
+            tc = polyval_rows(kc, sizes)[rows]
+            self._compose(total, valid, nt_cand, nt_owner, ta, tc, ns)
 
         if pt_cand:
             ta_ref, tc_ref, k7, k8, k9, k10, k11 = self._pt_tensors()
             rows = np.asarray(pt_row)
-            uniq, inverse = np.unique(rows, return_inverse=True)
-            ta_rows = polyval_rows(ta_ref[uniq], sizes)[inverse]
-            tc_rows = polyval_rows(tc_ref[uniq], sizes)[inverse]
+            ta_rows = polyval_rows(ta_ref, sizes)[rows]
+            tc_rows = polyval_rows(tc_ref, sizes)[rows]
             p_col = np.asarray(pt_p, dtype=float)[:, None]
             k7c = k7[rows][:, None]
             k8c = k8[rows][:, None]
@@ -256,11 +246,7 @@ class GridKernel:
             # ((k7 * ref) / P) + k8 and ((k9 * P) * ref) + ((k10 * ref) / P) + k11.
             ta = k7c * ta_rows / p_col + k8c
             tc = k9c * p_col * tc_rows + k10c * tc_rows / p_col + k11c
-            kind_valid = (ta + tc) > 0.0
-            kind_total = np.maximum(ta, 0.0) + np.maximum(tc, 0.0)
-            idx = np.asarray(pt_cand)
-            np.maximum.at(total, idx, kind_total)
-            np.logical_and.at(valid, idx, kind_valid)
+            self._compose(total, valid, pt_cand, pt_owner, ta, tc, ns)
 
         adjusted = scale[:, None] * total
         out = np.where(valid, adjusted, np.inf)
@@ -268,17 +254,20 @@ class GridKernel:
             self.stats.record_block(count, width)
         return out
 
-    def _fallback(
-        self, configs: Sequence[object], ns: Sequence[int], count: int, width: int
-    ) -> np.ndarray:
-        if self.batch_fallback is None:
-            raise ModelError(
-                "grid kernel cannot vectorize this estimator "
-                "(non-binned backend or memory bins) and has no fallback"
-            )
-        out = np.empty((count, width), dtype=float)
-        for i, config in enumerate(configs):
-            out[i] = np.asarray(self.batch_fallback(config, ns), dtype=float)
-        if self.stats is not None:
-            self.stats.record_fallback(count)
-        return out
+    def _compose(self, total, valid, cand, owners, ta, tc, ns) -> None:
+        """Fold per-(candidate, kind) rows into the candidate block:
+        memory-bin scaling (``owners[r]`` is row ``r``'s ``(config, kind)``
+        when bins apply), validity on the pre-clamp sum, clamp, max."""
+        if self._binned:
+            ratio_fn, bin_for = self.facade.memory_ratio_fn, self.facade.bin_for
+            bins = [
+                [bin_for(ratio_fn(config, int(n), kind)) for n in ns]
+                for config, kind in owners
+            ]
+            ta = ta * np.array([[b.ta_scale for b in row] for row in bins])
+            tc = tc * np.array([[b.tc_scale for b in row] for row in bins])
+        kind_valid = (ta + tc) > 0.0
+        kind_total = np.maximum(ta, 0.0) + np.maximum(tc, 0.0)
+        idx = np.asarray(cand)
+        np.maximum.at(total, idx, kind_total)
+        np.logical_and.at(valid, idx, kind_valid)

@@ -9,8 +9,8 @@ as an explicit stage graph (:mod:`repro.core.stages`):
    (:mod:`repro.core.composition`);
 4. ``adjust`` — calibrate the linear adjustment on the designated
    calibration family (:mod:`repro.core.adjustment`);
-5. ``search`` — expose a configuration estimator and an exhaustive
-   optimizer through the :class:`~repro.core.estimator.Estimator` facade;
+5. ``search`` — expose the grid objective ``estimate_grid`` and the
+   search backends over it (:class:`~repro.core.stages.SearchEngine`);
 6. ``verify`` — compare against ground-truth measurements of the
    evaluation grid, producing the rows of the paper's Tables 4 / 7 / 9
    and the scatter data of Figures 6-15.
@@ -35,6 +35,7 @@ from repro.cluster.spec import ClusterSpec
 from repro.core.adjustment import LinearAdjustment
 from repro.core.binning import KindEstimate, MemoryBin, ModelSelector
 from repro.core.composition import CompositionPolicy
+from repro.core.grid_kernel import GridKernel
 from repro.core.model_store import ModelStore
 from repro.core.search import SearchOutcome
 from repro.core.stages import (
@@ -177,8 +178,6 @@ class EstimationPipeline:
             perf=self.perf,
             workload=self.workload,
             memory_ratio_fn=self._memory_ratio_for,
-            scalar_estimate=lambda config, n: self.estimate(config, n).total,
-            batch_estimate=self.estimate_totals,
             candidates=lambda: list(self.plan.evaluation_configs),
         )
         self.graph = StageGraph(default_stages(), ctx)
@@ -279,22 +278,22 @@ class EstimationPipeline:
 
     def estimate_totals(self, config: ClusterConfig, ns: Sequence[int]) -> np.ndarray:
         """Vectorized estimates over problem orders: one array of adjusted
-        totals, element-for-element identical to ``estimate(config, n).total``.
-
-        This is the hot inner product of the sweep workloads: per kind it
-        evaluates one polynomial over the whole ``ns`` array instead of
-        ``len(ns)`` scalar model calls (see
-        :meth:`repro.core.estimator.Estimator.estimate_kind_batch`).
-        """
-        config.validate_against(self.spec)
-        total, valid = self.models.estimate_kinds_batch(config, ns)
-        max_mi = max(a.procs_per_pe for a in config.active)
-        adjusted = self.adjustment.scale_for(max_mi) * total
-        return np.where(valid, adjusted, np.inf)
+        totals, element-for-element identical to ``estimate(config, n).total``
+        — row 0 of a ``1 x len(ns)`` :attr:`grid_kernel` block (uncached;
+        :meth:`estimate_grid` is the cached form)."""
+        return self.grid_kernel.evaluate([config], ns)[0]
 
     @property
     def _engine(self) -> SearchEngine:
         return self.graph.get("search")
+
+    @property
+    def grid_kernel(self) -> GridKernel:
+        """The :class:`~repro.core.grid_kernel.GridKernel` of the current
+        model generation — the one vectorized evaluator behind
+        :meth:`estimate_totals`, :meth:`estimate_grid` and every search
+        backend (its counters land in ``perf.grid``)."""
+        return self._engine.grid_kernel
 
     @property
     def estimate_cache(self) -> EstimateCache:
@@ -302,19 +301,6 @@ class EstimationPipeline:
         current models by fingerprint (see DESIGN.md for the invalidation
         rule).  Building it forces the model fit."""
         return self._engine.estimate_cache
-
-    def estimator(self, cached: bool = False):
-        """The objective function for optimizers: (config, n) -> seconds.
-
-        ``cached=True`` routes lookups through :attr:`estimate_cache`
-        (identical values; repeated queries become dict hits).
-        """
-        return self._engine.estimator(cached=cached)
-
-    def batch_estimator(self):
-        """Vectorized + cached objective for ``optimize_many``:
-        ``(config, [n...]) -> array of seconds``."""
-        return self._engine.batch_estimator()
 
     def estimate_grid(
         self, configs: Sequence[ClusterConfig], ns: Sequence[int]
@@ -324,13 +310,10 @@ class EstimationPipeline:
         ``estimate(configs[i], ns[j]).total``.  One kernel pass over
         packed model-coefficient tensors replaces ``C`` per-candidate
         evaluations (see :mod:`repro.core.grid_kernel`); cached cells are
-        served from :attr:`estimate_cache`."""
+        served from :attr:`estimate_cache`.  This is the objective the
+        search backends take (wrap a per-cell function with
+        :func:`repro.core.search.pointwise` to compare against it)."""
         return self._engine.estimate_grid(configs, ns)
-
-    def grid_estimator(self):
-        """The candidate-axis objective for search backends:
-        ``(configs, [n...]) -> (C, S) array`` (see :meth:`estimate_grid`)."""
-        return self._engine.grid_estimator()
 
     def optimizer(
         self,

@@ -20,14 +20,14 @@ heuristics trade completeness for evaluation count.  ``branch-bound`` and
 ``stats.exhausted=True`` when it runs out (the local searchers honor a
 budget, too).
 
-Construct a backend from a :class:`SearchProblem` with
-:func:`create_search`; importing this package registers every built-in
-backend.
+Every backend takes one objective, a grid estimator ``(configs, ns) ->
+(C, S)`` (the pipeline's ``estimate_grid``); :func:`pointwise` lifts a
+per-cell ``(config, n) -> seconds`` function into that form.  Construct a
+backend from a :class:`SearchProblem` with :func:`create_search`;
+importing this package registers every built-in backend.
 """
 
 from repro.core.search.base import (
-    BatchEstimator,
-    Estimator,
     GridEstimator,
     RankedEstimate,
     SearchBackend,
@@ -35,6 +35,8 @@ from repro.core.search.base import (
     SearchProblem,
     SearchStats,
     actual_best,
+    grid_block,
+    pointwise,
     rank_evaluations,
     validated_estimate,
     validated_estimates,
@@ -60,17 +62,16 @@ from repro.core.search.registry import (
 )
 from repro.core.search.space import SearchSpace
 from repro.core.search.synthetic import (
+    synthetic_estimator,
     synthetic_kind_params,
     synthetic_kind_time,
     synthetic_problem,
 )
 
 __all__ = [
-    "BatchEstimator",
     "BeamSearch",
     "BranchBoundSearch",
     "DEFAULT_BACKEND",
-    "Estimator",
     "ExhaustiveOptimizer",
     "GreedyGrowth",
     "GridEstimator",
@@ -88,11 +89,14 @@ __all__ = [
     "create_search",
     "estimator_bounds",
     "full_candidate_space",
+    "grid_block",
     "iter_search_registry",
+    "pointwise",
     "rank_evaluations",
     "register_search",
     "registered_search_backends",
     "search_backend_class",
+    "synthetic_estimator",
     "synthetic_kind_params",
     "synthetic_kind_time",
     "synthetic_problem",

@@ -5,14 +5,16 @@ optimization with the fitted model as the objective.  This module holds
 everything that is *not* specific to how a backend explores the space:
 
 * :class:`RankedEstimate` / :class:`SearchOutcome` — the result types
-  every backend returns (moved here from ``repro.core.optimizer``, which
-  re-exports them for compatibility);
+  every backend returns;
 * :class:`SearchStats` — per-run cost accounting (evaluations, prune
-  counts, best-so-far trace; moved here from ``repro.exts.heuristics``
-  and extended with the branch-and-bound counters);
+  counts, best-so-far trace, branch-and-bound counters);
 * :class:`SearchProblem` — one bundle of objective + space + options
   that :func:`repro.core.search.registry.create_search` hands to a
   backend's ``from_problem`` constructor;
+* the one objective form every backend takes, a :data:`GridEstimator`
+  ``(configs, ns) -> (C, S)`` block — :func:`pointwise` lifts a per-cell
+  function into it and :func:`grid_block` is the single call site that
+  evaluates one and checks its shape;
 * :class:`SearchBackend` — the protocol base class: a backend implements
   ``optimize(n)`` and inherits ``optimize_many``/``best``;
 * validation and ranking helpers with the exact error semantics the
@@ -34,24 +36,49 @@ from repro.cluster.config import ClusterConfig
 from repro.core.search.space import SearchSpace
 from repro.errors import SearchError
 
-#: An estimator maps (configuration, problem order) -> estimated seconds.
-Estimator = Callable[[ClusterConfig, int], float]
-
-#: A batch estimator maps (configuration, [n1, n2, ...]) -> array of
-#: estimated seconds, one per size — the vectorized fast path that
-#: :meth:`ExhaustiveOptimizer.optimize_many` uses when available (see
-#: :meth:`repro.core.pipeline.EstimationPipeline.batch_estimator`).
-BatchEstimator = Callable[[ClusterConfig, Sequence[int]], "np.ndarray"]
-
-#: A grid estimator maps (configurations, [n1, n2, ...]) -> a ``(C, S)``
-#: array of estimated seconds — the candidate-axis vectorized kernel
-#: (see :meth:`repro.core.pipeline.EstimationPipeline.estimate_grid`).
-#: Contract: element ``[i, j]`` is **bitwise** the scalar estimator's
-#: value for ``(configs[i], ns[j])``, so backends may freely mix block
-#: and scalar evaluation without changing any produced number.
+#: The objective every search backend takes: (configurations,
+#: [n1, n2, ...]) -> a ``(C, S)`` array of estimated seconds — in
+#: production the candidate-axis grid kernel behind
+#: :meth:`repro.core.pipeline.EstimationPipeline.estimate_grid`, whose
+#: cell ``[i, j]`` is bitwise ``estimate(configs[i], ns[j]).total``.
 GridEstimator = Callable[
     [Sequence[ClusterConfig], Sequence[int]], "np.ndarray"
 ]
+
+
+def pointwise(fn: Callable[[ClusterConfig, int], float]) -> GridEstimator:
+    """Lift a per-cell objective ``(config, n) -> seconds`` to the grid
+    form: cell ``[i, j]`` is ``fn(configs[i], ns[j])``, evaluated row by
+    row in block order (so an exception surfaces on the same first
+    candidate a per-cell loop would reach)."""
+
+    def grid(
+        configs: Sequence[ClusterConfig], ns: Sequence[int]
+    ) -> np.ndarray:
+        sizes = [int(n) for n in ns]
+        out = np.empty((len(configs), len(sizes)), dtype=float)
+        for i, config in enumerate(configs):
+            for j, n in enumerate(sizes):
+                out[i, j] = float(fn(config, n))
+        return out
+
+    return grid
+
+
+def grid_block(
+    objective: GridEstimator,
+    configs: Sequence[ClusterConfig],
+    ns: Sequence[int],
+) -> np.ndarray:
+    """Evaluate one ``(C, S)`` block of ``objective`` and check its shape —
+    the one place a backend calls its objective."""
+    block = np.asarray(objective(configs, ns), dtype=float)
+    expected = (len(configs), len(ns))
+    if block.shape != expected:
+        raise SearchError(
+            f"grid estimator returned shape {block.shape}, expected {expected}"
+        )
+    return block
 
 
 @dataclass
@@ -224,10 +251,8 @@ def validated_estimates(
     """Vectorized :func:`validated_estimate` over one block of candidates.
 
     Checks the whole array at once and, when something is wrong, raises
-    the *identical* :class:`SearchError` the scalar loop would have
-    raised at the first offending candidate in ``configs`` order — so a
-    grid-evaluating backend reports the same failure, on the same
-    candidate, as its scalar reference.
+    the *identical* :class:`SearchError` :func:`validated_estimate` raises
+    at the first offending candidate in ``configs`` order.
     """
     arr = np.asarray(values, dtype=float)
     bad = np.isnan(arr) | (arr < 0)
@@ -289,23 +314,19 @@ def rank_evaluations(
 class SearchProblem:
     """Everything a backend needs to search one configuration space.
 
-    Either ``candidates`` (an explicit list — the paper's grid) or
+    ``grid_estimator`` is the objective; backends evaluate candidate
+    blocks through it (exhaustive: the full grid; local searchers: each
+    round's neighbor frontier; branch-and-bound: leaf blocks).  Either
+    ``candidates`` (an explicit list — the paper's grid) or
     ``space`` (a product space) must be provided; backends that need the
     missing form derive it via :meth:`resolved_space` /
     :meth:`resolved_candidates`.
     """
 
-    estimator: Estimator
+    grid_estimator: GridEstimator
     candidates: Optional[Sequence[ClusterConfig]] = None
     space: Optional[SearchSpace] = None
     kinds: Optional[Sequence[str]] = None
-    batch_estimator: Optional[BatchEstimator] = None
-    #: Candidate-axis vectorized objective ``(configs, [n...]) -> (C, S)``
-    #: array; when present every backend evaluates candidate blocks in
-    #: one kernel call (exhaustive: the full grid; local searchers: each
-    #: round's neighbor frontier; branch-and-bound: leaf blocks) while
-    #: staying bitwise-identical to the scalar ``estimator``.
-    grid_estimator: Optional[GridEstimator] = None
     #: Lower-bound oracle for branch-and-bound (duck-typed
     #: :class:`repro.core.search.bounds.KindTimeBound`); without one,
     #: branch-and-bound cannot prune and refuses to run.

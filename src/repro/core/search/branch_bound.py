@@ -19,9 +19,13 @@ one array slice minimum.  A subtree is cut only when its bound
 *strictly* exceeds the incumbent value — so every candidate whose value
 ties the optimum is still evaluated, and the final winner is selected by
 the same ``(estimate, config.key())`` order the exhaustive optimizer
-uses.  Since both backends call the identical estimator on the winning
-configuration, branch-and-bound agrees with exhaustive **bitwise** on
-``SearchOutcome.best`` (the golden tests assert this on the paper grid).
+uses.  Since both backends evaluate the winning configuration through
+the identical objective, branch-and-bound agrees with exhaustive
+**bitwise** on ``SearchOutcome.best`` (the golden tests assert this on
+the paper grid).  Leaves are evaluated in blocks: before descending
+into its leaf children, a node fetches every child that survives its
+incumbent check as one objective call, and the DFS then takes those
+values in its own order.
 
 With ``budget=k`` the search becomes anytime: it stops after ``k``
 objective evaluations — or after ``work_factor * k`` bound computations,
@@ -36,18 +40,18 @@ from __future__ import annotations
 
 import math
 import time
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.cluster.config import ClusterConfig
 from repro.core.search.base import (
-    Estimator,
     GridEstimator,
     SearchBackend,
     SearchOutcome,
     SearchProblem,
     SearchStats,
+    grid_block,
     rank_evaluations,
     validated_estimate,
 )
@@ -63,10 +67,9 @@ class BranchBoundSearch(SearchBackend):
 
     def __init__(
         self,
-        estimator: Estimator,
+        grid_estimator: GridEstimator,
         space: SearchSpace,
         bounds: KindTimeBound,
-        grid_estimator: Optional[GridEstimator] = None,
         allow_unestimable: bool = True,
         budget: Optional[int] = None,
         work_factor: int = 256,
@@ -80,13 +83,9 @@ class BranchBoundSearch(SearchBackend):
             raise SearchError(f"budget must be >= 1, got {budget}")
         if work_factor < 1:
             raise SearchError(f"work_factor must be >= 1, got {work_factor}")
-        self.estimator = estimator
+        self.grid_estimator = grid_estimator
         self.space = space
         self.bounds = bounds
-        #: Candidate-axis kernel: leaf blocks are prefetched through it
-        #: while the bounds stay incremental (the DFS walk, pruning and
-        #: budget decisions replay over bitwise-equal values).
-        self.grid_estimator = grid_estimator
         self.allow_unestimable = allow_unestimable
         self.budget = budget
         self.work_factor = work_factor
@@ -144,10 +143,9 @@ class BranchBoundSearch(SearchBackend):
                 "(SearchProblem.bounds); without one it cannot prune"
             )
         return cls(
-            problem.estimator,
+            problem.grid_estimator,
             space,
             problem.bounds,
-            grid_estimator=problem.grid_estimator,
             allow_unestimable=problem.allow_unestimable,
             budget=budget,
             work_factor=work_factor,
@@ -162,6 +160,38 @@ class BranchBoundSearch(SearchBackend):
         if p_fixed == 0:
             count -= self._suffix_idle[depth]
         return count
+
+    def _fetch_leaves(
+        self,
+        block: List[Tuple[Tuple[int, int], ...]],
+        n: int,
+        leaf_values: dict,
+    ) -> None:
+        """Evaluate a node's leaf block (full choice assignments) in one
+        objective call into ``leaf_values``; :meth:`_take_leaf` pops each
+        value when the walk reaches that leaf.  An incumbent or archive
+        that improves mid-block only prunes more, so untaken values are
+        simply discarded."""
+        if block:
+            configs = [self.space.config_of(key) for key in block]
+            column = grid_block(self.grid_estimator, configs, [n])[:, 0]
+            leaf_values.update(zip(block, column.tolist()))
+
+    def _take_leaf(
+        self,
+        key: Tuple[Tuple[int, int], ...],
+        config: ClusterConfig,
+        n: int,
+        leaf_values: dict,
+    ) -> float:
+        """The validated value of the leaf the walk has reached.  A leaf
+        outside its parent's block — the block stops at the remaining
+        budget, and a walk that skips pruned leaves can take leaves past
+        that cut — is evaluated as a 1x1 block."""
+        raw = leaf_values.pop(key, None)
+        if raw is None:
+            raw = float(grid_block(self.grid_estimator, [config], [n])[0, 0])
+        return validated_estimate(raw, config, n, self.allow_unestimable)
 
     def _node_bound(
         self,
@@ -210,10 +240,8 @@ class BranchBoundSearch(SearchBackend):
         space = self.space
         n_kinds = len(space.kinds)
         assignment: List[Tuple[int, int]] = []
-        # Leaf values prefetched through the grid kernel, keyed by the
-        # full choice assignment; the leaf branch consumes (pops) them in
-        # its original DFS order, so pruning, incumbents and the budget
-        # replay identically over bitwise-equal values.
+        # Leaf values fetched by each leaf parent, keyed by the full
+        # choice assignment (see _fetch_leaves).
         leaf_values: dict = {}
         work_cap = (
             None if self.budget is None else self.budget * self.work_factor
@@ -236,11 +264,8 @@ class BranchBoundSearch(SearchBackend):
                     stats.exhausted = True
                     return False
                 config = space.config_of(assignment)
-                raw = leaf_values.pop(tuple(assignment), None)
-                if raw is None:
-                    raw = float(self.estimator(config, n))
-                value = validated_estimate(
-                    raw, config, n, self.allow_unestimable
+                value = self._take_leaf(
+                    tuple(assignment), config, n, leaf_values
                 )
                 stats.record(config, value)
                 evaluated.append((config, value))
@@ -273,13 +298,10 @@ class BranchBoundSearch(SearchBackend):
             # Most promising subtree first: tighter incumbents earlier
             # mean more pruning later (and better anytime behavior).
             children.sort(key=lambda item: (item[0], item[1]))
-            if self.grid_estimator is not None and depth + 1 == n_kinds:
-                # Prefetch the leaf block this node will evaluate: every
-                # runnable child that survives the *pre-block* incumbent
-                # check, capped at the remaining budget.  A mid-block
-                # incumbent improvement only prunes *more* during replay,
-                # so the prefetched set is a superset of the consumed one
-                # and unconsumed cells are simply discarded.
+            if depth + 1 == n_kinds:
+                # The leaf block: every runnable child that survives the
+                # *pre-block* incumbent check, capped at the remaining
+                # budget.
                 remaining = (
                     None
                     if self.budget is None
@@ -294,18 +316,7 @@ class BranchBoundSearch(SearchBackend):
                     if remaining is not None and len(block) >= remaining:
                         break
                     block.append(tuple(assignment) + (choice,))
-                if len(block) > 1:
-                    configs = [space.config_of(key) for key in block]
-                    values = np.asarray(
-                        self.grid_estimator(configs, [n]), dtype=float
-                    )
-                    if values.shape != (len(block), 1):
-                        raise SearchError(
-                            f"grid estimator returned shape {values.shape},"
-                            f" expected ({len(block)}, 1)"
-                        )
-                    for key, value in zip(block, values[:, 0]):
-                        leaf_values[key] = float(value)
+                self._fetch_leaves(block, n, leaf_values)
             for index, (bound, choice, child_p, child_mi, child_profile) in (
                 enumerate(children)
             ):
@@ -329,9 +340,3 @@ class BranchBoundSearch(SearchBackend):
         return rank_evaluations(
             n, evaluated, started, stats=stats, complete=complete
         )
-
-    def optimize_many(self, ns: Sequence[int]) -> List[SearchOutcome]:
-        sizes = [int(n) for n in ns]
-        if not sizes:
-            raise SearchError("optimize_many needs at least one size")
-        return [self.optimize(n) for n in sizes]

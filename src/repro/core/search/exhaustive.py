@@ -3,11 +3,12 @@
 Section 3.1 frames configuration selection as combinatorial optimization
 with the model as the objective function; Section 4 reports the
 enumeration takes ~35 ms for 62 candidates x 5 sizes.
-:class:`ExhaustiveOptimizer` is that search, over any callable estimator
-— the pipeline's model-based estimator in production, plain functions in
-tests, and the heuristic searchers compare themselves against it.  It
-remains the reference every other backend must match (exact backends
-bitwise, heuristics within tolerance).
+:class:`ExhaustiveOptimizer` is that search, over any grid objective —
+the pipeline's grid kernel in production, :func:`~repro.core.search.
+base.pointwise`-lifted plain functions in tests, and the heuristic
+searchers compare themselves against it.  It remains the reference
+every other backend must match (exact backends bitwise, heuristics
+within tolerance).
 """
 
 from __future__ import annotations
@@ -19,16 +20,14 @@ import numpy as np
 
 from repro.cluster.config import ClusterConfig
 from repro.core.search.base import (
-    BatchEstimator,
-    Estimator,
     GridEstimator,
     RankedEstimate,
     SearchBackend,
     SearchOutcome,
     SearchProblem,
     SearchStats,
+    grid_block,
     rank_evaluations,
-    validated_estimate,
     validated_estimates,
 )
 from repro.core.search.registry import register_search
@@ -41,31 +40,20 @@ class ExhaustiveOptimizer(SearchBackend):
 
     Parameters
     ----------
-    estimator:
-        Objective function.
+    grid_estimator:
+        Objective ``(configs, sizes) -> (C, S) array``.  Both
+        :meth:`optimize` and :meth:`optimize_many` evaluate the entire
+        candidate block in one call and rank each column with a
+        vectorized ``(estimate, key)`` lexsort — the precomputed key
+        ranks make its tie-break identical to sorting on the canonical
+        keys themselves.
     candidates:
         The configuration space (the paper's 62 evaluation configurations,
         or anything else).
-    batch_estimator:
-        Optional vectorized objective ``(config, sizes) -> array``;
-        when present, :meth:`optimize_many` evaluates the whole
-        candidates x sizes grid through it instead of
-        ``len(candidates) * len(sizes)`` scalar calls.  Must agree
-        numerically with ``estimator`` (the pipeline's implementations
-        are element-for-element identical).
-    grid_estimator:
-        Optional candidate-axis vectorized objective
-        ``(configs, sizes) -> (C, S) array``.  When present both
-        :meth:`optimize` and :meth:`optimize_many` evaluate the entire
-        candidate block in one kernel call and rank the columns with a
-        vectorized ``(estimate, key)`` lexsort — bitwise the scalar
-        ranking (the grid contract guarantees bitwise-equal cells, and
-        the precomputed key ranks make the lexsort tie-break identical
-        to sorting on the canonical keys themselves).
     allow_unestimable:
         ``+inf`` is the pipeline estimator's sanctioned "model outside its
         domain" signal, and by default such candidates simply rank last
-        (raising only when *no* candidate is finite).  An estimator that
+        (raising only when *no* candidate is finite).  An objective that
         is supposed to cover every candidate — a plain function in a
         heuristic-search comparison, say — can pass ``False`` to turn any
         ``+inf`` into an immediate :class:`SearchError` instead of a
@@ -75,18 +63,14 @@ class ExhaustiveOptimizer(SearchBackend):
 
     def __init__(
         self,
-        estimator: Estimator,
+        grid_estimator: GridEstimator,
         candidates: Sequence[ClusterConfig],
-        batch_estimator: Optional[BatchEstimator] = None,
-        grid_estimator: Optional[GridEstimator] = None,
         allow_unestimable: bool = True,
     ):
         if not candidates:
             raise SearchError("empty candidate set")
-        self.estimator = estimator
-        self.candidates = list(candidates)
-        self.batch_estimator = batch_estimator
         self.grid_estimator = grid_estimator
+        self.candidates = list(candidates)
         self.allow_unestimable = allow_unestimable
         # Sort keys are recomputed on every optimize(); cache them once.
         self._candidate_keys = [config.key() for config in self.candidates]
@@ -104,64 +88,10 @@ class ExhaustiveOptimizer(SearchBackend):
                 "'beam' for budgeted search)"
             )
         return cls(
-            problem.estimator,
+            problem.grid_estimator,
             problem.resolved_candidates(),
-            batch_estimator=problem.batch_estimator,
-            grid_estimator=problem.grid_estimator,
             allow_unestimable=problem.allow_unestimable,
         )
-
-    def _validated(self, value: float, config: ClusterConfig, n: int) -> float:
-        return validated_estimate(value, config, n, self.allow_unestimable)
-
-    def _new_stats(self) -> SearchStats:
-        stats = SearchStats(
-            backend=self.backend_type, evaluations=len(self.candidates)
-        )
-        self.stats = stats
-        return stats
-
-    def _outcome(
-        self,
-        n: int,
-        ranking: List[RankedEstimate],
-        started: float,
-        stats: Optional[SearchStats] = None,
-    ) -> SearchOutcome:
-        if not np.isfinite(ranking[0].estimate_s):
-            raise SearchError(
-                f"no candidate could be estimated at N={n} "
-                "(all models out of domain)"
-            )
-        stats = stats if stats is not None else self._new_stats()
-        stats.best_config = ranking[0].config
-        stats.best_estimate = ranking[0].estimate_s
-        return SearchOutcome(
-            n=n,
-            ranking=ranking,
-            search_seconds=time.perf_counter() - started,
-            stats=stats,
-            complete=True,
-        )
-
-    def _rank(
-        self,
-        n: int,
-        values: Sequence[float],
-        started: float,
-        stats: Optional[SearchStats] = None,
-    ) -> SearchOutcome:
-        """Assemble a :class:`SearchOutcome` from per-candidate estimates
-        (same ordering and error semantics as the scalar loop)."""
-        ranking = [
-            RankedEstimate(config=config, n=n, estimate_s=value)
-            for config, value in zip(self.candidates, values)
-        ]
-        order = sorted(
-            range(len(ranking)),
-            key=lambda i: (ranking[i].estimate_s, self._candidate_keys[i]),
-        )
-        return self._outcome(n, [ranking[i] for i in order], started, stats)
 
     @property
     def _key_ranks(self) -> np.ndarray:
@@ -170,8 +100,8 @@ class ExhaustiveOptimizer(SearchBackend):
         Sorting by ``(estimate, key_rank)`` equals sorting by
         ``(estimate, key)``: the ranks are a strictly monotone relabeling
         of the keys (equal keys get distinct ranks in original-index
-        order, which is exactly the stable-sort tie-break the scalar
-        ranking applies)."""
+        order, which is exactly the stable-sort tie-break of
+        :func:`rank_evaluations`)."""
         if self._key_rank_cache is None:
             order = sorted(
                 range(len(self._candidate_keys)),
@@ -184,102 +114,62 @@ class ExhaustiveOptimizer(SearchBackend):
             self._key_rank_cache = ranks
         return self._key_rank_cache
 
-    def _rank_grid(
-        self, n: int, values: np.ndarray, started: float
-    ) -> SearchOutcome:
-        """The vectorized ranking: ``np.lexsort`` on (estimate, key rank)
-        — the identical ordering :meth:`_rank` produces, without the
-        per-candidate Python tuple comparisons."""
+    def _rank(self, n: int, values: np.ndarray, started: float) -> SearchOutcome:
+        """Rank one column: ``np.lexsort`` on (estimate, key rank)."""
         order = np.lexsort((self._key_ranks, values))
-        ranking = [
+        ranking: List[RankedEstimate] = [
             RankedEstimate(
                 config=self.candidates[i], n=n, estimate_s=float(values[i])
             )
             for i in order
         ]
-        return self._outcome(n, ranking, started)
-
-    def _grid(self, sizes: Sequence[int]) -> np.ndarray:
-        assert self.grid_estimator is not None
-        grid = np.asarray(self.grid_estimator(self.candidates, sizes), dtype=float)
-        expected = (len(self.candidates), len(sizes))
-        if grid.shape != expected:
+        if not np.isfinite(ranking[0].estimate_s):
             raise SearchError(
-                f"grid estimator returned shape {grid.shape}, "
-                f"expected {expected}"
+                f"no candidate could be estimated at N={n} "
+                "(all models out of domain)"
             )
-        return grid
+        stats = SearchStats(
+            backend=self.backend_type,
+            evaluations=len(self.candidates),
+            best_config=ranking[0].config,
+            best_estimate=ranking[0].estimate_s,
+        )
+        self.stats = stats
+        return SearchOutcome(
+            n=n,
+            ranking=ranking,
+            search_seconds=time.perf_counter() - started,
+            stats=stats,
+            complete=True,
+        )
 
     def optimize(self, n: int) -> SearchOutcome:
         """Rank all candidates for problem order ``n`` (ascending time)."""
-        started = time.perf_counter()
-        if self.grid_estimator is not None:
-            column = self._grid([int(n)])[:, 0]
-            values_arr = validated_estimates(
-                column, self.candidates, n, self.allow_unestimable
-            )
-            return self._rank_grid(n, values_arr, started)
-        values: List[float] = []
-        for config in self.candidates:
-            # +inf is the estimator's "I cannot estimate this configuration"
-            # signal (model outside its domain); such candidates rank last.
-            values.append(self._validated(float(self.estimator(config, n)), config, n))
-        return self._rank(n, values, started)
+        return self.optimize_many([n])[0]
 
     def optimize_many(self, ns: Sequence[int]) -> List[SearchOutcome]:
         """Rank all candidates for every size in ``ns`` — the sweep path.
 
-        With a ``batch_estimator`` the candidates x sizes grid is
-        evaluated in vectorized batches (one call per candidate covering
-        all sizes); without one this degrades to ``optimize`` per size.
-        Outcomes are numerically identical either way; in batched mode
-        each outcome's ``search_seconds`` is its share of the grid
-        evaluation plus its own ranking cost.
+        The candidates x sizes grid is evaluated in one objective call;
+        each outcome's ``search_seconds`` is its share of that evaluation
+        plus its own ranking cost.
         """
         sizes = [int(n) for n in ns]
         if not sizes:
             raise SearchError("optimize_many needs at least one size")
-        if self.grid_estimator is not None:
-            started = time.perf_counter()
-            grid = self._grid(sizes)
-            eval_share = (time.perf_counter() - started) / len(sizes)
-            outcomes = []
-            for j, n in enumerate(sizes):
-                column_started = time.perf_counter()
-                values_arr = validated_estimates(
-                    grid[:, j], self.candidates, n, self.allow_unestimable
-                )
-                outcome = self._rank_grid(n, values_arr, column_started)
-                outcome.search_seconds += eval_share
-                outcomes.append(outcome)
-            return outcomes
-        if self.batch_estimator is None:
-            return [self.optimize(n) for n in sizes]
         started = time.perf_counter()
-        grid = np.empty((len(self.candidates), len(sizes)), dtype=float)
-        for i, config in enumerate(self.candidates):
-            row = np.asarray(self.batch_estimator(config, sizes), dtype=float)
-            if row.shape != (len(sizes),):
-                raise SearchError(
-                    f"batch estimator returned shape {row.shape} for "
-                    f"{config.label()}, expected ({len(sizes)},)"
-                )
-            grid[i] = row
+        grid = grid_block(self.grid_estimator, self.candidates, sizes)
         eval_share = (time.perf_counter() - started) / len(sizes)
         outcomes = []
         for j, n in enumerate(sizes):
             column_started = time.perf_counter()
-            values = [
-                self._validated(float(grid[i, j]), config, n)
-                for i, config in enumerate(self.candidates)
-            ]
+            values = validated_estimates(
+                grid[:, j], self.candidates, n, self.allow_unestimable
+            )
             outcome = self._rank(n, values, column_started)
             outcome.search_seconds += eval_share
             outcomes.append(outcome)
         return outcomes
-
-    def best(self, n: int) -> RankedEstimate:
-        return self.optimize(n).best
 
 
 # rank_evaluations is the order-independent form of ``_rank`` the other

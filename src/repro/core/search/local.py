@@ -1,7 +1,6 @@
 """Local-search backends over the product configuration lattice.
 
-The three classic heuristics of the paper's future-work Section 5
-(originally ``repro.exts.heuristics``, which still re-exports them) plus
+The three classic heuristics of the paper's future-work Section 5 plus
 a deterministic beam/local-search hybrid, all generalized from "a
 cluster spec with processes 1..max_procs" to any
 :class:`~repro.core.search.space.SearchSpace` — moves step between a
@@ -36,12 +35,12 @@ import numpy as np
 from repro.cluster.config import ClusterConfig, KindAllocation
 from repro.cluster.spec import ClusterSpec
 from repro.core.search.base import (
-    Estimator,
     GridEstimator,
     SearchBackend,
     SearchOutcome,
     SearchProblem,
     SearchStats,
+    grid_block,
     rank_evaluations,
     validated_estimate,
 )
@@ -79,17 +78,23 @@ def _predecessor(values: List[int], current: int) -> Optional[int]:
 class LocalSearchBase(SearchBackend):
     """Shared state/move machinery of the local searchers.
 
-    Constructible two ways: the original ``(spec, estimator, max_procs)``
-    signature (kept for compatibility — ``spec`` and ``max_procs`` stay
-    available as attributes), or with a :class:`SearchSpace` in place of
-    the spec, which is how :meth:`from_problem` builds instances for
-    candidate grids and synthetic spaces.
+    Constructible two ways: ``(spec, grid_estimator, max_procs)`` over a
+    cluster spec (``spec`` and ``max_procs`` stay available as
+    attributes), or with a :class:`SearchSpace` in place of the spec,
+    which is how :meth:`from_problem` builds instances for candidate
+    grids and synthetic spaces.
+
+    The objective is only ever called on blocks: each neighbor frontier
+    is *prefetched* as one block, then the search consumes the values in
+    its original order, so stats, trace and budget exhaustion count the
+    evaluations actually taken.  A state outside every prefetched
+    frontier (a random restart) is evaluated as a 1x1 block.
     """
 
     def __init__(
         self,
         spec: Union[ClusterSpec, SearchSpace],
-        estimator: Estimator,
+        grid_estimator: GridEstimator,
         max_procs: int = 6,
     ):
         if isinstance(spec, SearchSpace):
@@ -102,18 +107,14 @@ class LocalSearchBase(SearchBackend):
             self.spec = spec
             self.space = SearchSpace.from_spec(spec, max_procs)
             self.max_procs = max_procs
-        self.estimator = estimator
+        self.grid_estimator = grid_estimator
         self.kinds = list(self.space.kinds)
         self._pe_values = {k: self.space.pe_values(k) for k in self.kinds}
         self._m_values = {k: self.space.m_values(k) for k in self.kinds}
-        self._cache: Dict[Tuple[State, int], float] = {}
-        #: Candidate-axis grid kernel (None = scalar evaluation).  The
-        #: kernel is a pure value oracle: frontiers are *prefetched* as
-        #: blocks, then the search consumes the values in its original
-        #: scalar control flow, so stats, trace, budget exhaustion and
-        #: cache contents are identical with or without it.
-        self._grid: Optional[GridEstimator] = None
-        self._prefetched: Dict[Tuple[State, int], float] = {}
+        # Per-run state, emptied by _new_run: values taken so far, and
+        # block-evaluated values not taken yet.
+        self._cache: Dict[State, float] = {}
+        self._prefetched: Dict[State, float] = {}
         self._allow_unestimable = True
         self._budget: Optional[int] = None
         self._seed = 0
@@ -126,8 +127,7 @@ class LocalSearchBase(SearchBackend):
     ) -> "LocalSearchBase":
         if budget is not None and budget < 1:
             raise SearchError(f"budget must be >= 1, got {budget}")
-        instance = cls(problem.resolved_space(), problem.estimator)
-        instance._grid = problem.grid_estimator
+        instance = cls(problem.resolved_space(), problem.grid_estimator)
         instance._allow_unestimable = problem.allow_unestimable
         instance._budget = budget
         instance._seed = problem.seed
@@ -146,64 +146,58 @@ class LocalSearchBase(SearchBackend):
             (k, config.pe_count(k), config.procs_per_pe(k)) for k in self.kinds
         )
 
+    def _new_run(self) -> SearchStats:
+        """Fresh stats for one search run; nothing taken or prefetched by
+        an earlier run on this instance carries over."""
+        self._cache.clear()
+        self._prefetched.clear()
+        return SearchStats()
+
     def _prefetch(
         self, frontier: Sequence[State], n: int, stats: SearchStats
     ) -> None:
-        """Deduplicate a neighbor frontier and, with a grid kernel, block-
-        evaluate the fresh states in one call.
+        """Deduplicate a neighbor frontier and block-evaluate its fresh
+        states in one objective call.
 
-        States duplicated within the frontier or already evaluated this
-        run are counted as ``dedup_hits`` (the counting runs in scalar
-        mode too, so the stats do not depend on the kernel).  Prefetched
-        values sit in ``self._prefetched`` until :meth:`_evaluate`
-        consumes them in the searcher's original order — unconsumed cells
-        never touch the cache, the stats or the budget, which is what
-        keeps block evaluation bitwise-identical to the scalar path.
+        States duplicated within the frontier or already taken this run
+        are counted as ``dedup_hits``.  Prefetched values sit in
+        ``self._prefetched`` until :meth:`_evaluate` takes them in the
+        searcher's order — untaken cells never touch the cache, the
+        stats or the budget.
         """
         fresh: List[State] = []
         seen: set = set()
         for state in frontier:
-            key = (state, n)
-            if state in seen or key in self._cache:
+            if state in seen or state in self._cache:
                 stats.dedup_hits += 1
                 continue
             seen.add(state)
-            if key in self._prefetched:
-                # Already block-evaluated by an earlier frontier (grid
-                # mode only) — not re-counted, but still marked seen so
-                # an in-frontier duplicate counts exactly as it would in
-                # the scalar run (where this state would be fresh).
-                continue
-            fresh.append(state)
-        if self._grid is None or not fresh:
-            return
-        configs = [self._to_config(state) for state in fresh]
-        block = np.asarray(self._grid(configs, [n]), dtype=float)
-        if block.shape != (len(fresh), 1):
-            raise SearchError(
-                f"grid estimator returned shape {block.shape}, "
-                f"expected ({len(fresh)}, 1)"
-            )
-        for state, value in zip(fresh, block[:, 0]):
-            self._prefetched[(state, n)] = float(value)
+            # A state block-evaluated by an earlier frontier is not
+            # fetched again, but it is still marked seen so an
+            # in-frontier duplicate of it counts as a dedup hit.
+            if state not in self._prefetched:
+                fresh.append(state)
+        if fresh:
+            self._fetch(fresh, n)
+
+    def _fetch(self, states: Sequence[State], n: int) -> None:
+        configs = [self._to_config(state) for state in states]
+        column = grid_block(self.grid_estimator, configs, [n])[:, 0]
+        self._prefetched.update(zip(states, column.tolist()))
 
     def _evaluate(self, state: State, n: int, stats: SearchStats) -> float:
-        key = (state, n)
-        if key not in self._cache:
+        if state not in self._cache:
             if self._budget is not None and stats.evaluations >= self._budget:
                 raise _BudgetExhausted()
+            if state not in self._prefetched:
+                self._fetch([state], n)
             config = self._to_config(state)
-            prefetched = self._prefetched.pop(key, None)
-            if prefetched is None:
-                raw = float(self.estimator(config, n))
-            else:
-                raw = prefetched
             value = validated_estimate(
-                raw, config, n, self._allow_unestimable
+                self._prefetched.pop(state), config, n, self._allow_unestimable
             )
-            self._cache[key] = value
+            self._cache[state] = value
             stats.record(config, value)
-        return self._cache[key]
+        return self._cache[state]
 
     # -- neighborhood ------------------------------------------------------------
 
@@ -308,8 +302,7 @@ class LocalSearchBase(SearchBackend):
         self.stats = stats
         entries = [
             (self._to_config(state), value)
-            for (state, size), value in self._cache.items()
-            if size == n
+            for state, value in self._cache.items()
         ]
         return rank_evaluations(
             n, entries, started, stats=stats, complete=False
@@ -324,7 +317,7 @@ class GreedyGrowth(LocalSearchBase):
     """Best-improvement growth from the best single-PE configuration."""
 
     def search(self, n: int, max_steps: int = 200) -> SearchStats:
-        stats = SearchStats()
+        stats = self._new_run()
         starts = self._single_pe_starts()
         if not starts:
             raise SearchError("cluster has no PEs")
@@ -358,7 +351,7 @@ class HillClimber(LocalSearchBase):
     def search(
         self, n: int, restarts: int = 4, max_steps: int = 200, seed: int = 0
     ) -> SearchStats:
-        stats = SearchStats()
+        stats = self._new_run()
         rng = stream(seed, "hill-climber", n)
         try:
             for restart in range(max(restarts, 1)):
@@ -413,7 +406,7 @@ class SimulatedAnnealing(LocalSearchBase):
             raise SearchError("steps must be >= 1")
         if not (0.0 < cooling <= 1.0):
             raise SearchError("cooling must be in (0, 1]")
-        stats = SearchStats()
+        stats = self._new_run()
         rng = stream(seed, "annealing", n)
         starts = self._single_pe_starts()
         if not starts:
@@ -467,7 +460,7 @@ class BeamSearch(LocalSearchBase):
             raise SearchError("width must be >= 1")
         if patience < 1:
             raise SearchError("patience must be >= 1")
-        stats = SearchStats()
+        stats = self._new_run()
         starts = self._single_pe_starts()
         if not starts:
             raise SearchError("cluster has no PEs")

@@ -63,7 +63,7 @@ def synthetic_kind_time(
 ) -> Callable[[str, int, int, np.ndarray], np.ndarray]:
     """The vectorized ``kind_time(kind, mi, n, p_array)`` of the model
     above — both the bound oracle's profile source and the building block
-    of the scalar objective."""
+    of :func:`synthetic_estimator`."""
 
     def kind_time(kind: str, mi: int, n: int, p_arr: np.ndarray) -> np.ndarray:
         rate, alpha, lat, bw = params[kind]
@@ -74,6 +74,31 @@ def synthetic_kind_time(
         return ta + tc
 
     return kind_time
+
+
+def synthetic_estimator(
+    n_kinds: int = 10, seed: int = 2004
+) -> Callable[[ClusterConfig, int], float]:
+    """The per-cell reference objective ``(config, n) -> seconds`` of the
+    instance :func:`synthetic_problem` builds for the same ``n_kinds`` and
+    ``seed``: the bottleneck ``kind_time`` over ``config.active``.
+
+    The instance's grid objective is its vectorized form, cell for cell
+    bitwise; brute-force references (``enumerate_frontier``) and the
+    grid-vs-pointwise checks use this one.
+    """
+    kind_time = synthetic_kind_time(synthetic_kind_params(n_kinds, seed=seed))
+
+    def estimator(config: ClusterConfig, n: int) -> float:
+        p = np.array([config.total_processes])
+        return float(
+            max(
+                kind_time(alloc.kind_name, alloc.procs_per_pe, n, p)[0]
+                for alloc in config.active
+            )
+        )
+
+    return estimator
 
 
 def synthetic_problem(
@@ -99,7 +124,6 @@ def synthetic_problem(
                 options.append((pe, m))
         choices.append(tuple(sorted(options)))
     space = SearchSpace(kinds=tuple(kinds), choices=tuple(choices))
-    kind_time = synthetic_kind_time(params)
     # Per-kind parameter vectors for the grid estimator's gather.
     kind_ordinal = {kind: k for k, kind in enumerate(kinds)}
     rate_of, alpha_of, lat_of, bw_of = (
@@ -107,17 +131,8 @@ def synthetic_problem(
         for field in range(4)
     )
 
-    def estimator(config: ClusterConfig, n: int) -> float:
-        p = np.array([config.total_processes])
-        return float(
-            max(
-                kind_time(alloc.kind_name, alloc.procs_per_pe, n, p)[0]
-                for alloc in config.active
-            )
-        )
-
     def grid_estimator(configs, ns) -> np.ndarray:
-        # Candidate-axis form of ``estimator``: flatten every active
+        # Candidate-axis form of ``synthetic_estimator``: flatten every active
         # allocation into parallel arrays (one row per (candidate, kind)
         # pair, with its kind's parameters gathered alongside), evaluate
         # the model as one elementwise ufunc chain per size — the exact
@@ -171,13 +186,14 @@ def synthetic_problem(
             np.maximum.at(out[:, j], cand, ta + tc)
         return out
 
-    bounds = KindTimeBound(kind_time, p_max=space.max_total_processes)
+    bounds = KindTimeBound(
+        synthetic_kind_time(params), p_max=space.max_total_processes
+    )
     return SearchProblem(
-        estimator=estimator,
+        grid_estimator,
         space=space,
         kinds=kinds,
         bounds=bounds,
-        grid_estimator=grid_estimator,
         allow_unestimable=False,
         seed=seed,
     )

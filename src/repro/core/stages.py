@@ -88,16 +88,11 @@ class PipelineContext:
     perf: PerfReport
     #: ``(config, n, kind) -> worst-node memory ratio`` (pipeline-supplied).
     memory_ratio_fn: Callable[[ClusterConfig, int, str], float]
-    #: Adjusted scalar estimate ``(config, n) -> seconds`` — the search
-    #: engine's cache-fill path.
-    scalar_estimate: Callable[[ClusterConfig, int], float]
-    #: Vectorized adjusted estimates ``(config, [n...]) -> np.ndarray``.
-    batch_estimate: Callable[[ClusterConfig, Sequence[int]], np.ndarray]
     #: Default candidate set for the optimizer.
     candidates: Callable[[], List[ClusterConfig]]
     #: The :class:`repro.workloads.Workload` family being measured; owns
-    #: the simulator, phase decomposition and grid-kernel hook.  ``None``
-    #: (unit-test graphs) behaves as the standard HPL setup.
+    #: the simulator and phase decomposition.  ``None`` (unit-test
+    #: graphs) behaves as the standard HPL setup.
     workload: object = None
     graph: "StageGraph" = field(init=False, repr=False, default=None)  # type: ignore[assignment]
 
@@ -449,8 +444,6 @@ class SearchStage(Stage):
             facade=ctx.artifact("estimator"),
             adjustment=ctx.artifact("adjust"),
             guard_footprint=ctx.config.guard_footprint,
-            scalar_estimate=ctx.scalar_estimate,
-            batch_estimate=ctx.batch_estimate,
             candidates=ctx.candidates,
             validate=lambda config: config.validate_against(spec),
             perf=ctx.perf,
@@ -460,9 +453,6 @@ class SearchStage(Stage):
                 getattr(ctx.config, "cost", None)
                 if getattr(ctx.config, "cost", None) is not None
                 else getattr(ctx.spec, "cost", None)
-            ),
-            grid_kernel_factory=(
-                ctx.workload.make_grid_kernel if ctx.workload is not None else None
             ),
         )
 
@@ -530,7 +520,7 @@ def calibration_configs(spec: ClusterSpec, plan, config) -> List[ClusterConfig]:
 
 
 class SearchEngine:
-    """The search stage's artifact: estimate cache + objectives + optimizer.
+    """The search stage's artifact: grid kernel + estimate cache + optimizer.
 
     Owns the one :class:`~repro.perf.cache.EstimateCache` of a model
     generation — its fingerprint is built from the estimator facade's
@@ -547,21 +537,16 @@ class SearchEngine:
         facade: Estimator,
         adjustment: LinearAdjustment,
         guard_footprint: float,
-        scalar_estimate: Callable[[ClusterConfig, int], float],
-        batch_estimate: Callable[[ClusterConfig, Sequence[int]], np.ndarray],
         candidates: Callable[[], List[ClusterConfig]],
         perf: PerfReport,
         validate: Optional[Callable[[ClusterConfig], None]] = None,
         default_backend: str = DEFAULT_BACKEND,
         seed: int = 0,
         cost_model: Optional[object] = None,
-        grid_kernel_factory: Optional[Callable] = None,
     ):
         self.facade = facade
         self.adjustment = adjustment
         self.guard_footprint = guard_footprint
-        self._scalar = scalar_estimate
-        self._batch = batch_estimate
         self._candidates = candidates
         self.perf = perf
         self._validate = validate
@@ -569,10 +554,6 @@ class SearchEngine:
         self.seed = seed
         #: Duck-typed :class:`repro.cost.model.CostModel` (None = unpriced).
         self.cost_model = cost_model
-        #: Per-workload kernel constructor
-        #: (:meth:`repro.workloads.Workload.make_grid_kernel`); ``None``
-        #: builds the standard :class:`GridKernel` directly.
-        self._grid_kernel_factory = grid_kernel_factory
         self._cache: Optional[EstimateCache] = None
         self._grid_kernel: Optional[GridKernel] = None
 
@@ -591,61 +572,6 @@ class SearchEngine:
             self.perf.cache = self._cache
         return self._cache
 
-    def estimator(self, cached: bool = False):
-        """The objective function for optimizers: (config, n) -> seconds.
-
-        ``cached=True`` routes lookups through :attr:`estimate_cache`
-        (identical values; repeated queries become dict hits).
-        """
-        if not cached:
-
-            def objective(config: ClusterConfig, n: int) -> float:
-                return self._scalar(config, n)
-
-            return objective
-
-        def cached_objective(config: ClusterConfig, n: int) -> float:
-            cache = self.estimate_cache
-            key = cache.key_of(config)
-            hit = cache.get(key, n)
-            if hit is not None:
-                return hit
-            value = self._scalar(config, n)
-            cache.put(key, n, value)
-            return value
-
-        return cached_objective
-
-    def batch_estimator(self):
-        """Vectorized + cached objective for ``optimize_many``:
-        ``(config, [n...]) -> array of seconds``.
-
-        Cache hits are served from :attr:`estimate_cache`; only the
-        missing sizes go through one vectorized model evaluation, whose
-        results then populate the cache.
-        """
-
-        def batch_objective(config: ClusterConfig, ns: Sequence[int]) -> np.ndarray:
-            cache = self.estimate_cache
-            sizes = [int(n) for n in ns]
-            out = np.empty(len(sizes), dtype=float)
-            key = cache.key_of(config)
-            missing: List[int] = []
-            for i, n in enumerate(sizes):
-                hit = cache.get(key, n)
-                if hit is None:
-                    missing.append(i)
-                else:
-                    out[i] = hit
-            if missing:
-                values = self._batch(config, [sizes[i] for i in missing])
-                for j, i in enumerate(missing):
-                    out[i] = values[j]
-                    cache.put(key, sizes[i], float(values[j]))
-            return out
-
-        return batch_objective
-
     @property
     def grid_kernel(self) -> GridKernel:
         """The candidate-axis vectorized kernel of this model generation.
@@ -659,22 +585,9 @@ class SearchEngine:
         """
         if self._grid_kernel is None:
             stats = GridKernelStats()
-            if self._grid_kernel_factory is not None:
-                self._grid_kernel = self._grid_kernel_factory(
-                    self.facade,
-                    self.adjustment,
-                    self._validate,
-                    stats,
-                    self._batch,
-                )
-            else:
-                self._grid_kernel = GridKernel(
-                    self.facade,
-                    self.adjustment,
-                    validate=self._validate,
-                    stats=stats,
-                    batch_fallback=self._batch,
-                )
+            self._grid_kernel = GridKernel(
+                self.facade, self.adjustment, validate=self._validate, stats=stats
+            )
             self.perf.grid = stats
         return self._grid_kernel
 
@@ -682,53 +595,10 @@ class SearchEngine:
         self, configs: Sequence[ClusterConfig], ns: Sequence[int]
     ) -> np.ndarray:
         """Adjusted estimates of every ``(config, n)`` cell as a
-        ``(C, S)`` array, bitwise the scalar estimates.
-
-        Cache-integrated like :meth:`batch_estimator`: every cell is
-        looked up first, the rows with at least one miss go through a
-        single kernel block, and only the missing cells are written back
-        (hit cells keep their cached values, so a warm sweep is pure
-        dictionary lookups).
-        """
-        cache = self.estimate_cache
-        sizes = [int(n) for n in ns]
-        count, width = len(configs), len(sizes)
-        out = np.empty((count, width), dtype=float)
-        hit_mask = np.zeros((count, width), dtype=bool)
-        miss_rows: List[int] = []
-        for i, config in enumerate(configs):
-            key = cache.key_of(config)
-            row_full = True
-            for j, n in enumerate(sizes):
-                hit = cache.get(key, n)
-                if hit is None:
-                    row_full = False
-                else:
-                    out[i, j] = hit
-                    hit_mask[i, j] = True
-            if not row_full:
-                miss_rows.append(i)
-        if miss_rows:
-            block_configs = [configs[i] for i in miss_rows]
-            block = self.grid_kernel.evaluate(block_configs, sizes)
-            for r, i in enumerate(miss_rows):
-                key = cache.key_of(configs[i])
-                for j, n in enumerate(sizes):
-                    if not hit_mask[i, j]:
-                        out[i, j] = block[r, j]
-                        cache.put(key, n, float(block[r, j]))
-        return out
-
-    def grid_estimator(self):
-        """The candidate-axis objective for search backends:
-        ``(configs, [n...]) -> (C, S) array`` (see :meth:`estimate_grid`)."""
-
-        def grid_objective(
-            configs: Sequence[ClusterConfig], ns: Sequence[int]
-        ) -> np.ndarray:
-            return self.estimate_grid(configs, ns)
-
-        return grid_objective
+        ``(C, S)`` array, bitwise the scalar estimates: the kernel's
+        blocks served through :attr:`estimate_cache`.  This is the
+        objective every search backend takes."""
+        return self.estimate_cache.get_block(configs, ns, self.grid_kernel.evaluate)
 
     def optimizer(
         self,
@@ -740,8 +610,9 @@ class SearchEngine:
         """A ready-to-run search backend over the candidate grid.
 
         ``backend=None`` uses the engine's default (the pipeline config's
-        ``search_backend``); the plain exhaustive default keeps its
-        vectorized grid fast path.  Any other tag goes through the search
+        ``search_backend``); the plain exhaustive default is built
+        directly, skipping the product-space derivation it does not
+        need.  Any other tag goes through the search
         registry with a :class:`SearchProblem` carrying the model-derived
         bound oracle (so ``branch-bound`` can prune), the rate card (so
         ``budget-frontier`` can price), and the pipeline seed (so
@@ -755,20 +626,13 @@ class SearchEngine:
             list(candidates) if candidates is not None else self._candidates()
         )
         if tag == "exhaustive" and budget is None and not options:
-            return ExhaustiveOptimizer(
-                self.estimator(),
-                pool,
-                batch_estimator=self.batch_estimator(),
-                grid_estimator=self.grid_estimator(),
-            )
+            return ExhaustiveOptimizer(self.estimate_grid, pool)
         space = SearchSpace.from_candidates(pool)
         problem = SearchProblem(
-            estimator=self.estimator(),
+            self.estimate_grid,
             candidates=pool,
             space=space,
             kinds=list(space.kinds),
-            batch_estimator=self.batch_estimator(),
-            grid_estimator=self.grid_estimator(),
             bounds=estimator_bounds(
                 self.facade, self.adjustment, p_max=space.max_total_processes
             ),

@@ -40,6 +40,7 @@ import numpy as np
 from repro.core import lsq
 from repro.core.estimator import Estimator
 from repro.core.model_api import ModelDomain, TimeModelMixin, register_model
+from repro.core.search.base import pointwise
 from repro.errors import FitError, ModelError
 from repro.measure.dataset import Dataset
 
@@ -278,8 +279,9 @@ class UnifiedEstimator:
         return self._facade.estimate_total(config, n)
 
     def estimator(self):
-        """Objective-function form for the optimizers."""
-        return self._facade.objective()
+        """Objective form for the search backends: :meth:`estimate` lifted
+        cell by cell to the ``(configs, ns) -> (C, S)`` grid form."""
+        return pointwise(self.estimate)
 
 
 def _derive_factors(

@@ -29,14 +29,10 @@ from __future__ import annotations
 import math
 import time as _time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.config import ClusterConfig
-from repro.core.search.base import (
-    Estimator,
-    SearchStats,
-    validated_estimate,
-)
+from repro.core.search.base import SearchStats, validated_estimate
 from repro.cost.evaluate import config_dollar_rate, config_watts
 from repro.cost.model import CostModel
 from repro.errors import SearchError
@@ -193,7 +189,7 @@ def assemble_frontier(
 
 
 def enumerate_frontier(
-    estimator: Estimator,
+    estimator: Callable[[ClusterConfig, int], float],
     candidates: Sequence[ClusterConfig],
     n: int,
     model: CostModel,

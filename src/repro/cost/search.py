@@ -39,15 +39,12 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.config import ClusterConfig
 from repro.core.search.base import (
-    Estimator,
     GridEstimator,
     SearchOutcome,
     SearchProblem,
     SearchStats,
     rank_evaluations,
-    validated_estimate,
 )
 from repro.core.search.bounds import KindTimeBound
 from repro.core.search.branch_bound import BranchBoundSearch
@@ -70,11 +67,10 @@ class BudgetFrontierSearch(BranchBoundSearch):
 
     def __init__(
         self,
-        estimator: Estimator,
+        grid_estimator: GridEstimator,
         space: SearchSpace,
         bounds: KindTimeBound,
         cost: Optional[CostModel] = None,
-        grid_estimator: Optional[GridEstimator] = None,
         allow_unestimable: bool = True,
         budget: Optional[int] = None,
         work_factor: int = 256,
@@ -82,10 +78,9 @@ class BudgetFrontierSearch(BranchBoundSearch):
         alpha: Optional[float] = None,
     ):
         super().__init__(
-            estimator,
+            grid_estimator,
             space,
             bounds,
-            grid_estimator=grid_estimator,
             allow_unestimable=allow_unestimable,
             budget=budget,
             work_factor=work_factor,
@@ -138,11 +133,10 @@ class BudgetFrontierSearch(BranchBoundSearch):
                 "(SearchProblem.bounds); without one it cannot prune"
             )
         return cls(
-            problem.estimator,
+            problem.grid_estimator,
             space,
             problem.bounds,
             cost=problem.cost,
-            grid_estimator=problem.grid_estimator,
             allow_unestimable=problem.allow_unestimable,
             budget=budget,
             work_factor=work_factor,
@@ -164,10 +158,8 @@ class BudgetFrontierSearch(BranchBoundSearch):
         space = self.space
         n_kinds = len(space.kinds)
         assignment: List[Tuple[int, int]] = []
-        # Leaf values prefetched through the grid kernel (see
-        # BranchBoundSearch.optimize): the leaf branch pops them in its
-        # original DFS order, so the two-axis pruning, the archive and
-        # the budget replay identically over bitwise-equal values.
+        # Leaf values fetched by each leaf parent (see
+        # BranchBoundSearch._fetch_leaves).
         leaf_values: dict = {}
         work_cap = (
             None if self.budget is None else self.budget * self.work_factor
@@ -224,11 +216,8 @@ class BudgetFrontierSearch(BranchBoundSearch):
                     stats.exhausted = True
                     return False
                 config = space.config_of(assignment)
-                raw = leaf_values.pop(tuple(assignment), None)
-                if raw is None:
-                    raw = float(self.estimator(config, n))
-                value = validated_estimate(
-                    raw, config, n, self.allow_unestimable
+                value = self._take_leaf(
+                    tuple(assignment), config, n, leaf_values
                 )
                 stats.record(config, value)
                 point = build_point(self.cost, config, n, value)
@@ -271,12 +260,10 @@ class BudgetFrontierSearch(BranchBoundSearch):
             # Fast subtrees first: early archive points near the frontier's
             # fast end prune more of the slow-and-expensive bulk.
             children.sort(key=lambda item: (item[0], item[1]))
-            if self.grid_estimator is not None and depth + 1 == n_kinds:
-                # Prefetch the leaf block with the replay loop's own
-                # ``continue``-style filters.  ``corner_pruned`` only
-                # grows stronger as the archive fills mid-block, so the
-                # prefetch-time check keeps a superset of the leaves the
-                # replay will evaluate; unconsumed cells are discarded.
+            if depth + 1 == n_kinds:
+                # The leaf block, with the walk's own ``continue``-style
+                # filters (``corner_pruned`` only grows stronger as the
+                # archive fills mid-block).
                 remaining = (
                     None
                     if self.budget is None
@@ -293,18 +280,7 @@ class BudgetFrontierSearch(BranchBoundSearch):
                     if remaining is not None and len(block) >= remaining:
                         break
                     block.append(tuple(assignment) + (choice,))
-                if len(block) > 1:
-                    configs = [space.config_of(key) for key in block]
-                    values = np.asarray(
-                        self.grid_estimator(configs, [n]), dtype=float
-                    )
-                    if values.shape != (len(block), 1):
-                        raise SearchError(
-                            f"grid estimator returned shape {values.shape},"
-                            f" expected ({len(block)}, 1)"
-                        )
-                    for key, value in zip(block, values[:, 0]):
-                        leaf_values[key] = float(value)
+                self._fetch_leaves(block, n, leaf_values)
             for (t_lb, choice, c_lb, child_p, child_mi,
                  child_rate, child_profile) in children:
                 # Unlike the scalar walk, a pruned child does not prune

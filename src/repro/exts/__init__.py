@@ -4,9 +4,9 @@ The paper's conclusion names three open ends; each has a module here:
 
 * "for larger clusters, it is essential to find a way to reduce the search
   space.  Approximation algorithms (i.e., heuristics) are also worth
-  considering" — :mod:`repro.exts.heuristics` (greedy growth, hill
-  climbing, simulated annealing, all benchmarked against exhaustive
-  enumeration);
+  considering" — the heuristic backends of :mod:`repro.core.search`
+  (greedy growth, hill climbing, simulated annealing, beam search, all
+  benchmarked against exhaustive enumeration);
 * "though we examine only the case of a 1-by-P process grid ... our scheme
   is universally applicable to any other process grid" —
   :mod:`repro.exts.grid2d` (P x Q block-cyclic grids and a 2-D variant of
@@ -25,21 +25,9 @@ rather than merely cited.
 from repro.exts.apps import run_cholesky, run_summa
 from repro.exts.baselines import run_hbc, simulate_hbc, weighted_owner_sequence
 from repro.exts.grid2d import GridShape, grid_shapes, simulate_schedule_2d
-from repro.exts.heuristics import (
-    GreedyGrowth,
-    HillClimber,
-    SearchStats,
-    SimulatedAnnealing,
-    full_candidate_space,
-)
 
 __all__ = [
-    "GreedyGrowth",
     "GridShape",
-    "HillClimber",
-    "SearchStats",
-    "SimulatedAnnealing",
-    "full_candidate_space",
     "grid_shapes",
     "run_cholesky",
     "run_hbc",

@@ -30,7 +30,9 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Hashable, Optional, Tuple
+from typing import Callable, Hashable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import ReproError
 
@@ -141,6 +143,42 @@ class EstimateCache:
         if self.capacity is not None and len(self._data) > self.capacity:
             self._data.popitem(last=False)
             self.stats.evictions += 1
+
+    def get_block(
+        self,
+        configs: Sequence[object],
+        ns: Sequence[int],
+        evaluate: Callable[[Sequence[object], Sequence[int]], np.ndarray],
+    ) -> np.ndarray:
+        """The ``(C, S)`` block of estimates for ``configs x ns``: every
+        cell is looked up first, the rows with a miss go to
+        ``evaluate(configs, ns)`` as one block, and only the missing cells
+        are stored (hit cells keep their cached values, so a warm sweep
+        is pure dictionary lookups)."""
+        sizes = [int(n) for n in ns]
+        out = np.empty((len(configs), len(sizes)), dtype=float)
+        hit_mask = np.zeros(out.shape, dtype=bool)
+        keys = [self.key_of(config) for config in configs]
+        miss_rows: List[int] = []
+        for i, key in enumerate(keys):
+            row_full = True
+            for j, n in enumerate(sizes):
+                hit = self.get(key, n)
+                if hit is None:
+                    row_full = False
+                else:
+                    out[i, j] = hit
+                    hit_mask[i, j] = True
+            if not row_full:
+                miss_rows.append(i)
+        if miss_rows:
+            block = evaluate([configs[i] for i in miss_rows], sizes)
+            for r, i in enumerate(miss_rows):
+                for j, n in enumerate(sizes):
+                    if not hit_mask[i, j]:
+                        out[i, j] = block[r, j]
+                        self.put(keys[i], n, float(block[r, j]))
+        return out
 
     def clear(self) -> None:
         """Drop all entries (counters survive; they describe the session)."""

@@ -8,10 +8,10 @@ results back out to per-request futures:
 
 * ``estimate`` requests grouping on ``(pipeline, configuration)`` merge
   their problem orders into one
-  :meth:`~repro.core.pipeline.EstimationPipeline.estimate_totals` call
-  (one polynomial evaluation over the union instead of one call per
-  request — element-wise, so each request's numbers are bitwise those of
-  a direct call);
+  :meth:`~repro.serve.registry.RegistryEntry.cached_totals` lookup (the
+  misses go to the grid kernel as one block over the union instead of
+  one call per request — element-wise, so each request's numbers are
+  bitwise those of a direct call);
 * ``optimize`` requests grouping on ``(pipeline, backend, budget,
   max_cost, alpha)`` merge their orders into one
   :meth:`~repro.core.pipeline.EstimationPipeline.optimize_many` batched

@@ -110,27 +110,10 @@ class RegistryEntry:
 
     def cached_totals(self, config: ClusterConfig, ns: Sequence[int]) -> np.ndarray:
         """Adjusted totals over ``ns``, served from this entry's cache
-        where possible; misses go through one vectorized
-        :meth:`~repro.core.pipeline.EstimationPipeline.estimate_totals`
-        call, so values are bitwise those of the direct path."""
-        sizes = [int(n) for n in ns]
-        out = np.empty(len(sizes), dtype=float)
-        key = self.cache.key_of(config)
-        missing: List[int] = []
-        for i, n in enumerate(sizes):
-            hit = self.cache.get(key, n)
-            if hit is None:
-                missing.append(i)
-            else:
-                out[i] = hit
-        if missing:
-            values = self.pipeline.estimate_totals(
-                config, [sizes[i] for i in missing]
-            )
-            for j, i in enumerate(missing):
-                out[i] = values[j]
-                self.cache.put(key, sizes[i], float(values[j]))
-        return out
+        where possible; misses go through the pipeline's grid kernel as
+        one block (:meth:`~repro.perf.cache.EstimateCache.get_block`), so
+        values are bitwise those of the direct path."""
+        return self.cache.get_block([config], ns, self.pipeline.grid_kernel.evaluate)[0]
 
     def model_inventory(self) -> Dict[str, object]:
         """Structured model listing for the ``models`` op."""

@@ -10,8 +10,7 @@ know about one phase-structured parallel application:
   :mod:`repro.workloads.phases`);
 * the measurement-grid shape (a :class:`~repro.measure.grids.CampaignPlan`
   per protocol name);
-* the memory-footprint model feeding the memory guard;
-* the per-workload grid-kernel estimator hook used by the search stage.
+* the memory-footprint model feeding the memory guard.
 
 Tags are serializable strings stored in pipeline artifacts and served
 requests.  The registry mirrors the PR-2 model registry
@@ -136,24 +135,6 @@ class Workload:
     ) -> float:
         """Worst-node memory-pressure ratio for the guard; 0.0 = no model."""
         return 0.0
-
-    # -- search-stage estimator hook -----------------------------------------
-
-    def make_grid_kernel(self, facade, adjustment, validate, stats, batch_fallback):
-        """Build the candidate-axis grid estimator for this family.
-
-        The default is the standard kernel (PR 9); a family whose batch
-        estimator has different broadcast structure overrides this.
-        """
-        from repro.core.grid_kernel import GridKernel
-
-        return GridKernel(
-            facade,
-            adjustment,
-            validate=validate,
-            stats=stats,
-            batch_fallback=batch_fallback,
-        )
 
     # -- inventory ----------------------------------------------------------
 

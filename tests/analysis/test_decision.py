@@ -8,7 +8,7 @@ from repro.analysis.decision import (
     decision_table,
 )
 from repro.cluster.config import ClusterConfig
-from repro.core.optimizer import ExhaustiveOptimizer
+from repro.core.search import ExhaustiveOptimizer, pointwise
 from repro.errors import SearchError
 
 KINDS = ("athlon", "pentium2")
@@ -22,7 +22,7 @@ def outcome_for(times):
     configs = list(times)
     estimator = lambda c, n: times[c.label(KINDS)]
     return ExhaustiveOptimizer(
-        estimator, [ClusterConfig.from_tuple(KINDS, tuple(map(int, label.split(",")))) for label in configs]
+        pointwise(estimator), [ClusterConfig.from_tuple(KINDS, tuple(map(int, label.split(",")))) for label in configs]
     ).optimize(1)
 
 

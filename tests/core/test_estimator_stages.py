@@ -1,6 +1,5 @@
 """Unit tests for the Estimator facade and the pipeline stage graph."""
 
-import numpy as np
 import pytest
 
 from repro.cluster.presets import kishimoto_cluster
@@ -33,15 +32,6 @@ class TestEstimatorFacade:
         assert label_multi == "pt"
         with pytest.raises(ModelError, match="impossible query"):
             pipeline.models.select("pentium2", 1, 2)
-
-    def test_batch_matches_scalar_bitwise(self, pipeline):
-        ns = [400, 1600, 3200, 6400]
-        ta, tc, valid = pipeline.models.estimate_kind_batch("pentium2", ns, 8, 1)
-        for i, n in enumerate(ns):
-            scalar = pipeline.models.estimate_kind("pentium2", n, 8, 1)
-            assert ta[i] == scalar.ta
-            assert tc[i] == scalar.tc
-            assert bool(valid[i]) == scalar.valid
 
     def test_estimate_total_inf_when_any_kind_invalid(self, pipeline):
         facade = pipeline.models
@@ -81,8 +71,6 @@ class TestStageGraph:
             plan=None,
             perf=PerfReport(),
             memory_ratio_fn=lambda c, n, k: 0.0,
-            scalar_estimate=lambda c, n: 0.0,
-            batch_estimate=lambda c, ns: np.zeros(len(ns)),
             candidates=list,
         )
         return StageGraph(stages, ctx)

@@ -1,10 +1,12 @@
-"""Candidate-axis grid kernel: bitwise equivalence on every search path.
+"""Candidate-axis grid kernel: the scalar-vs-grid oracle.
 
 The contract under test (DESIGN.md §15): ``estimate_grid`` cell
 ``[i, j]`` is **bitwise** ``estimate(configs[i], ns[j]).total``, and
-every backend run with a grid estimator produces the identical outcome
-— ranking, winner, stats, budget exhaustion point — as the same backend
-run scalar.  Equality below is ``==`` on floats, never ``approx``.
+every backend run on the grid kernel produces the identical outcome —
+ranking, winner, stats, budget exhaustion point — as the same backend
+fed the scalar path cell by cell
+(``pointwise(lambda c, n: pipeline.estimate(c, n).total)``).  Equality
+below is ``==`` on floats, never ``approx``.
 """
 
 import dataclasses
@@ -14,15 +16,20 @@ import pytest
 
 from repro.cluster.config import ClusterConfig
 from repro.core.binning import MemoryBin
+from repro.core.estimator import Estimator
+from repro.core.grid_kernel import GridKernel
 from repro.core.pipeline import EstimationPipeline, PipelineConfig
 from repro.core.search import (
     create_search,
+    pointwise,
     registered_search_backends,
+    synthetic_estimator,
     synthetic_problem,
 )
-from repro.errors import ConfigurationError, SearchError
+from repro.errors import ConfigurationError, ModelError, SearchError
 from repro.measure.grids import PAPER_KINDS
 from repro.perf.report import GridKernelStats
+from repro.workloads import create_workload
 
 SIZES = (1600, 3200, 4800, 6400, 8000, 9600)
 
@@ -31,13 +38,11 @@ def cfg(p1, m1, p2, m2):
     return ClusterConfig.from_tuple(PAPER_KINDS, (p1, m1, p2, m2))
 
 
-def strip_grid(backend):
-    """The scalar reference: the same backend with its kernel unplugged."""
-    if hasattr(backend, "_grid"):
-        backend._grid = None
-    if hasattr(backend, "grid_estimator"):
-        backend.grid_estimator = None
-    return backend
+def scalar_reference(pipeline, backend=None, budget=None):
+    """The same backend fed the scalar estimate, lifted cell by cell."""
+    search = pipeline.optimizer(backend=backend, budget=budget)
+    search.grid_estimator = pointwise(lambda c, n: pipeline.estimate(c, n).total)
+    return search
 
 
 def outcome_sig(outcome):
@@ -87,28 +92,53 @@ class TestEstimateGrid:
             for j, n in enumerate(SIZES):
                 assert full[i, j] == pipeline.estimate(config, n).total
 
-    def test_memory_bins_take_fallback_and_stay_bitwise(self, spec):
+    def test_memory_bins_across_boundaries_stay_bitwise(self, spec):
+        """The kernel applies memory bins itself: a sweep whose ratios
+        cross two bin boundaries, with one cell exactly at each boundary,
+        on the N-T route (one PE, P == Mi) and the P-T route."""
+        nt_config, pt_config = cfg(1, 2, 0, 0), cfg(0, 0, 4, 1)
+        hpl = create_workload("hpl")
+        # Each boundary is a ratio one of the sweep's cells hits exactly.
+        low = hpl.memory_ratio(spec, pt_config, 6400, "pentium2")
+        high = hpl.memory_ratio(spec, nt_config, 6400, "athlon")
         pipeline = EstimationPipeline(
             spec,
             PipelineConfig(
                 protocol="nl",
                 seed=11,
                 memory_bins=(
-                    MemoryBin(max_ratio=0.5, label="fits"),
+                    MemoryBin(max_ratio=low, label="fits"),
                     MemoryBin(
-                        max_ratio=2.0, ta_scale=1.4, tc_scale=1.1, label="pages"
+                        max_ratio=high, ta_scale=1.4, tc_scale=1.1, label="tight"
+                    ),
+                    MemoryBin(
+                        max_ratio=4.0, ta_scale=2.0, tc_scale=1.5, label="pages"
                     ),
                 ),
             ),
         )
-        configs = [cfg(1, 2, 8, 1), cfg(0, 0, 4, 1), cfg(1, 1, 0, 0)]
+        configs = [nt_config, pt_config]
         grid = pipeline.estimate_grid(configs, SIZES)
+        labels = set()
         for i, config in enumerate(configs):
             for j, n in enumerate(SIZES):
-                assert grid[i, j] == pipeline.estimate(config, n).total
-        stats = pipeline.perf.grid
-        assert stats.scalar_fallback == len(configs)
-        assert stats.blocks == 0
+                scalar = pipeline.estimate(config, n)
+                assert grid[i, j] == scalar.total
+                labels.add(scalar.per_kind[0].bin_label)
+        assert labels == {"fits", "tight", "pages"}
+        # A ratio exactly at a boundary belongs to the bin it closes.
+        (nt_kind,) = pipeline.estimate(nt_config, 6400).per_kind
+        (pt_kind,) = pipeline.estimate(pt_config, 6400).per_kind
+        assert (nt_kind.model_kind, nt_kind.bin_label) == ("nt", "tight")
+        assert (pt_kind.model_kind, pt_kind.bin_label) == ("pt", "fits")
+        grid_stats = pipeline.perf.to_dict()["grid"]
+        assert grid_stats["scalar_fallback"] == 0
+        assert grid_stats["blocks"] == 1
+
+    def test_unified_backend_is_rejected(self):
+        facade = Estimator.for_unified({("athlon", 1): object()})
+        with pytest.raises(ModelError, match="'unified' backend"):
+            GridKernel(facade, adjustment=None)
 
     def test_kernel_stats_recorded(self, spec):
         pipeline = EstimationPipeline(spec, PipelineConfig(protocol="ns", seed=13))
@@ -132,13 +162,14 @@ class TestEstimateGrid:
 
 
 class TestBackendGoldenSweep:
-    """Every registered backend, scalar vs grid, bitwise-equal outcomes."""
+    """Every registered backend, grid vs pointwise scalar, bitwise-equal
+    outcomes."""
 
     @pytest.mark.parametrize("tag", registered_search_backends())
     def test_paper_grid(self, ns_pipeline, tag):
         for n in SIZES:
             grid = ns_pipeline.optimizer(backend=tag).optimize(n)
-            scalar = strip_grid(ns_pipeline.optimizer(backend=tag)).optimize(n)
+            scalar = scalar_reference(ns_pipeline, tag).optimize(n)
             assert outcome_sig(grid) == outcome_sig(scalar)
 
     @pytest.mark.parametrize(
@@ -146,14 +177,16 @@ class TestBackendGoldenSweep:
     )
     def test_synthetic_4kind(self, tag):
         problem = synthetic_problem(n_kinds=4, pes_per_kind=4, max_procs=3)
-        scalar_problem = dataclasses.replace(problem, grid_estimator=None)
+        scalar_problem = dataclasses.replace(
+            problem, grid_estimator=pointwise(synthetic_estimator(n_kinds=4))
+        )
         grid = create_search(tag, problem).optimize(4000)
         scalar = create_search(tag, scalar_problem).optimize(4000)
         assert outcome_sig(grid) == outcome_sig(scalar)
 
     def test_optimize_many_bitwise(self, ns_pipeline):
         grid = ns_pipeline.optimizer().optimize_many(SIZES)
-        scalar = strip_grid(ns_pipeline.optimizer()).optimize_many(SIZES)
+        scalar = scalar_reference(ns_pipeline).optimize_many(SIZES)
         for a, b in zip(grid, scalar):
             assert [(e.config.key(), e.estimate_s) for e in a.ranking] == [
                 (e.config.key(), e.estimate_s) for e in b.ranking
@@ -164,8 +197,8 @@ class TestBackendGoldenSweep:
             grid = ns_pipeline.optimizer(
                 backend="budget-frontier", budget=budget
             ).frontier(6400)
-            scalar = strip_grid(
-                ns_pipeline.optimizer(backend="budget-frontier", budget=budget)
+            scalar = scalar_reference(
+                ns_pipeline, "budget-frontier", budget
             ).frontier(6400)
             assert [
                 (p.config.key(), p.time_s, p.dollars) for p in grid.points
@@ -189,9 +222,7 @@ class TestBudgetExhaustion:
     @pytest.mark.parametrize("budget", [1, 2, 3, 5, 8, 13, 21, 34])
     def test_mid_frontier_budget_matches_scalar(self, ns_pipeline, tag, budget):
         grid = ns_pipeline.optimizer(backend=tag, budget=budget).optimize(4800)
-        scalar = strip_grid(
-            ns_pipeline.optimizer(backend=tag, budget=budget)
-        ).optimize(4800)
+        scalar = scalar_reference(ns_pipeline, tag, budget).optimize(4800)
         assert outcome_sig(grid) == outcome_sig(scalar)
         # The budget caps evaluations actually performed, not prefetches.
         assert grid.stats.evaluations <= budget
@@ -200,21 +231,19 @@ class TestBudgetExhaustion:
     @pytest.mark.parametrize("budget", [3, 10, 40])
     def test_leaf_block_budget_matches_scalar(self, ns_pipeline, tag, budget):
         grid = ns_pipeline.optimizer(backend=tag, budget=budget).optimize(4800)
-        scalar = strip_grid(
-            ns_pipeline.optimizer(backend=tag, budget=budget)
-        ).optimize(4800)
+        scalar = scalar_reference(ns_pipeline, tag, budget).optimize(4800)
         assert outcome_sig(grid) == outcome_sig(scalar)
         assert grid.stats.evaluations <= budget
 
 
 class TestFrontierDedup:
-    """Satellite: local searchers deduplicate frontiers before evaluation
-    and count the skips — identically with and without the kernel."""
+    """Local searchers deduplicate frontiers before evaluation and count
+    the skips — identically on the kernel and on the pointwise scalar."""
 
     @pytest.mark.parametrize("tag", ["greedy", "hill-climb", "anneal", "beam"])
     def test_dedup_hits_counted_and_mode_independent(self, ns_pipeline, tag):
         grid = ns_pipeline.optimizer(backend=tag).optimize(6400)
-        scalar = strip_grid(ns_pipeline.optimizer(backend=tag)).optimize(6400)
+        scalar = scalar_reference(ns_pipeline, tag).optimize(6400)
         assert grid.stats.dedup_hits == scalar.stats.dedup_hits
         # Revisited states exist in any real run of these searchers.
         assert grid.stats.dedup_hits > 0

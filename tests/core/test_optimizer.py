@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster.config import ClusterConfig
-from repro.core.optimizer import ExhaustiveOptimizer, actual_best
+from repro.core.search import ExhaustiveOptimizer, actual_best, pointwise
 from repro.errors import SearchError
 
 KINDS = ("athlon", "pentium2")
@@ -20,7 +20,7 @@ def table_estimator(table):
     def estimator(config, n):
         return table[(config.label(KINDS), n)]
 
-    return estimator
+    return pointwise(estimator)
 
 
 class TestOptimize:
@@ -68,11 +68,11 @@ class TestOptimize:
 
     def test_empty_candidates_rejected(self):
         with pytest.raises(SearchError):
-            ExhaustiveOptimizer(lambda c, n: 1.0, [])
+            ExhaustiveOptimizer(pointwise(lambda c, n: 1.0), [])
 
     def test_invalid_estimate_rejected(self):
         for bad in (float("nan"), -1.0):
-            optimizer = ExhaustiveOptimizer(lambda c, n: bad, CANDIDATES)
+            optimizer = ExhaustiveOptimizer(pointwise(lambda c, n: bad), CANDIDATES)
             with pytest.raises(SearchError):
                 optimizer.optimize(1)
 
@@ -83,12 +83,12 @@ class TestOptimize:
         def estimator(config, n):
             return float("inf") if config.label(KINDS) == "1,1,0,0" else 5.0
 
-        outcome = ExhaustiveOptimizer(estimator, CANDIDATES).optimize(1)
+        outcome = ExhaustiveOptimizer(pointwise(estimator), CANDIDATES).optimize(1)
         assert outcome.best.estimate_s == 5.0
         assert outcome.ranking[-1].config.label(KINDS) == "1,1,0,0"
 
     def test_all_unestimable_raises(self):
-        optimizer = ExhaustiveOptimizer(lambda c, n: float("inf"), CANDIDATES)
+        optimizer = ExhaustiveOptimizer(pointwise(lambda c, n: float("inf")), CANDIDATES)
         with pytest.raises(SearchError, match="no candidate"):
             optimizer.optimize(1)
 
@@ -100,22 +100,19 @@ class TestOptimize:
             return float("inf") if config.label(KINDS) == "1,1,0,0" else 5.0
 
         optimizer = ExhaustiveOptimizer(
-            estimator, CANDIDATES, allow_unestimable=False
+            pointwise(estimator), CANDIDATES, allow_unestimable=False
         )
         with pytest.raises(SearchError, match="invalid time"):
             optimizer.optimize(1)
 
     def test_strict_mode_rejects_inf_in_batch_path(self):
-        def batch(config, ns):
-            value = float("inf") if config.label(KINDS) == "1,1,0,0" else 5.0
-            return [value] * len(ns)
+        def grid(configs, ns):
+            return [
+                [float("inf") if c.label(KINDS) == "1,1,0,0" else 5.0] * len(ns)
+                for c in configs
+            ]
 
-        optimizer = ExhaustiveOptimizer(
-            lambda c, n: 5.0,
-            CANDIDATES,
-            batch_estimator=batch,
-            allow_unestimable=False,
-        )
+        optimizer = ExhaustiveOptimizer(grid, CANDIDATES, allow_unestimable=False)
         with pytest.raises(SearchError, match="invalid time"):
             optimizer.optimize_many([1, 2])
 
@@ -127,7 +124,7 @@ class TestOptimize:
         assert optimizer.optimize(1).best.estimate_s == 1.0
 
     def test_negative_inf_always_rejected(self):
-        optimizer = ExhaustiveOptimizer(lambda c, n: float("-inf"), CANDIDATES)
+        optimizer = ExhaustiveOptimizer(pointwise(lambda c, n: float("-inf")), CANDIDATES)
         with pytest.raises(SearchError, match="invalid time"):
             optimizer.optimize(1)
 

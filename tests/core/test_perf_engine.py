@@ -6,7 +6,7 @@ import pytest
 
 from repro.cluster.config import ClusterConfig
 from repro.core.binning import MemoryBin
-from repro.core.optimizer import ExhaustiveOptimizer
+from repro.core.search import ExhaustiveOptimizer, pointwise
 from repro.core.pipeline import EstimationPipeline, PipelineConfig
 from repro.errors import SearchError
 from repro.measure.grids import PAPER_KINDS
@@ -42,8 +42,9 @@ class TestOptimizeMany:
         assert batched.best.estimate_s == scalar.best.estimate_s
 
     def test_without_batch_estimator_falls_back(self):
+        """A plain per-cell function, lifted with ``pointwise``."""
         opt = ExhaustiveOptimizer(
-            lambda config, n: float(n) / config.total_processes,
+            pointwise(lambda config, n: float(n) / config.total_processes),
             [cfg(1, 1, 0, 0), cfg(1, 2, 0, 0)],
         )
         outcomes = opt.optimize_many([100, 200])
@@ -56,20 +57,18 @@ class TestOptimizeMany:
 
     def test_bad_batch_shape_rejected(self):
         opt = ExhaustiveOptimizer(
-            lambda config, n: 1.0,
+            lambda configs, ns: np.ones((len(configs), len(ns) + 1)),
             [cfg(1, 1, 0, 0)],
-            batch_estimator=lambda config, ns: np.ones(len(ns) + 1),
         )
         with pytest.raises(SearchError, match="shape"):
             opt.optimize_many([100, 200])
 
     def test_invalid_value_message_matches_scalar_path(self):
         candidates = [cfg(1, 1, 0, 0), cfg(1, 2, 0, 0)]
-        scalar = ExhaustiveOptimizer(lambda config, n: -1.0, candidates)
+        scalar = ExhaustiveOptimizer(pointwise(lambda config, n: -1.0), candidates)
         batched = ExhaustiveOptimizer(
-            lambda config, n: -1.0,
+            lambda configs, ns: np.full((len(configs), len(ns)), -1.0),
             candidates,
-            batch_estimator=lambda config, ns: np.full(len(ns), -1.0),
         )
         with pytest.raises(SearchError) as scalar_err:
             scalar.optimize(400)
@@ -117,13 +116,6 @@ class TestEstimateCache:
             assert [e.estimate_s for e in a.ranking] == [
                 e.estimate_s for e in b.ranking
             ]
-
-    def test_cached_scalar_estimator_matches_uncached(self, ns_pipeline):
-        plain = ns_pipeline.estimator()
-        cached = ns_pipeline.estimator(cached=True)
-        config = cfg(1, 2, 8, 1)
-        assert cached(config, 4800) == plain(config, 4800)
-        assert cached(config, 4800) == plain(config, 4800)  # warm hit
 
     def test_fingerprint_tracks_models(self, spec):
         same_a = EstimationPipeline(spec, PipelineConfig(protocol="ns", seed=11))

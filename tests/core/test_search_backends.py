@@ -15,6 +15,7 @@ from repro.core.search import (
     SearchSpace,
     SearchStats,
     create_search,
+    pointwise,
     register_search,
     registered_search_backends,
     search_backend_class,
@@ -138,7 +139,7 @@ class TestBranchBound:
 
     def test_requires_bounds(self, small_problem):
         stripped = SearchProblem(
-            estimator=small_problem.estimator,
+            small_problem.grid_estimator,
             space=small_problem.space,
             kinds=small_problem.kinds,
             allow_unestimable=False,
@@ -211,6 +212,26 @@ class TestLocalBackends:
             assert not stats.stuck, tag
             assert "stuck" not in stats.to_dict(), tag
 
+    @pytest.mark.parametrize("budget", [None, 5])
+    @pytest.mark.parametrize("tag", ["beam", "greedy", "hill-climb", "anneal"])
+    def test_repeated_size_is_a_fresh_run(self, ns_pipeline, tag, budget):
+        """Regression: a local searcher used to keep its evaluations from
+        one ``optimize`` call to the next, so a repeated size in
+        ``optimize_many`` reported zero evaluations and no best."""
+        first, second = ns_pipeline.optimize_many(
+            [4800, 4800], backend=tag, budget=budget
+        )
+        assert first.stats.evaluations > 0
+        for outcome in (first, second):
+            assert outcome.stats.best_config is not None
+        assert [(e.config.key(), e.estimate_s) for e in first.ranking] == [
+            (e.config.key(), e.estimate_s) for e in second.ranking
+        ]
+        for field in ("evaluations", "dedup_hits", "exhausted", "best_estimate"):
+            assert getattr(first.stats, field) == getattr(second.stats, field)
+        assert first.stats.best_config.key() == second.stats.best_config.key()
+        assert first.best.config.key() == second.best.config.key()
+
 
 class TestRankingSemantics:
     def test_inf_ties_rank_deterministically(self):
@@ -236,14 +257,9 @@ class TestRankingSemantics:
     def test_strict_mode_on_batched_many_with_partial_inf(self):
         """allow_unestimable=False must also catch +inf on the batched
         optimize_many path when only some sizes are unestimable."""
-
-        def batch(config, ns):
-            return [math.inf if n > 1 else 5.0 for n in ns]
-
         optimizer = ExhaustiveOptimizer(
-            lambda c, n: 5.0 if n <= 1 else math.inf,
+            pointwise(lambda c, n: 5.0 if n <= 1 else math.inf),
             [cfg(1, 1, 0, 0), cfg(1, 2, 0, 0)],
-            batch_estimator=batch,
             allow_unestimable=False,
         )
         assert optimizer.optimize_many([1])[0].best.estimate_s == 5.0
@@ -338,7 +354,10 @@ class TestSynthetic:
         a = synthetic_problem(n_kinds=3, pes_per_kind=3, max_procs=2)
         b = synthetic_problem(n_kinds=3, pes_per_kind=3, max_procs=2)
         sample = next(a.space.configs())
-        assert a.estimator(sample, 2000) == b.estimator(sample, 2000)
+        assert (
+            a.grid_estimator([sample], [2000]).tolist()
+            == b.grid_estimator([sample], [2000]).tolist()
+        )
         assert a.space.kinds == b.space.kinds
 
     def test_datacenter_scale_space_is_huge(self):

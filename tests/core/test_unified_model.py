@@ -113,7 +113,7 @@ class TestEstimatorOnCampaign:
         """The unified model should make decisions in the same regret band
         as the two-stage N-T/P-T stack on the Basic data."""
         estimator = UnifiedEstimator.fit_dataset(basic_campaign.dataset)
-        from repro.core.optimizer import ExhaustiveOptimizer
+        from repro.core.search import ExhaustiveOptimizer
 
         optimizer = ExhaustiveOptimizer(
             estimator.estimator(), list(basic_pipeline.plan.evaluation_configs)

@@ -7,13 +7,12 @@ with the exhaustive optimizer's winner.  Pruning only changes how much
 work that answer costs.
 """
 
-import dataclasses
-
 import pytest
 
 from repro.core.search import (
     create_search,
     registered_search_backends,
+    synthetic_estimator,
     synthetic_problem,
 )
 from repro.cost.pareto import dominates, enumerate_frontier
@@ -33,7 +32,10 @@ def problem():
 @pytest.fixture(scope="module")
 def reference(problem):
     return enumerate_frontier(
-        problem.estimator, problem.resolved_candidates(), N, problem.cost
+        synthetic_estimator(n_kinds=3),
+        problem.resolved_candidates(),
+        N,
+        problem.cost,
     )
 
 
@@ -101,8 +103,8 @@ class TestConstraints:
     ):
         cap = reference.min_cost.dollars * 1.01
         capped = enumerate_frontier(
-            problem.estimator, problem.resolved_candidates(), N, problem.cost,
-            max_cost=cap,
+            synthetic_estimator(n_kinds=3), problem.resolved_candidates(), N,
+            problem.cost, max_cost=cap,
         )
         outcome = create_search(
             "budget-frontier", problem, max_cost=cap

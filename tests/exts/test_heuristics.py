@@ -3,19 +3,21 @@
 import pytest
 
 from repro.cluster.presets import kishimoto_cluster, synthetic_cluster
-from repro.core.optimizer import ExhaustiveOptimizer
-from repro.errors import SearchError
-from repro.exts.heuristics import (
+from repro.core.search import (
+    ExhaustiveOptimizer,
     GreedyGrowth,
     HillClimber,
     SimulatedAnnealing,
     full_candidate_space,
+    pointwise,
 )
+from repro.errors import SearchError
 
 
 def model_estimator(spec, n_ref=8000.0):
     """A cheap analytic objective with the real problem's structure:
-    per-kind time = max over kinds of (work share / kind rate + comm)."""
+    per-kind time = max over kinds of (work share / kind rate + comm),
+    lifted to the grid form the search backends take."""
 
     rates = {kind.name: kind.peak_gflops * 1e9 for kind in spec.kinds}
 
@@ -33,7 +35,7 @@ def model_estimator(spec, n_ref=8000.0):
         comm = 2e-7 * float(n) ** 2 * (1 + 0.1 * p)
         return max(per_kind) + comm
 
-    return estimator
+    return pointwise(estimator)
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +78,7 @@ class TestGreedy:
 
     def test_invalid_max_procs(self, paper_spec):
         with pytest.raises(SearchError):
-            GreedyGrowth(paper_spec, lambda c, n: 1.0, max_procs=0)
+            GreedyGrowth(paper_spec, pointwise(lambda c, n: 1.0), max_procs=0)
 
 
 class TestHillClimberAndAnnealing:
@@ -104,7 +106,7 @@ class TestHillClimberAndAnnealing:
         assert a.evaluations == b.evaluations
 
     def test_annealing_parameter_validation(self, paper_spec):
-        sa = SimulatedAnnealing(paper_spec, lambda c, n: 1.0)
+        sa = SimulatedAnnealing(paper_spec, pointwise(lambda c, n: 1.0))
         with pytest.raises(SearchError):
             sa.search(100, steps=0)
         with pytest.raises(SearchError):

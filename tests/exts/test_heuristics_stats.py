@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.cluster.presets import kishimoto_cluster
-from repro.exts.heuristics import GreedyGrowth, SearchStats
+from repro.core.search import GreedyGrowth, SearchStats, pointwise
 
 
 class TestSearchStats:
@@ -28,7 +28,7 @@ class TestSearchStats:
 class TestGreedyInternals:
     @pytest.fixture(scope="class")
     def searcher(self):
-        return GreedyGrowth(kishimoto_cluster(), lambda c, n: 1.0)
+        return GreedyGrowth(kishimoto_cluster(), pointwise(lambda c, n: 1.0))
 
     def test_state_config_roundtrip(self, searcher):
         state = (("athlon", 1, 2), ("pentium2", 4, 1))
