@@ -13,7 +13,6 @@ from dataclasses import replace
 from repro.analysis.tables import render_table
 from repro.cluster.config import ClusterConfig
 from repro.core.pipeline import EstimationPipeline, PipelineConfig
-from repro.exts.apps import run_summa
 from repro.measure.grids import nl_plan
 
 KINDS = ("athlon", "pentium2")
@@ -33,10 +32,9 @@ def test_memory_guard_repairs_summa(benchmark, spec, write_result):
             PipelineConfig(
                 protocol="nl",
                 seed=SEED,
-                runner=run_summa,
+                workload="summa",
                 calibration_n=4800,
                 memory_guard=guard,
-                guard_footprint=3.0,
             ),
             plan=plan,
         )

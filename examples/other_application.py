@@ -4,9 +4,10 @@
 "Our approach is not limited to HPL but it is widely applicable to many
 other applications."  Nothing in the model layer knows what HPL is — it
 consumes per-kind (Ta, Tc) measurements.  Here we swap the application for
-a SUMMA-style matrix multiplication (3x the flops of LU per matrix order,
-different communication pattern, no pivoting) and run the identical
-measure -> fit -> compose -> adjust -> optimize pipeline.
+the ``summa`` workload family, a SUMMA-style matrix multiplication (3x the
+flops of LU per matrix order, different communication pattern, no
+pivoting), and run the identical measure -> fit -> compose -> adjust ->
+optimize pipeline.
 
 Run:  python examples/other_application.py
 """
@@ -16,7 +17,6 @@ from dataclasses import replace
 from repro import EstimationPipeline, PipelineConfig, kishimoto_cluster
 from repro.analysis.errors import evaluation_rows
 from repro.analysis.tables import render_table
-from repro.exts.apps import run_summa
 from repro.measure.grids import nl_plan
 
 spec = kishimoto_cluster()
@@ -33,7 +33,7 @@ plan = replace(
 
 pipeline = EstimationPipeline(
     spec,
-    PipelineConfig(protocol="nl", seed=42, runner=run_summa, calibration_n=4800),
+    PipelineConfig(protocol="nl", seed=42, workload="summa", calibration_n=4800),
     plan=plan,
 )
 

@@ -208,10 +208,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     advise.add_argument("--protocol", default="basic", choices=["basic", "nl", "ns"])
     advise.add_argument(
-        "--footprint",
-        type=float,
-        default=1.0,
-        help="application working-set multiple of one HPL matrix (SUMMA: 3)",
+        "--workload", default="hpl",
+        help="workload family tag (see `repro workloads`)",
     )
 
     breakdown = sub.add_parser(
@@ -964,12 +962,10 @@ def _dispatch(args: argparse.Namespace) -> None:
             print(detail)
     elif args.command == "advise":
         from repro.measure.advisor import advise as run_advisor
-        from repro.measure.grids import plan_by_name
+        from repro.workloads import create_workload
 
-        report = run_advisor(
-            _spec(args), plan_by_name(args.protocol), footprint=args.footprint
-        )
-        print(report.render())
+        plan = create_workload(args.workload).plan(args.protocol)
+        print(run_advisor(_spec(args), plan, workload=args.workload).render())
     elif args.command == "breakdown":
         from repro.analysis.breakdown import breakdown_report
         from repro.cluster.config import ClusterConfig

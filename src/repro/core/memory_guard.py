@@ -9,22 +9,26 @@ all, and letting it into a least-squares fit poisons every coefficient
 a single paging SUMMA run drives the P-T offset to -170 seconds).
 
 :class:`MemoryGuard` classifies measurements by their predicted worst-node
-memory ratio and :func:`split_dataset` partitions a construction dataset
-into an in-memory part (fit the standard models on it) and a paging part
-(fit separate models, or simply refuse to estimate that regime).  The
-pipeline enables this via ``PipelineConfig.memory_guard``.
+memory ratio — the workload family's own memory model
+(:meth:`repro.workloads.Workload.memory_ratio`) — and :func:`split_dataset`
+partitions a construction dataset into an in-memory part (fit the standard
+models on it) and a paging part (fit separate models, or simply refuse to
+estimate that regime).  The pipeline enables this via
+``PipelineConfig.memory_guard``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import TYPE_CHECKING, Tuple
 
 from repro.cluster.spec import ClusterSpec
 from repro.errors import MeasurementError, ModelError
-from repro.hpl.memory import config_memory_ratio
 from repro.measure.dataset import Dataset
 from repro.measure.record import MeasurementRecord
+
+if TYPE_CHECKING:
+    from repro.workloads import Workload
 
 
 @dataclass(frozen=True)
@@ -35,34 +39,27 @@ class MemoryGuard:
     ----------
     spec:
         The cluster (node RAM sizes).
+    workload:
+        The :class:`~repro.workloads.Workload` family whose memory model
+        predicts the ratio.
     threshold:
         Memory ratio above which a run is classified as paging.  1.0 is
         the physical boundary; values slightly below it (e.g. 0.95) leave
         a safety margin against workspace underestimation.
-    footprint:
-        Application working-set multiple of the HPL matrix (SUMMA: 3).
-    nb:
-        Panel block size (workspace term).
     """
 
     spec: ClusterSpec
+    workload: "Workload"
     threshold: float = 1.0
-    footprint: float = 1.0
-    nb: int = 80
 
     def __post_init__(self) -> None:
         if self.threshold <= 0:
             raise ModelError("threshold must be positive")
-        if self.footprint <= 0:
-            raise ModelError("footprint must be positive")
 
     def ratio(self, config, n: int) -> float:
         """Worst memory ratio across the kinds a configuration uses."""
         return max(
-            config_memory_ratio(
-                self.spec, config, n, alloc.kind_name,
-                nb=self.nb, footprint=self.footprint,
-            )
+            self.workload.memory_ratio(self.spec, config, n, alloc.kind_name)
             for alloc in config.active
         )
 

@@ -50,7 +50,7 @@ from repro.core.stages import (
 from repro.errors import ModelError
 from repro.hpl.driver import NoiseSpec
 from repro.hpl.schedule import HPLParameters
-from repro.measure.campaign import CampaignResult, Runner
+from repro.measure.campaign import CampaignResult
 from repro.measure.dataset import Dataset
 from repro.measure.grids import CampaignPlan
 from repro.perf.cache import EstimateCache
@@ -81,22 +81,18 @@ class PipelineConfig:
     calibration_n: Optional[int] = None
     memory_bins: Tuple[MemoryBin, ...] = ()
     #: Exclude construction measurements predicted to page (paper Section
-    #: 3.4: memory pressure is predictable from N and P) before fitting.
+    #: 3.4: memory pressure is predictable from N and P, here by the
+    #: workload family's memory model) before fitting.
     memory_guard: bool = False
-    #: Classification threshold and application working-set multiple used
-    #: when ``memory_guard`` is on (SUMMA keeps 3 matrices resident).
+    #: Classification threshold used when ``memory_guard`` is on.
     guard_threshold: float = 1.0
-    guard_footprint: float = 1.0
     #: Workload family tag (:func:`repro.workloads.registered_workloads`):
-    #: picks the simulator, phase decomposition, measurement grid and
-    #: memory model.  The tag is persisted with pipeline artifacts and
-    #: travels through served requests and observation logs.
+    #: the only thing that names the application.  It picks the
+    #: simulator, phase decomposition, measurement grid and memory model
+    #: — the models never look inside the application, only at its
+    #: per-kind Ta/Tc measurements.  The tag is persisted with pipeline
+    #: artifacts and travels through served requests and observation logs.
     workload: str = "hpl"
-    #: Explicit runner override; ``None`` (the default) uses the workload
-    #: family's own simulator.  Any runner with the ``run_hpl`` signature
-    #: works (e.g. ``repro.exts.apps.run_summa``) — the models never look
-    #: inside the application, only at its per-kind Ta/Tc measurements.
-    runner: Optional[Runner] = None
     #: Process-pool width for the measurement campaigns (1 = today's
     #: serial loop; >1 fans runs out via :mod:`repro.perf.parallel`
     #: without changing any produced number — runs are independently
@@ -177,7 +173,6 @@ class EstimationPipeline:
             plan=self.plan,
             perf=self.perf,
             workload=self.workload,
-            memory_ratio_fn=self._memory_ratio_for,
             candidates=lambda: list(self.plan.evaluation_configs),
         )
         self.graph = StageGraph(default_stages(), ctx)
@@ -242,12 +237,6 @@ class EstimationPipeline:
         return calibration_configs(self.spec, self.plan, self.config)
 
     # -- stage 5: estimation & optimization ----------------------------------------------
-
-    def _memory_ratio_for(self, config: ClusterConfig, n: int, kind_name: str) -> float:
-        """Worst-node memory pressure for a kind under this configuration."""
-        return self.workload.memory_ratio(
-            self.spec, config, n, kind_name, footprint=self.config.guard_footprint
-        )
 
     def _estimate_raw(self, config: ClusterConfig, n: int) -> ConfigEstimate:
         config.validate_against(self.spec)

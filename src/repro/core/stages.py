@@ -39,6 +39,7 @@ saved pipeline without re-running anything.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -86,31 +87,17 @@ class PipelineContext:
     config: object
     plan: object
     perf: PerfReport
-    #: ``(config, n, kind) -> worst-node memory ratio`` (pipeline-supplied).
-    memory_ratio_fn: Callable[[ClusterConfig, int, str], float]
     #: Default candidate set for the optimizer.
     candidates: Callable[[], List[ClusterConfig]]
     #: The :class:`repro.workloads.Workload` family being measured; owns
-    #: the simulator and phase decomposition.  ``None`` (unit-test
-    #: graphs) behaves as the standard HPL setup.
+    #: the simulator, phase decomposition and memory model (unit-test
+    #: graphs whose stages never ask for it leave it ``None``).
     workload: object = None
     graph: "StageGraph" = field(init=False, repr=False, default=None)  # type: ignore[assignment]
 
     def artifact(self, name: str):
         """Resolve another stage's artifact (building it if needed)."""
         return self.graph.get(name)
-
-    def runner(self):
-        """The measurement runner: an explicit config override wins,
-        otherwise the workload family's own simulator."""
-        override = getattr(self.config, "runner", None)
-        if override is not None:
-            return override
-        if self.workload is not None:
-            return self.workload.runner()
-        from repro.hpl.driver import run_hpl
-
-        return run_hpl
 
 
 # -- typed artifacts ----------------------------------------------------------
@@ -284,7 +271,7 @@ class MeasureStage(Stage):
             params=ctx.config.hpl_params,
             noise=ctx.config.noise,
             seed=ctx.config.seed,
-            runner=ctx.runner(),
+            batch_runner=ctx.workload.batch_runner(),
             workers=ctx.config.workers,
         )
         # main-process counters only: pool workers keep their own
@@ -305,7 +292,7 @@ class EvaluationStage(Stage):
             params=ctx.config.hpl_params,
             noise=ctx.config.noise,
             seed=ctx.config.seed,
-            runner=ctx.runner(),
+            batch_runner=ctx.workload.batch_runner(),
             workers=ctx.config.workers,
         )
         ctx.perf.record_walker(walker_stats().delta(before))
@@ -327,9 +314,7 @@ class FitStage(Stage):
         excluded = Dataset()
         if ctx.config.memory_guard:
             guard = MemoryGuard(
-                ctx.spec,
-                threshold=ctx.config.guard_threshold,
-                footprint=ctx.config.guard_footprint,
+                ctx.spec, ctx.workload, threshold=ctx.config.guard_threshold
             )
             dataset, excluded = split_dataset(dataset, guard)
         store = ModelStore.fit_dataset(dataset, weighting=ctx.config.nt_weighting)
@@ -387,7 +372,7 @@ class EstimatorStage(Stage):
         selector = ModelSelector(
             ctx.artifact("compose").store, memory_bins=ctx.config.memory_bins
         )
-        selector.memory_ratio_fn = ctx.memory_ratio_fn
+        selector.memory_ratio_fn = partial(ctx.workload.memory_ratio, ctx.spec)
         return selector
 
 
@@ -443,7 +428,7 @@ class SearchStage(Stage):
         return SearchEngine(
             facade=ctx.artifact("estimator"),
             adjustment=ctx.artifact("adjust"),
-            guard_footprint=ctx.config.guard_footprint,
+            workload=ctx.workload.tag,
             candidates=ctx.candidates,
             validate=lambda config: config.validate_against(spec),
             perf=ctx.perf,
@@ -526,17 +511,17 @@ class SearchEngine:
     generation — its fingerprint is built from the estimator facade's
     :meth:`~repro.core.estimator.Estimator.fingerprint` (which already
     covers every model and the memory bins) plus the adjustment and the
-    guard footprint, so any change that could alter an estimate yields a
-    fresh fingerprint.  The engine is itself dropped by the stage graph
-    whenever an estimate-determining stage changes, which is the generic
-    invalidation path.
+    workload tag (whose memory model feeds the bins), so any change that
+    could alter an estimate yields a fresh fingerprint.  The engine is
+    itself dropped by the stage graph whenever an estimate-determining
+    stage changes, which is the generic invalidation path.
     """
 
     def __init__(
         self,
         facade: Estimator,
         adjustment: LinearAdjustment,
-        guard_footprint: float,
+        workload: str,
         candidates: Callable[[], List[ClusterConfig]],
         perf: PerfReport,
         validate: Optional[Callable[[ClusterConfig], None]] = None,
@@ -546,7 +531,7 @@ class SearchEngine:
     ):
         self.facade = facade
         self.adjustment = adjustment
-        self.guard_footprint = guard_footprint
+        self.workload = workload
         self._candidates = candidates
         self.perf = perf
         self._validate = validate
@@ -566,7 +551,7 @@ class SearchEngine:
             fingerprint = model_fingerprint(
                 self.facade.fingerprint(),
                 self.adjustment.to_dict(),
-                self.guard_footprint,
+                self.workload,
             )
             self._cache = EstimateCache(fingerprint)
             self.perf.cache = self._cache

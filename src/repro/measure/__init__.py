@@ -13,7 +13,7 @@ This subpackage owns:
   accounts the simulated measurement cost.
 """
 
-from repro.measure.campaign import CampaignResult, measure_configuration, run_campaign
+from repro.measure.campaign import CampaignResult, run_campaign
 from repro.measure.dataset import Dataset
 from repro.measure.grids import (
     CampaignPlan,
@@ -32,7 +32,6 @@ __all__ = [
     "MeasurementRecord",
     "basic_plan",
     "evaluation_configs",
-    "measure_configuration",
     "nl_plan",
     "ns_plan",
     "run_campaign",

@@ -14,8 +14,9 @@ visible in the plan itself.  The advisor inspects a
 * **paging construction runs** — runs whose predicted memory footprint
   overflows a node (they would poison the fits; see the memory guard);
 * a **cost estimate** for the whole campaign from the kinds' peak rates —
-  a deliberately crude ``work / aggregate-peak`` bound (no simulator
-  involved, because on a real cluster you could not simulate either).
+  a deliberately crude ``work / aggregate-peak`` bound over the workload
+  family's own flop count (no simulator involved, because on a real
+  cluster you could not simulate either).
 
 ``severity`` is ``"fatal"`` (the model will be wrong), ``"warning"``
 (fragile), or ``"info"``.
@@ -28,9 +29,9 @@ from typing import Dict, List
 
 from repro.cluster.spec import ClusterSpec
 from repro.core.memory_guard import MemoryGuard
-from repro.hpl.workload import hpl_benchmark_flops
 from repro.measure.grids import CampaignPlan
 from repro.units import GFLOPS, pretty_seconds
+from repro.workloads import create_workload
 
 #: Construction must reach at least this fraction of the largest evaluation
 #: size.  The paper's data calibrates the boundary: NL (6400/9600 = 0.67)
@@ -76,18 +77,13 @@ class AdvisorReport:
         return "\n".join(lines)
 
 
-def advise(
-    spec: ClusterSpec,
-    plan: CampaignPlan,
-    footprint: float = 1.0,
-    work_flops=hpl_benchmark_flops,
-) -> AdvisorReport:
+def advise(spec: ClusterSpec, plan: CampaignPlan, workload: str = "hpl") -> AdvisorReport:
     """Analyze a plan before running it.
 
-    ``footprint`` is the application's working-set multiple of one HPL
-    matrix (SUMMA: 3); ``work_flops`` its work function (for the cost
-    bound).
+    ``workload`` is the family tag whose memory model judges paging and
+    whose flop count drives the cost bound.
     """
+    family = create_workload(workload)
     report = AdvisorReport(plan_name=plan.name)
 
     # -- extrapolation risk ---------------------------------------------------
@@ -164,7 +160,7 @@ def advise(
             )
 
     # -- paging construction runs -----------------------------------------------------
-    guard = MemoryGuard(spec, footprint=footprint)
+    guard = MemoryGuard(spec, family)
     paging = [
         (config.label(plan.kinds), n)
         for n, config in plan.construction_runs()
@@ -191,6 +187,6 @@ def advise(
             if a.kind_name in spec.kind_names
         )
         if aggregate > 0:
-            total += work_flops(n) / aggregate
+            total += family.benchmark_flops(n) / aggregate
     report.estimated_cost_s = total
     return report

@@ -22,28 +22,17 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.cluster.config import ClusterConfig
 from repro.cluster.spec import ClusterSpec
 from repro.errors import MeasurementError
-from repro.hpl.driver import HPLResult, NoiseSpec, run_hpl, run_hpl_batch
+from repro.hpl.driver import HPLResult, NoiseSpec, run_hpl_batch
 from repro.hpl.schedule import HPLParameters
 from repro.measure.dataset import Dataset
 from repro.measure.grids import CampaignPlan, group_runs_by_config
 from repro.measure.record import MeasurementRecord
 from repro.perf.parallel import ParallelRunner
 
-#: Anything that executes one run and returns an :class:`HPLResult`-shaped
-#: object (``run_hpl``, or an alternative application such as
-#: :func:`repro.exts.apps.run_summa` — the paper's method is not HPL-bound).
-Runner = Callable[..., HPLResult]
-
 #: Batched runner: all problem orders of one configuration in a single call
-#: (``run_hpl_batch`` signature), returning one result per entry.
+#: (``run_hpl_batch`` signature), returning one result per entry.  A
+#: workload family supplies its own (:meth:`repro.workloads.Workload.batch_runner`).
 BatchRunner = Callable[..., List[HPLResult]]
-
-#: Scalar runner -> batched equivalent.  Campaigns whose runner has an
-#: entry here simulate each configuration's whole size grid in one
-#: vectorized walker call; unknown runners keep the run-by-run path.
-#: Both paths produce bit-identical records — registering a batch runner
-#: is a pure throughput decision.
-BATCH_RUNNERS: Dict[Runner, BatchRunner] = {run_hpl: run_hpl_batch}
 
 
 @dataclass
@@ -77,41 +66,6 @@ class CampaignResult:
         return sum(self.cost_by_kind_and_n.values())
 
 
-def measure_configuration(
-    spec: ClusterSpec,
-    config: ClusterConfig,
-    n: int,
-    kinds: Tuple[str, ...],
-    params: Optional[HPLParameters] = None,
-    noise: Optional[NoiseSpec] = None,
-    seed: int = 0,
-    trial: int = 0,
-    runner: Runner = run_hpl,
-) -> MeasurementRecord:
-    """One timed run, returned as a measurement record."""
-    result = runner(
-        spec, config, n, params=params, noise=noise, seed=seed, trial=trial
-    )
-    return MeasurementRecord.from_result(result, kinds, seed=seed, trial=trial)
-
-
-def _measure_entry(
-    entry: Tuple[int, ClusterConfig],
-    spec: ClusterSpec,
-    kinds: Tuple[str, ...],
-    params: Optional[HPLParameters],
-    noise: Optional[NoiseSpec],
-    seed: int,
-    runner: Runner,
-) -> MeasurementRecord:
-    """One ``(n, config)`` plan entry — module-level so process-pool
-    workers can unpickle it."""
-    n, config = entry
-    return measure_configuration(
-        spec, config, n, kinds, params=params, noise=noise, seed=seed, runner=runner
-    )
-
-
 def _measure_config_batch(
     group: Tuple[ClusterConfig, List[Tuple[int, int]]],
     spec: ClusterSpec,
@@ -141,23 +95,11 @@ def _measure_entries(
     params: Optional[HPLParameters],
     noise: Optional[NoiseSpec],
     seed: int,
-    runner: Runner,
+    batch_runner: BatchRunner,
     workers: int,
 ) -> List[MeasurementRecord]:
-    """Measure plan entries, batched per configuration when the runner has
-    a registered batch form, and return records in plan-entry order."""
-    batch_runner = BATCH_RUNNERS.get(runner)
-    if batch_runner is None:
-        measure = partial(
-            _measure_entry,
-            spec=spec,
-            kinds=kinds,
-            params=params,
-            noise=noise,
-            seed=seed,
-            runner=runner,
-        )
-        return ParallelRunner(workers=workers).map(measure, list(entries))
+    """Measure plan entries, one batch per configuration, and return
+    records in plan-entry order."""
     measure_batch = partial(
         _measure_config_batch,
         spec=spec,
@@ -185,26 +127,23 @@ def run_campaign(
     params: Optional[HPLParameters] = None,
     noise: Optional[NoiseSpec] = None,
     seed: int = 0,
-    runner: Runner = run_hpl,
+    batch_runner: BatchRunner = run_hpl_batch,
     workers: int = 1,
 ) -> CampaignResult:
     """Execute every construction measurement of ``plan``.
 
-    Runners with a :data:`BATCH_RUNNERS` entry (the default ``run_hpl``)
-    simulate each configuration's whole size grid in one vectorized walker
-    call; records are reassembled into plan order, so the dataset and cost
-    ledger are bit-identical to the run-by-run path.
+    ``batch_runner`` (HPL's by default) simulates each configuration's
+    whole size grid in one call; records are reassembled into plan order.
 
     ``workers > 1`` fans the work out over a process pool
     (:class:`repro.perf.parallel.ParallelRunner`) — one configuration
-    batch (or, for unregistered runners, one run) per task.  Every run
-    derives its own noise stream from ``(seed, config, N, trial)``, so
-    results do not depend on ``workers``; the default ``workers=1`` never
-    forks.
+    batch per task.  Every run derives its own noise stream from
+    ``(seed, config, N, trial)``, so results do not depend on batching or
+    ``workers``; the default ``workers=1`` never forks.
     """
     records = _measure_entries(
         list(plan.construction_runs()),
-        spec, plan.kinds, params, noise, seed, runner, workers,
+        spec, plan.kinds, params, noise, seed, batch_runner, workers,
     )
     dataset = Dataset()
     cost: Dict[Tuple[str, int], float] = defaultdict(float)
@@ -222,7 +161,7 @@ def run_evaluation(
     params: Optional[HPLParameters] = None,
     noise: Optional[NoiseSpec] = None,
     seed: int = 0,
-    runner: Runner = run_hpl,
+    batch_runner: BatchRunner = run_hpl_batch,
     workers: int = 1,
 ) -> Dataset:
     """Measure the full evaluation grid (the ground-truth runs the paper
@@ -232,7 +171,7 @@ def run_evaluation(
     """
     records = _measure_entries(
         list(plan.evaluation_runs()),
-        spec, plan.kinds, params, noise, seed, runner, workers,
+        spec, plan.kinds, params, noise, seed, batch_runner, workers,
     )
     return Dataset(records)
 

@@ -7,11 +7,11 @@ times each configuration once; on a shared or flaky machine that is
 exactly how an outlier (a cron job, an NFS stall) ends up inside a
 least-squares fit.
 
-:func:`measure_with_trials` runs ``trials`` independent simulated
-measurements of one configuration and folds them into a single
-:class:`~repro.measure.record.MeasurementRecord`;
-:func:`run_campaign_with_trials` applies that to a whole plan, accounting
-the *full* cost of all trials (robustness is not free).
+:func:`run_campaign_with_trials` runs ``trials`` independent simulated
+measurements of every plan entry and folds each entry's trials into a
+single :class:`~repro.measure.record.MeasurementRecord`
+(:func:`aggregate_records`), accounting the *full* cost of all trials
+(robustness is not free).
 """
 
 from __future__ import annotations
@@ -25,15 +25,9 @@ import numpy as np
 from repro.cluster.config import ClusterConfig
 from repro.cluster.spec import ClusterSpec
 from repro.errors import MeasurementError
-from repro.hpl.driver import NoiseSpec, run_hpl
+from repro.hpl.driver import NoiseSpec, run_hpl_batch
 from repro.hpl.schedule import HPLParameters
-from repro.measure.campaign import (
-    BATCH_RUNNERS,
-    BatchRunner,
-    CampaignResult,
-    Runner,
-    _charged_kind,
-)
+from repro.measure.campaign import BatchRunner, CampaignResult, _charged_kind
 from repro.measure.dataset import Dataset
 from repro.measure.grids import CampaignPlan, group_runs_by_config
 from repro.measure.record import KindMeasurement, MeasurementRecord
@@ -104,53 +98,6 @@ def aggregate_records(
     )
 
 
-def measure_with_trials(
-    spec: ClusterSpec,
-    config: ClusterConfig,
-    n: int,
-    kinds: Tuple[str, ...],
-    trials: int = 3,
-    how: str = "median",
-    params: Optional[HPLParameters] = None,
-    noise: Optional[NoiseSpec] = None,
-    seed: int = 0,
-    runner: Runner = run_hpl,
-) -> Tuple[MeasurementRecord, float]:
-    """Aggregated record plus the *total* measurement cost of all trials."""
-    if trials < 1:
-        raise MeasurementError("trials must be >= 1")
-    records = []
-    cost = 0.0
-    for trial in range(trials):
-        result = runner(
-            spec, config, n, params=params, noise=noise, seed=seed, trial=trial
-        )
-        record = MeasurementRecord.from_result(result, kinds, seed=seed, trial=trial)
-        cost += record.wall_time_s
-        records.append(record)
-    return aggregate_records(records, how), cost
-
-
-def _measure_trials_entry(
-    entry: Tuple[int, ClusterConfig],
-    spec: ClusterSpec,
-    kinds: Tuple[str, ...],
-    trials: int,
-    how: str,
-    params: Optional[HPLParameters],
-    noise: Optional[NoiseSpec],
-    seed: int,
-    runner: Runner,
-) -> Tuple[MeasurementRecord, float]:
-    """One plan entry's full trial batch — module-level for process pools."""
-    n, config = entry
-    return measure_with_trials(
-        spec, config, n, kinds,
-        trials=trials, how=how, params=params, noise=noise, seed=seed,
-        runner=runner,
-    )
-
-
 def _measure_trials_config_batch(
     group: Tuple[ClusterConfig, List[Tuple[int, int]]],
     spec: ClusterSpec,
@@ -193,7 +140,7 @@ def run_campaign_with_trials(
     params: Optional[HPLParameters] = None,
     noise: Optional[NoiseSpec] = None,
     seed: int = 0,
-    runner: Runner = run_hpl,
+    batch_runner: BatchRunner = run_hpl_batch,
     workers: int = 1,
 ) -> CampaignResult:
     """A construction campaign with repeated, robustly aggregated trials.
@@ -201,49 +148,32 @@ def run_campaign_with_trials(
     The cost ledger charges every trial (a 3-trial campaign costs ~3x the
     single-shot one — the price of outlier immunity).
 
-    Runners with a :data:`~repro.measure.campaign.BATCH_RUNNERS` entry (the
-    default) simulate each configuration's whole ``sizes x trials`` grid in
-    one vectorized walker call; every ``(config, N, trial)`` still seeds
-    its own noise stream, so datasets and cost ledgers are bit-identical
-    to the run-by-run path regardless of batching or ``workers``.
+    ``batch_runner`` (HPL's by default) simulates each configuration's
+    whole ``sizes x trials`` grid in one call; every ``(config, N,
+    trial)`` still seeds its own noise stream, so datasets and cost
+    ledgers do not depend on batching or ``workers``.
     """
     if trials < 1:
         raise MeasurementError("trials must be >= 1")
     entries = list(plan.construction_runs())
-    batch_runner = BATCH_RUNNERS.get(runner)
-    if batch_runner is None:
-        measure = partial(
-            _measure_trials_entry,
-            spec=spec,
-            kinds=plan.kinds,
-            trials=trials,
-            how=how,
-            params=params,
-            noise=noise,
-            seed=seed,
-            runner=runner,
-        )
-        results = ParallelRunner(workers=workers).map(measure, entries)
-    else:
-        measure_batch = partial(
-            _measure_trials_config_batch,
-            spec=spec,
-            kinds=plan.kinds,
-            trials=trials,
-            how=how,
-            params=params,
-            noise=noise,
-            seed=seed,
-            batch_runner=batch_runner,
-        )
-        chunks = ParallelRunner(workers=workers).map(
-            measure_batch, group_runs_by_config(entries)
-        )
-        ordered: List[Optional[Tuple[MeasurementRecord, float]]] = [None] * len(entries)
-        for chunk in chunks:
-            for index, record, run_cost in chunk:
-                ordered[index] = (record, run_cost)
-        results = ordered
+    measure_batch = partial(
+        _measure_trials_config_batch,
+        spec=spec,
+        kinds=plan.kinds,
+        trials=trials,
+        how=how,
+        params=params,
+        noise=noise,
+        seed=seed,
+        batch_runner=batch_runner,
+    )
+    chunks = ParallelRunner(workers=workers).map(
+        measure_batch, group_runs_by_config(entries)
+    )
+    results: List[Optional[Tuple[MeasurementRecord, float]]] = [None] * len(entries)
+    for chunk in chunks:
+        for index, record, run_cost in chunk:
+            results[index] = (record, run_cost)
     dataset = Dataset()
     cost: Dict[Tuple[str, int], float] = defaultdict(float)
     for record, run_cost in results:

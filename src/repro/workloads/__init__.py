@@ -1,8 +1,8 @@
 """Pluggable workload families.
 
 Importing this package registers the built-in families (``hpl``,
-``sorting``, ``montecarlo``) and their phase schemas; everything the rest
-of the library needs is re-exported here.
+``summa``, ``sorting``, ``montecarlo``) and their phase schemas;
+everything the rest of the library needs is re-exported here.
 """
 
 from repro.workloads.base import (
@@ -32,6 +32,7 @@ from repro.workloads.sorting import (
     run_sorting,
     run_sorting_batch,
 )
+from repro.workloads.summa import SummaWorkload, run_summa, run_summa_batch
 
 __all__ = [
     "HPLWorkload",
@@ -40,6 +41,7 @@ __all__ = [
     "PhaseVector",
     "SortingPhases",
     "SortingWorkload",
+    "SummaWorkload",
     "Workload",
     "WorkloadResult",
     "create_workload",
@@ -53,4 +55,6 @@ __all__ = [
     "run_montecarlo_batch",
     "run_sorting",
     "run_sorting_batch",
+    "run_summa",
+    "run_summa_batch",
 ]

@@ -3,14 +3,15 @@
 A *workload family* bundles everything the estimation pipeline needs to
 know about one phase-structured parallel application:
 
-* the deterministic simulator entry points (scalar + vectorized batch
-  runner, same signatures as :func:`repro.hpl.driver.run_hpl` /
-  :func:`~repro.hpl.driver.run_hpl_batch`);
+* the deterministic simulator (a batch runner with the signature of
+  :func:`~repro.hpl.driver.run_hpl_batch`) — the one way campaigns
+  choose the application;
 * the phase decomposition used for fitting (a phase-vector class, see
   :mod:`repro.workloads.phases`);
 * the measurement-grid shape (a :class:`~repro.measure.grids.CampaignPlan`
   per protocol name);
-* the memory-footprint model feeding the memory guard.
+* the memory-footprint model feeding the memory guard and memory bins;
+* the benchmark flop count behind the campaign advisor's cost bound.
 
 Tags are serializable strings stored in pipeline artifacts and served
 requests.  The registry mirrors the PR-2 model registry
@@ -107,14 +108,10 @@ class Workload:
     def comm_phases(self) -> Tuple[str, ...]:
         return tuple(self.phase_class.COMM_PHASES)
 
-    # -- simulator entry points ---------------------------------------------
-
-    def runner(self) -> Callable:
-        """The scalar run function (``run_hpl``-shaped)."""
-        raise NotImplementedError
+    # -- simulator entry point ----------------------------------------------
 
     def batch_runner(self) -> Callable:
-        """The vectorized batch run function (``run_hpl_batch``-shaped)."""
+        """The batch run function (``run_hpl_batch``-shaped)."""
         raise NotImplementedError
 
     # -- measurement grid ---------------------------------------------------
@@ -125,16 +122,16 @@ class Workload:
 
     # -- memory model -------------------------------------------------------
 
-    def memory_ratio(
-        self,
-        spec,
-        config: ClusterConfig,
-        n: int,
-        kind_name: str,
-        footprint: float = 1.0,
-    ) -> float:
-        """Worst-node memory-pressure ratio for the guard; 0.0 = no model."""
+    def memory_ratio(self, spec, config: ClusterConfig, n: int, kind_name: str) -> float:
+        """Worst-node memory-pressure ratio (memory guard, memory bins,
+        advisor); 0.0 = no model."""
         return 0.0
+
+    # -- work model ---------------------------------------------------------
+
+    def benchmark_flops(self, n: int) -> float:
+        """The flop count a run of order ``n`` reports its Gflops against."""
+        raise NotImplementedError
 
     # -- inventory ----------------------------------------------------------
 

@@ -10,9 +10,10 @@ golden bitwise tests pin that the routing changes nothing.
 
 from __future__ import annotations
 
-from repro.hpl.driver import run_hpl, run_hpl_batch
+from repro.hpl.driver import run_hpl_batch
 from repro.hpl.memory import config_memory_ratio
 from repro.hpl.timing import COMM_PHASES, COMPUTE_PHASES, PHASE_NAMES, PhaseTimes
+from repro.hpl.workload import hpl_benchmark_flops
 from repro.measure.grids import plan_by_name
 from repro.workloads.base import Workload, register_workload
 
@@ -38,14 +39,14 @@ class HPLWorkload(Workload):
     def comm_phases(self):
         return tuple(COMM_PHASES)
 
-    def runner(self):
-        return run_hpl
-
     def batch_runner(self):
         return run_hpl_batch
 
     def plan(self, protocol: str):
         return plan_by_name(protocol)
 
-    def memory_ratio(self, spec, config, n, kind_name, footprint=1.0):
-        return config_memory_ratio(spec, config, n, kind_name, footprint=footprint)
+    def memory_ratio(self, spec, config, n, kind_name):
+        return config_memory_ratio(spec, config, n, kind_name)
+
+    def benchmark_flops(self, n: int) -> float:
+        return hpl_benchmark_flops(n)

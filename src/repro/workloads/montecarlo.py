@@ -38,7 +38,6 @@ from repro.cluster.config import ClusterConfig
 from repro.cluster.placement import place_processes
 from repro.cluster.spec import ClusterSpec
 from repro.errors import SimulationError
-from repro.measure.campaign import BATCH_RUNNERS
 from repro.measure.grids import (
     CampaignPlan,
     PAPER_KINDS,
@@ -283,8 +282,6 @@ def run_montecarlo(
     )[0]
 
 
-BATCH_RUNNERS[run_montecarlo] = run_montecarlo_batch
-
 MC_CONSTRUCTION_SIZES = (512, 768, 1024, 1536, 2048, 3072, 4096, 6144, 8192)
 MC_EVALUATION_SIZES = (2048, 4096, 6144, 8192, 10240)
 MC_NL_CONSTRUCTION_SIZES = (2048, 4096, 6144, 8192)
@@ -315,9 +312,6 @@ class MonteCarloWorkload(Workload):
     display = "synchronous Monte Carlo with dynamic rebalancing"
     phase_class = MonteCarloPhases
 
-    def runner(self):
-        return run_montecarlo
-
     def batch_runner(self):
         return run_montecarlo_batch
 
@@ -341,3 +335,6 @@ class MonteCarloWorkload(Workload):
         raise SimulationError(
             f"unknown protocol {protocol!r} for montecarlo; have ['basic', 'nl', 'ns']"
         )
+
+    def benchmark_flops(self, n: int) -> float:
+        return montecarlo_benchmark_flops(n)

@@ -38,7 +38,6 @@ from repro.cluster.config import ClusterConfig
 from repro.cluster.placement import place_processes
 from repro.cluster.spec import ClusterSpec
 from repro.errors import SimulationError
-from repro.measure.campaign import BATCH_RUNNERS
 from repro.measure.grids import (
     CampaignPlan,
     PAPER_KINDS,
@@ -325,9 +324,6 @@ def run_sorting(
     )[0]
 
 
-BATCH_RUNNERS[run_sorting] = run_sorting_batch
-
-
 def _sorting_plan(
     name: str,
     construction_sizes,
@@ -350,9 +346,6 @@ class SortingWorkload(Workload):
 
     display = "heterogeneous parallel sample-sort"
     phase_class = SortingPhases
-
-    def runner(self):
-        return run_sorting
 
     def batch_runner(self):
         return run_sorting_batch
@@ -380,15 +373,13 @@ class SortingWorkload(Workload):
             f"unknown protocol {protocol!r} for sorting; have ['basic', 'nl', 'ns']"
         )
 
-    def memory_ratio(self, spec, config, n, kind_name, footprint=1.0):
+    def memory_ratio(self, spec, config, n, kind_name):
         """Worst-node pressure of the key buffers (keys + receive buffer)."""
         alloc = config.allocation(kind_name)
         nodes = spec.nodes_of_kind(kind_name)
         if alloc.pe_count == 0 or not nodes:
             return 0.0
-        per_process = (
-            float(n) * KEYS_PER_UNIT * KEY_BYTES * 2.0 * footprint
-        ) / config.total_processes
+        per_process = float(n) * KEYS_PER_UNIT * KEY_BYTES * 2.0 / config.total_processes
         worst = 0.0
         remaining = alloc.pe_count
         for node in nodes:
@@ -399,3 +390,6 @@ class SortingWorkload(Workload):
             procs_on_node = used_cpus * alloc.procs_per_pe
             worst = max(worst, per_process * procs_on_node / node.usable_memory_bytes)
         return worst
+
+    def benchmark_flops(self, n: int) -> float:
+        return sorting_benchmark_flops(n)

@@ -70,7 +70,6 @@ class TestStageGraph:
             config=None,
             plan=None,
             perf=PerfReport(),
-            memory_ratio_fn=lambda c, n, k: 0.0,
             candidates=list,
         )
         return StageGraph(stages, ctx)

@@ -8,9 +8,10 @@ from repro.cluster.config import ClusterConfig
 from repro.core.memory_guard import MemoryGuard, require_clean, split_dataset
 from repro.core.pipeline import EstimationPipeline, PipelineConfig
 from repro.errors import MeasurementError, ModelError
-from repro.exts.apps import run_summa
 from repro.hpl.memory import config_memory_ratio
 from repro.measure.grids import nl_plan
+from repro.units import MB
+from repro.workloads import create_workload
 
 KINDS = ("athlon", "pentium2")
 
@@ -48,13 +49,14 @@ class TestConfigMemoryRatio:
 
 class TestGuard:
     def test_validation(self, spec):
+        hpl = create_workload("hpl")
         with pytest.raises(ModelError):
-            MemoryGuard(spec, threshold=0.0)
+            MemoryGuard(spec, hpl, threshold=0.0)
         with pytest.raises(ModelError):
-            MemoryGuard(spec, footprint=-1.0)
+            MemoryGuard(spec, hpl, threshold=-1.0)
 
     def test_fits_and_ratio(self, spec):
-        guard = MemoryGuard(spec, footprint=3.0)
+        guard = MemoryGuard(spec, create_workload("summa"))
         assert guard.fits(cfg(1, 1, 8, 1), 3200)
         assert not guard.fits(cfg(0, 0, 1, 1), 6400)  # SUMMA pages there
 
@@ -62,9 +64,9 @@ class TestGuard:
         """The NL grid's single-P-II runs at N = 6400 page under SUMMA."""
         pipeline = EstimationPipeline(
             spec,
-            PipelineConfig(protocol="nl", seed=11, runner=run_summa),
+            PipelineConfig(protocol="nl", seed=11, workload="summa"),
         )
-        guard = MemoryGuard(spec, footprint=3.0)
+        guard = MemoryGuard(spec, pipeline.workload)
         clean, paging = split_dataset(pipeline.campaign.dataset, guard)
         assert len(paging) > 0
         assert len(clean) + len(paging) == len(pipeline.campaign.dataset)
@@ -74,13 +76,17 @@ class TestGuard:
 
     def test_require_clean_raises_on_paging(self, spec):
         pipeline = EstimationPipeline(
-            spec, PipelineConfig(protocol="nl", seed=11, runner=run_summa)
+            spec, PipelineConfig(protocol="nl", seed=11, workload="summa")
         )
         with pytest.raises(MeasurementError, match="exceed memory"):
-            require_clean(pipeline.campaign.dataset, MemoryGuard(spec, footprint=3.0))
+            require_clean(
+                pipeline.campaign.dataset, MemoryGuard(spec, pipeline.workload)
+            )
 
     def test_require_clean_passes_hpl_grid(self, basic_campaign, spec):
-        clean = require_clean(basic_campaign.dataset, MemoryGuard(spec))
+        clean = require_clean(
+            basic_campaign.dataset, MemoryGuard(spec, create_workload("hpl"))
+        )
         assert len(clean) == len(basic_campaign.dataset)
 
 
@@ -101,10 +107,9 @@ class TestGuardedPipeline:
             PipelineConfig(
                 protocol="nl",
                 seed=11,
-                runner=run_summa,
+                workload="summa",
                 adjust=False,
                 memory_guard=True,
-                guard_footprint=3.0,
             ),
             plan=plan,
         )
@@ -123,3 +128,30 @@ class TestGuardedPipeline:
             PipelineConfig(protocol="ns", seed=11, memory_guard=True),
         )
         assert len(guarded.excluded_paging_runs) == 0
+
+    @pytest.mark.parametrize("family", ["hpl", "sorting", "montecarlo"])
+    def test_guard_uses_the_family_memory_model(self, spec, family):
+        """The fit stage's guard drops exactly the runs the family's own
+        memory model flags — not the runs HPL's model would flag."""
+        small = replace(
+            spec,
+            nodes=tuple(replace(node, memory_bytes=384 * MB) for node in spec.nodes),
+        )
+        pipeline = EstimationPipeline(
+            small,
+            PipelineConfig(
+                protocol="nl", seed=3, workload=family,
+                memory_guard=True, adjust=False,
+            ),
+        )
+        workload = pipeline.workload
+        flagged = {
+            (record.label, record.n)
+            for record in pipeline.campaign.dataset
+            if max(
+                workload.memory_ratio(small, record.config(), record.n, a.kind_name)
+                for a in record.config().active
+            ) > 1.0
+        }
+        excluded = {(record.label, record.n) for record in pipeline.excluded_paging_runs}
+        assert excluded == flagged

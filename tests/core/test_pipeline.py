@@ -119,9 +119,10 @@ class TestOptimization:
                 memory_bins=(MemoryBin(1.0), MemoryBin(10.0, ta_scale=2.0)),
             ),
         )
-        ratio = pipeline._memory_ratio_for(cfg(1, 1, 0, 0), 9600, "athlon")
+        ratio_fn = pipeline.models.memory_ratio_fn
+        ratio = ratio_fn(cfg(1, 1, 0, 0), 9600, "athlon")
         assert ratio > 0.9
-        assert pipeline._memory_ratio_for(cfg(1, 1, 0, 0), 9600, "pentium2") == 0.0
+        assert ratio_fn(cfg(1, 1, 0, 0), 9600, "pentium2") == 0.0
 
     def test_memory_bins_scale_estimates(self, spec):
         """A paging-regime bin inflates the estimate of a configuration the

@@ -6,10 +6,10 @@ import pytest
 from repro.cluster.config import ClusterConfig
 from repro.cluster.presets import kishimoto_cluster
 from repro.errors import SimulationError
-from repro.exts.apps import run_summa, simulate_summa, summa_flops, SummaResult
 from repro.exts.grid2d import GridShape, grid_shapes, near_square_shape, simulate_schedule_2d
 from repro.hpl.driver import NoiseSpec, run_hpl
 from repro.hpl.schedule import simulate_schedule
+from repro.workloads.summa import run_summa, simulate_summa, summa_flops, SummaResult
 
 KINDS = ("athlon", "pentium2")
 

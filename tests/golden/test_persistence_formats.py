@@ -95,9 +95,9 @@ class TestFormatRejection:
         shutil.copytree(FIXTURE, bad)
         manifest = json.loads((bad / "manifest.json").read_text())
         manifest["format"] = 3
-        manifest["workload"] = "summa"
+        manifest["workload"] = "cholesky"
         (bad / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(ModelError, match="unknown workload 'summa'") as err:
+        with pytest.raises(ModelError, match="unknown workload 'cholesky'") as err:
             load_pipeline(bad)
         # The error names both the known tags and the offending manifest.
         assert "hpl" in str(err.value)

@@ -101,7 +101,7 @@ class TestCLI:
 
     def test_advise_footprint(self, capsys):
         code, out, _ = run_cli(
-            capsys, "advise", "--protocol", "nl", "--footprint", "3"
+            capsys, "advise", "--protocol", "nl", "--workload", "summa"
         )
         assert code == 0
         assert "paging-runs" in out

@@ -1,6 +1,7 @@
 """The paper's generality claim, executed: the whole estimation pipeline
 (measure -> fit -> compose -> adjust -> optimize) run on a *different*
-application (SUMMA matrix multiplication) without changing any model code."""
+application (the ``summa`` workload family, SUMMA matrix multiplication)
+without changing any model code."""
 
 from dataclasses import replace
 
@@ -8,7 +9,6 @@ import pytest
 
 from repro.analysis.errors import evaluation_rows
 from repro.core.pipeline import EstimationPipeline, PipelineConfig
-from repro.exts.apps import run_summa
 from repro.measure.grids import nl_plan
 
 
@@ -31,7 +31,7 @@ def summa_plan():
 def summa_pipeline(spec, summa_plan):
     return EstimationPipeline(
         spec,
-        PipelineConfig(protocol="nl", seed=11, runner=run_summa, calibration_n=4800),
+        PipelineConfig(protocol="nl", seed=11, workload="summa", calibration_n=4800),
         plan=summa_plan,
     )
 
@@ -77,7 +77,7 @@ class TestMemoryContamination:
         pipeline = EstimationPipeline(
             spec,
             PipelineConfig(
-                protocol="nl", seed=11, runner=run_summa, adjust=False
+                protocol="nl", seed=11, workload="summa", adjust=False
             ),
             plan=contaminated_plan,
         )

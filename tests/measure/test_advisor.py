@@ -3,8 +3,11 @@
 from dataclasses import replace
 
 
+from repro.hpl.driver import NoiseSpec
 from repro.measure.advisor import SAFE_EXTRAPOLATION, advise
+from repro.measure.campaign import run_campaign
 from repro.measure.grids import basic_plan, custom_plan, nl_plan, ns_plan
+from repro.workloads import create_workload, registered_workloads
 
 
 class TestAdvisor:
@@ -34,7 +37,7 @@ class TestAdvisor:
         assert any(f.code == "interpolation-fit" for f in report.warnings)
 
     def test_summa_footprint_flags_paging(self, spec):
-        report = advise(spec, nl_plan(), footprint=3.0)
+        report = advise(spec, nl_plan(), workload="summa")
         assert not report.ok
         assert any(f.code == "paging-runs" for f in report.fatal)
         # and the HPL footprint on the same plan does not page
@@ -45,13 +48,19 @@ class TestAdvisor:
         report = advise(spec, plan)
         assert any(f.code == "too-few-sizes" for f in report.fatal)
 
-    def test_cost_bound_is_a_lower_bound_scale(self, spec, basic_campaign):
+    def test_cost_bound_is_a_lower_bound_scale(self, spec):
         """The peak-rate bound must be below the simulated truth but on the
-        same order of magnitude."""
-        report = advise(spec, basic_plan())
-        actual = basic_campaign.total_cost_s
-        assert report.estimated_cost_s < actual
-        assert report.estimated_cost_s > actual / 10
+        same order of magnitude — for every family, from its own flop count."""
+        for tag in registered_workloads():
+            family = create_workload(tag)
+            plan = family.plan("basic")
+            report = advise(spec, plan, workload=tag)
+            actual = run_campaign(
+                spec, plan, noise=NoiseSpec(), seed=11,
+                batch_runner=family.batch_runner(),
+            ).total_cost_s
+            assert report.estimated_cost_s < actual, tag
+            assert report.estimated_cost_s > actual / 10, tag
 
     def test_render_mentions_everything(self, spec):
         text = advise(spec, ns_plan()).render()

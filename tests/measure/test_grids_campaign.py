@@ -155,12 +155,12 @@ class TestBatchedCampaignEquality:
     measurement — same datasets, same cost ledgers."""
 
     @staticmethod
-    def scalar_runner(spec, config, n, params=None, noise=None, seed=0, trial=0):
-        # A wrapper is not in BATCH_RUNNERS, so campaigns fall back to
-        # the per-run path even though it computes exactly run_hpl.
-        return run_hpl(
-            spec, config, n, params=params, noise=noise, seed=seed, trial=trial
-        )
+    def scalar_runner(spec, config, ns, params=None, noise=None, seed=0, trial=0):
+        # Batch-shaped, but one run_hpl call per size: the run-by-run oracle.
+        return [
+            run_hpl(spec, config, n, params=params, noise=noise, seed=seed, trial=trial)
+            for n in ns
+        ]
 
     def test_campaign_dataset_and_costs_identical(self):
         spec = kishimoto_cluster()
@@ -168,7 +168,7 @@ class TestBatchedCampaignEquality:
         noise = NoiseSpec()
         batched = run_campaign(spec, plan, noise=noise, seed=3)
         scalar = run_campaign(
-            spec, plan, noise=noise, seed=3, runner=self.scalar_runner
+            spec, plan, noise=noise, seed=3, batch_runner=self.scalar_runner
         )
         assert batched.dataset.to_json() == scalar.dataset.to_json()
         for kind in ("athlon", "pentium2"):
@@ -181,7 +181,7 @@ class TestBatchedCampaignEquality:
         small = replace(ns_plan(), evaluation_sizes=(1600,))
         batched = run_evaluation(spec, small, noise=NoiseSpec(), seed=3)
         scalar = run_evaluation(
-            spec, small, noise=NoiseSpec(), seed=3, runner=self.scalar_runner
+            spec, small, noise=NoiseSpec(), seed=3, batch_runner=self.scalar_runner
         )
         assert batched.to_json() == scalar.to_json()
 

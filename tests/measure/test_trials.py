@@ -8,11 +8,7 @@ from repro.errors import MeasurementError, SimulationError
 from repro.hpl.driver import NoiseSpec, run_hpl
 from repro.measure.grids import PAPER_KINDS, ns_plan
 from repro.measure.record import MeasurementRecord
-from repro.measure.trials import (
-    aggregate_records,
-    measure_with_trials,
-    run_campaign_with_trials,
-)
+from repro.measure.trials import aggregate_records, run_campaign_with_trials
 
 KINDS = PAPER_KINDS
 
@@ -115,15 +111,9 @@ class TestAggregation:
 
 
 class TestTrialCampaign:
-    def test_measure_with_trials_cost_accounts_all(self, spec):
-        record, cost = measure_with_trials(
-            spec, cfg(1, 1, 0, 0), 800, KINDS, trials=3, noise=NoiseSpec(), seed=4
-        )
-        assert cost > 2.5 * record.wall_time_s  # three runs paid for
-
     def test_trials_must_be_positive(self, spec):
         with pytest.raises(MeasurementError):
-            measure_with_trials(spec, cfg(1, 1, 0, 0), 800, KINDS, trials=0)
+            run_campaign_with_trials(spec, ns_plan(), trials=0)
 
     def test_campaign_with_trials_triples_cost(self, spec):
         from dataclasses import replace
@@ -144,16 +134,18 @@ class TestTrialCampaign:
         """The batched sizes-times-trials grid must reproduce the run-by-run
         trial campaign exactly, outliers included."""
 
-        def scalar_runner(spec, config, n, params=None, noise=None, seed=0, trial=0):
-            return run_hpl(
-                spec, config, n, params=params, noise=noise, seed=seed, trial=trial
-            )
+        def scalar_runner(spec, config, ns, params=None, noise=None, seed=0, trial=0):
+            # Batch-shaped, but one run_hpl call per entry.
+            return [
+                run_hpl(spec, config, n, params=params, noise=noise, seed=seed, trial=t)
+                for n, t in zip(ns, trial)
+            ]
 
         noise = NoiseSpec(outlier_probability=0.2, outlier_factor=3.0)
         plan = ns_plan()
         batched = run_campaign_with_trials(spec, plan, trials=3, noise=noise, seed=7)
         scalar = run_campaign_with_trials(
-            spec, plan, trials=3, noise=noise, seed=7, runner=scalar_runner
+            spec, plan, trials=3, noise=noise, seed=7, batch_runner=scalar_runner
         )
         assert batched.dataset.to_json() == scalar.dataset.to_json()
         for kind in KINDS:

@@ -78,17 +78,17 @@ class TestParseValidation:
     def test_unknown_workload_carries_typed_payload(self):
         with pytest.raises(ProtocolError) as err:
             parse_request(
-                line(id=1, op="optimize", pipeline="p", n=3200, workload="summa")
+                line(id=1, op="optimize", pipeline="p", n=3200, workload="cholesky")
             )
         exc = err.value
         assert exc.error_type == ERROR_INVALID_REQUEST
         assert exc.extra() == {
             "field": "workload",
-            "known": ["hpl", "montecarlo", "sorting"],
+            "known": ["hpl", "montecarlo", "sorting", "summa"],
         }
         reply = json.loads(encode_exception(1, exc))
         assert reply["error"]["type"] == ERROR_INVALID_REQUEST
-        assert reply["error"]["known"] == ["hpl", "montecarlo", "sorting"]
+        assert reply["error"]["known"] == ["hpl", "montecarlo", "sorting", "summa"]
         assert reply["error"]["field"] == "workload"
 
     def test_non_string_workload_rejected(self):

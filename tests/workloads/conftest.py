@@ -29,3 +29,10 @@ def montecarlo_pipeline(spec):
     return EstimationPipeline(
         spec, PipelineConfig(protocol="ns", seed=11, workload="montecarlo")
     )
+
+
+@pytest.fixture(scope="session")
+def summa_pipeline(spec):
+    return EstimationPipeline(
+        spec, PipelineConfig(protocol="ns", seed=11, workload="summa")
+    )

@@ -18,10 +18,11 @@ def pipelines(request):
     return {
         "sorting": request.getfixturevalue("sorting_pipeline"),
         "montecarlo": request.getfixturevalue("montecarlo_pipeline"),
+        "summa": request.getfixturevalue("summa_pipeline"),
     }
 
 
-@pytest.mark.parametrize("family", ["sorting", "montecarlo"])
+@pytest.mark.parametrize("family", ["sorting", "montecarlo", "summa"])
 class TestFullLoop:
     def test_campaign_measures_the_planned_grid(self, request, family):
         pipeline = pipelines(request)[family]
@@ -74,6 +75,9 @@ class TestFullLoop:
         assert float(reloaded.estimate_totals(config, [n])[0]) == float(
             pipeline.estimate_totals(config, [n])[0]
         )  # bitwise
+        # Without evaluation.json the ground truth is re-measured by the
+        # family's own simulator.
+        assert reloaded.measured_time(config, n) == pipeline.measured_time(config, n)
 
     def test_calibrator_tags_observations_with_the_family(self, request, family):
         pipeline = pipelines(request)[family]
@@ -95,7 +99,7 @@ class TestCLI:
     def test_workloads_inventory(self, capsys):
         code, out, _ = self.run(capsys, "workloads")
         assert code == 0
-        for tag in ("hpl", "sorting", "montecarlo"):
+        for tag in ("hpl", "sorting", "montecarlo", "summa"):
             assert f"{tag}: " in out
         assert "scatter*" in out  # communication phases are marked
         assert "62 configs x 5 sizes" in out
@@ -106,18 +110,18 @@ class TestCLI:
         assert "montecarlo" in out and "sorting" not in out
 
     def test_unknown_workload_is_one_line_error_exit_1(self, capsys):
-        code, out, err = self.run(capsys, "workloads", "--tag", "summa")
+        code, out, err = self.run(capsys, "workloads", "--tag", "cholesky")
         assert code == 1
         assert err.strip() == (
-            "error: unknown workload 'summa' (known: hpl, montecarlo, sorting)"
+            "error: unknown workload 'cholesky' (known: hpl, montecarlo, sorting, summa)"
         )
 
     def test_optimize_rejects_unknown_workload(self, capsys):
         code, _, err = self.run(
-            capsys, "optimize", "--workload", "summa", "--n", "4000"
+            capsys, "optimize", "--workload", "cholesky", "--n", "4000"
         )
         assert code == 1
-        assert "unknown workload 'summa'" in err
+        assert "unknown workload 'cholesky'" in err
 
     def test_optimize_runs_a_sorting_pipeline(self, capsys):
         code, out, _ = self.run(

@@ -7,6 +7,7 @@ from repro.workloads import (
     HPLWorkload,
     MonteCarloWorkload,
     SortingWorkload,
+    SummaWorkload,
     Workload,
     create_workload,
     iter_workloads,
@@ -17,17 +18,18 @@ from repro.workloads import (
 
 class TestRegistry:
     def test_builtin_families_are_registered(self):
-        assert registered_workloads() == ("hpl", "montecarlo", "sorting")
+        assert registered_workloads() == ("hpl", "montecarlo", "sorting", "summa")
 
     def test_create_resolves_to_singletons(self):
         assert isinstance(create_workload("hpl"), HPLWorkload)
         assert isinstance(create_workload("sorting"), SortingWorkload)
         assert isinstance(create_workload("montecarlo"), MonteCarloWorkload)
+        assert isinstance(create_workload("summa"), SummaWorkload)
         assert create_workload("sorting") is create_workload("sorting")
 
     def test_unknown_tag_is_model_error_naming_known_tags(self):
-        with pytest.raises(ModelError, match="unknown workload 'summa'") as err:
-            create_workload("summa")
+        with pytest.raises(ModelError, match="unknown workload 'cholesky'") as err:
+            create_workload("cholesky")
         assert "hpl" in str(err.value)
         assert "sorting" in str(err.value)
 
@@ -44,13 +46,13 @@ class TestRegistry:
 
     def test_iter_workloads_sorted_pairs(self):
         pairs = iter_workloads()
-        assert [tag for tag, _ in pairs] == ["hpl", "montecarlo", "sorting"]
+        assert [tag for tag, _ in pairs] == ["hpl", "montecarlo", "sorting", "summa"]
         for tag, workload in pairs:
             assert workload.tag == tag
 
 
 class TestDescribe:
-    @pytest.mark.parametrize("tag", ["hpl", "sorting", "montecarlo"])
+    @pytest.mark.parametrize("tag", ["hpl", "sorting", "montecarlo", "summa"])
     def test_describe_is_serializable_inventory(self, tag):
         info = create_workload(tag).describe()
         assert info["tag"] == tag

@@ -7,8 +7,8 @@ with no pytest dependency:
 * **HPL golden guard** — an HPL pipeline built *through the workload
   registry* still reproduces the golden seed-7 NS estimates bitwise
   (the port onto the protocol must not change a single bit),
-* **full loop per family** — ``sorting`` and ``montecarlo`` each run
-  campaign -> fit -> optimize on their own grids, every record
+* **full loop per family** — every registered family but ``hpl`` runs
+  campaign -> fit -> optimize on its own grids, every record
   decomposing into the family's phases,
 * **serve round-trip per family** — a saved family pipeline served over
   a real socket answers an estimate (with the ``workload`` assertion
@@ -34,11 +34,12 @@ from repro.cluster.presets import kishimoto_cluster
 from repro.core.persistence import save_pipeline
 from repro.core.pipeline import EstimationPipeline, PipelineConfig
 from repro.serve import EstimationServer, ModelRegistry
+from repro.workloads import registered_workloads
 
 GOLDEN_PATH = (
     Path(__file__).parent.parent / "tests" / "golden" / "protocol_estimates_seed7.json"
 )
-FAMILIES = ("sorting", "montecarlo")
+FAMILIES = tuple(tag for tag in registered_workloads() if tag != "hpl")
 SEED = 11
 CONFIG = (1, 2, 8, 1)
 
