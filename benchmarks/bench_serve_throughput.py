@@ -8,14 +8,14 @@ dispatches each batch through the vectorized estimator paths (one
 ``optimize_many`` call per pipeline).  This bench quantifies what that
 buys: closed-loop requests/sec at concurrency 1, 8 and 64 against the
 golden saved pipeline, with batching on (defaults) and off
-(``max_batch=1``, no window).
+(``max_batch=1``).
 
 Every request carries a distinct problem size so no round is flattened
 by the estimate cache — the comparison measures evaluation and
 dispatch costs, not cache hits.  At concurrency 1 batching cannot help
-(every batch has size one and the window adds latency); the win must
-appear as concurrency grows, and at 64 the batched optimize path is
-roughly an order of magnitude faster.
+(every batch has size one, and with no batching timer the two modes do
+the same work); the win must appear as concurrency grows, where the
+batched optimize path shares one search run per batch.
 
 Part 2 — fleet scaling: the same closed-loop workload against
 ``repro serve --workers N`` fleets (N = 1, 2, 4) sharing one port.
@@ -65,7 +65,7 @@ def run_round(payloads, batching, concurrency):
     async def main():
         registry = ModelRegistry()
         registry.add("golden", FIXTURE)
-        kwargs = {} if batching else {"max_batch": 1, "batch_window_s": 0.0}
+        kwargs = {} if batching else {"max_batch": 1}
         server = EstimationServer(registry, port=0, refresh_interval_s=None, **kwargs)
         host, port = await server.start()
         try:

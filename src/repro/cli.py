@@ -346,11 +346,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--max-batch", type=int, default=64,
-        help="micro-batch size cap (1 disables batching)",
-    )
-    serve.add_argument(
-        "--batch-window-ms", type=float, default=2.0,
-        help="coalescing window after the first queued request (0 disables)",
+        help=(
+            "micro-batch size cap; a batch takes what queued while the "
+            "previous one ran (1 disables batching)"
+        ),
     )
     serve.add_argument(
         "--cache-capacity", type=int, default=4096,
@@ -660,7 +659,6 @@ def _run_fleet(args: argparse.Namespace) -> None:
         listener=args.listener,
         max_pending=args.max_pending,
         max_batch=args.max_batch,
-        batch_window_s=args.batch_window_ms / 1e3,
         cache_capacity=args.cache_capacity if args.cache_capacity > 0 else None,
     )
     supervisor = FleetSupervisor(_parse_dir_specs(args.dir), config)
@@ -723,14 +721,13 @@ def _run_server(args: argparse.Namespace) -> None:
             port=args.port,
             max_pending=args.max_pending,
             max_batch=args.max_batch,
-            batch_window_s=args.batch_window_ms / 1e3,
             refresh_interval_s=args.refresh_interval or None,
         )
         host, port = await server.start()
         print(
             f"serving {len(registry)} pipeline(s) on {host}:{port} "
-            f"(max_batch={args.max_batch}, window={args.batch_window_ms}ms, "
-            f"max_pending={args.max_pending}); Ctrl-C to stop"
+            f"(max_batch={args.max_batch}, max_pending={args.max_pending}); "
+            "Ctrl-C to stop"
         )
         try:
             await server.serve_forever()

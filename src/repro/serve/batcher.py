@@ -39,12 +39,15 @@ with a workload sweeps only the pipelines of that family.
 never blocks.  When the queue is full the request is shed immediately
 with a typed :class:`~repro.serve.protocol.Overloaded` — under overload
 the service degrades into fast, honest rejections instead of unbounded
-latency.  The suggested ``retry_after_ms`` scales with the configured
-batch window so clients back off past at least one drain cycle.
+latency.  The suggested ``retry_after_ms`` is a constant 10 ms.
 
-**Batch window.**  After the first request of a batch arrives the worker
-waits ``batch_window_s`` (0 disables the wait) for concurrent arrivals
-to pile up, then drains up to ``max_batch`` requests.  ``max_batch=1``
+**Batching.**  A micro-batch is what queued while the previous one ran:
+the worker takes the first waiting request plus everything else already
+queued, up to ``max_batch``, and executes them — no timer.  An idle
+server therefore dispatches a lone request at once.  Under load batches
+still form, because a batch executes synchronously on the event loop:
+request lines that arrive meanwhile are read and submitted in the next
+loop passes, and the next drain takes them together.  ``max_batch=1``
 turns micro-batching off entirely — the configuration benchmarked as the
 "batching off" baseline.
 """
@@ -85,7 +88,6 @@ class MicroBatcher:
         metrics: Optional[ServeMetrics] = None,
         max_pending: int = 256,
         max_batch: int = 64,
-        batch_window_s: float = 0.002,
     ):
         if max_pending < 1:
             raise ReproError(f"max_pending must be >= 1, got {max_pending}")
@@ -95,7 +97,6 @@ class MicroBatcher:
         self.metrics = metrics if metrics is not None else ServeMetrics()
         self.max_pending = max_pending
         self.max_batch = max_batch
-        self.batch_window_s = batch_window_s
         self._queue: "asyncio.Queue[Optional[_WorkItem]]" = asyncio.Queue()
         self._worker: Optional[asyncio.Task] = None
         self._closed = False
@@ -139,8 +140,7 @@ class MicroBatcher:
                 "service is shutting down", ERROR_SHUTTING_DOWN
             )
         if self._queue.qsize() >= self.max_pending:
-            retry_ms = max(self.batch_window_s * 2e3, 10.0)
-            raise Overloaded(self._queue.qsize(), self.max_pending, retry_ms)
+            raise Overloaded(self._queue.qsize(), self.max_pending, retry_after_ms=10.0)
         future: "asyncio.Future[Dict[str, object]]" = (
             asyncio.get_running_loop().create_future()
         )
@@ -155,8 +155,6 @@ class MicroBatcher:
             if item is None:
                 return
             batch = [item]
-            if self.batch_window_s > 0 and len(batch) < self.max_batch:
-                await asyncio.sleep(self.batch_window_s)
             while len(batch) < self.max_batch and not self._queue.empty():
                 extra = self._queue.get_nowait()
                 if extra is None:

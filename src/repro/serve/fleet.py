@@ -93,7 +93,6 @@ class FleetConfig:
     listener: str = "auto"  #: ``auto`` | ``reuseport`` | ``router``
     max_pending: int = 256
     max_batch: int = 64
-    batch_window_s: float = 0.002
     cache_capacity: Optional[int] = 4096
     stats_interval_s: float = 0.2
     ready_timeout_s: float = 60.0
@@ -191,7 +190,6 @@ async def _worker_async(
         port=config.port if reuseport else 0,
         max_pending=config.max_pending,
         max_batch=config.max_batch,
-        batch_window_s=config.batch_window_s,
         refresh_interval_s=None,  # shared entries never watch disk
         reuse_port=reuseport,
     )

@@ -6,7 +6,9 @@ registry and the batcher.  Per connection, every request line spawns its
 own task, so a pipelining client gets genuinely concurrent handling (and
 therefore micro-batching) over a single connection; replies carry the
 request ``id`` because they may complete out of order.  Writes are
-serialized per connection.
+serialized per connection.  A line longer than :data:`MAX_LINE_BYTES`
+gets a typed ``BadRequest`` reply (``id`` null), after which the server
+ends that connection: the stream position is lost after the overrun.
 
 Ops route two ways:
 
@@ -41,6 +43,7 @@ from repro.serve.batcher import MicroBatcher
 from repro.serve.metrics import ServeMetrics
 from repro.serve.protocol import (
     BATCHED_OPS,
+    ERROR_BAD_REQUEST,
     ERROR_SHUTTING_DOWN,
     ProtocolError,
     Request,
@@ -50,6 +53,10 @@ from repro.serve.protocol import (
     parse_request,
 )
 from repro.serve.registry import ModelRegistry
+
+#: Longest request line a connection reads (asyncio's default stream
+#: limit, made explicit so the overrun reply can name it).
+MAX_LINE_BYTES = 64 * 1024
 
 
 def _recover_id(text: str):
@@ -71,7 +78,6 @@ class EstimationServer:
         port: int = 0,
         max_pending: int = 256,
         max_batch: int = 64,
-        batch_window_s: float = 0.002,
         refresh_interval_s: Optional[float] = 0.5,
         calibrators: Optional[Dict[str, object]] = None,
         reuse_port: bool = False,
@@ -103,7 +109,6 @@ class EstimationServer:
             metrics=self.metrics,
             max_pending=max_pending,
             max_batch=max_batch,
-            batch_window_s=batch_window_s,
         )
         self.refresh_interval_s = refresh_interval_s
         self._server: Optional[asyncio.Server] = None
@@ -120,7 +125,7 @@ class EstimationServer:
         self.batcher.start()
         kwargs = {"reuse_port": True} if self.reuse_port else {}
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port, **kwargs
+            self._handle_connection, self.host, self.port, limit=MAX_LINE_BYTES, **kwargs
         )
         sockname = self._server.sockets[0].getsockname()
         self.port = sockname[1]
@@ -183,7 +188,11 @@ class EstimationServer:
         write_lock = asyncio.Lock()
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:  # the line overran MAX_LINE_BYTES
+                    await self._reject_long_line(reader, writer, write_lock)
+                    break
                 if not line:
                     break
                 text = line.decode("utf-8", errors="replace").strip()
@@ -203,6 +212,35 @@ class EstimationServer:
             except RuntimeError:
                 pass
 
+    async def _reject_long_line(
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        lock: asyncio.Lock,
+    ) -> None:
+        """Answer a line that overran :data:`MAX_LINE_BYTES`, then end the
+        connection: the stream position is lost after an overrun.
+
+        Input still arriving is read and dropped until the client closes,
+        because closing with unread input resets the connection, which
+        can destroy the reply before the client has read it.
+        """
+        started = time.perf_counter()
+        reply = encode_error(
+            None,
+            ERROR_BAD_REQUEST,
+            f"request line exceeds the {MAX_LINE_BYTES}-byte line limit; "
+            "closing the connection",
+        )
+        await self._write(reply, writer, lock)
+        self.metrics.record_request("invalid", time.perf_counter() - started, error=True)
+        try:
+            writer.write_eof()
+        except OSError:  # the client has reset the connection already
+            return
+        while await reader.read(MAX_LINE_BYTES):
+            pass
+
     async def _serve_line(
         self, text: str, writer: asyncio.StreamWriter, lock: asyncio.Lock
     ) -> None:
@@ -210,17 +248,17 @@ class EstimationServer:
         op = "invalid"
         error = False
         shed = False
-        request_id = _recover_id(text)
+        request = None
         try:
             request = parse_request(text)
             op = request.op
-            request_id = request.id
             if self._draining:
                 raise ProtocolError("service is shutting down", ERROR_SHUTTING_DOWN)
             reply = await self._dispatch(request)
         except Exception as exc:
             error = True
             shed = getattr(exc, "error_type", "") == "Overloaded"
+            request_id = request.id if request is not None else _recover_id(text)
             reply = encode_exception(request_id, exc)
         await self._write(reply, writer, lock)
         self.metrics.record_request(

@@ -36,7 +36,7 @@ def make_batcher(**kwargs):
 class TestCoalescing:
     def test_concurrent_estimates_share_one_batch(self, direct_pipeline):
         async def scenario():
-            batcher = make_batcher(batch_window_s=0.01)
+            batcher = make_batcher()
             batcher.start()
             futures = [
                 batcher.submit(estimate_request(i, ns=(1600 + 80 * i,)))
@@ -62,7 +62,7 @@ class TestCoalescing:
 
     def test_distinct_configs_make_distinct_groups(self):
         async def scenario():
-            batcher = make_batcher(batch_window_s=0.01)
+            batcher = make_batcher()
             batcher.start()
             futures = [
                 batcher.submit(estimate_request(0, config=(1, 2, 8, 1))),
@@ -77,7 +77,7 @@ class TestCoalescing:
 
     def test_optimize_requests_merge_sizes(self, direct_pipeline):
         async def scenario():
-            batcher = make_batcher(batch_window_s=0.01)
+            batcher = make_batcher()
             batcher.start()
             futures = [
                 batcher.submit(
@@ -105,7 +105,7 @@ class TestCoalescing:
 
     def test_max_batch_bounds_drain(self):
         async def scenario():
-            batcher = make_batcher(batch_window_s=0.01, max_batch=4)
+            batcher = make_batcher(max_batch=4)
             batcher.start()
             futures = [
                 batcher.submit(estimate_request(i, ns=(1600 + 80 * i,)))
@@ -120,10 +120,34 @@ class TestCoalescing:
         assert batcher.metrics.batches >= 3
 
 
+class TestLoneRequest:
+    def test_idle_batcher_dispatches_a_lone_request_at_once(self):
+        """No batching timer: a request that finds the worker idle is
+        executed on the worker's next loop pass, not after a wait."""
+
+        async def scenario():
+            batcher = make_batcher()
+            batcher.start()
+            await asyncio.sleep(0)  # the worker starts and waits, idle
+            future = batcher.submit(estimate_request(0))
+            passes = 0
+            while not future.done() and passes < 10:
+                await asyncio.sleep(0)
+                passes += 1
+            done = future.done()
+            await batcher.drain_and_stop()
+            return done, passes, future.result()
+
+        done, passes, result = run(scenario())
+        assert done, "a lone request was still pending after 10 loop passes"
+        assert passes <= 2
+        assert result["totals"]
+
+
 class TestErrors:
     def test_group_failure_is_typed_and_isolated(self):
         async def scenario():
-            batcher = make_batcher(batch_window_s=0.01)
+            batcher = make_batcher()
             batcher.start()
             bad = batcher.submit(estimate_request(0, config=(9, 9, 9, 9)))
             good = batcher.submit(estimate_request(1))
@@ -138,7 +162,7 @@ class TestErrors:
 
     def test_unknown_pipeline_rejected_per_request(self):
         async def scenario():
-            batcher = make_batcher(batch_window_s=0)
+            batcher = make_batcher()
             batcher.start()
             future = batcher.submit(
                 Request(id=0, op="estimate", pipeline="nope", config=(1, 1), ns=(400,))
@@ -153,12 +177,12 @@ class TestErrors:
 class TestAdmissionControl:
     def test_overload_sheds_with_typed_error(self):
         async def scenario():
-            # A long window wedges the worker after the first request, so
-            # the queue (bound 2) observably fills and sheds.
-            batcher = make_batcher(batch_window_s=0.2, max_pending=2)
+            batcher = make_batcher(max_pending=2)
             batcher.start()
-            # The worker task has not run yet (no await since start), so
-            # exactly max_pending submissions are admitted...
+            # Every submit below runs synchronously before the worker
+            # task first gets the loop (no await since start), so the
+            # queue (bound 2) observably fills and sheds: exactly
+            # max_pending submissions are admitted...
             admitted = [batcher.submit(estimate_request(i)) for i in range(2)]
             shed = []
             for i in range(2, 7):
@@ -189,7 +213,7 @@ class TestAdmissionControl:
 
     def test_drain_answers_everything_admitted(self):
         async def scenario():
-            batcher = make_batcher(batch_window_s=0.05)
+            batcher = make_batcher()
             batcher.start()
             futures = [
                 batcher.submit(estimate_request(i, ns=(1600 + 80 * i,)))
@@ -210,7 +234,7 @@ class TestWhatif:
             registry = ModelRegistry()
             registry.add("a", FIXTURE)
             registry.add("b", FIXTURE)
-            batcher = MicroBatcher(registry, batch_window_s=0)
+            batcher = MicroBatcher(registry)
             batcher.start()
             future = batcher.submit(
                 Request(id=0, op="whatif", config=(1, 2, 8, 1), ns=(3200,))

@@ -73,7 +73,7 @@ class TestRequestFields:
 class TestBackendGrouping:
     def test_same_backend_requests_share_one_search(self):
         async def scenario():
-            batcher = make_batcher(batch_window_s=0.01)
+            batcher = make_batcher()
             batcher.start()
             futures = [
                 batcher.submit(
@@ -94,7 +94,7 @@ class TestBackendGrouping:
 
     def test_distinct_backends_never_share_a_search(self):
         async def scenario():
-            batcher = make_batcher(batch_window_s=0.01)
+            batcher = make_batcher()
             batcher.start()
             futures = [
                 batcher.submit(optimize_request(0, backend=None)),
@@ -114,7 +114,7 @@ class TestBackendGrouping:
 
     def test_backend_winner_matches_default_exhaustive(self):
         async def scenario():
-            batcher = make_batcher(batch_window_s=0.0)
+            batcher = make_batcher()
             batcher.start()
             default = await batcher.submit(optimize_request(0))
             bb = await batcher.submit(optimize_request(1, backend="branch-bound"))
@@ -141,7 +141,7 @@ class TestSearchCounters:
 
     def test_optimize_feeds_search_counters(self):
         async def scenario():
-            batcher = make_batcher(batch_window_s=0.0)
+            batcher = make_batcher()
             batcher.start()
             await batcher.submit(optimize_request(0, backend="branch-bound"))
             await batcher.drain_and_stop()

@@ -82,7 +82,7 @@ class TestGoldenIdentity:
             await fire_concurrent(host, port, payloads, concurrency=32)
             return server.metrics
 
-        metrics = serve(scenario, batch_window_s=0.01)
+        metrics = serve(scenario)
         assert metrics.batch_sizes.max > 1, "no coalescing happened"
         assert metrics.coalesced_requests > 0
 
@@ -117,7 +117,7 @@ class TestOverload:
         async def scenario(server, host, port):
             return await fire_concurrent(host, port, payloads, concurrency=48)
 
-        replies, _ = serve(scenario, max_pending=2, batch_window_s=0.05, max_batch=4)
+        replies, _ = serve(scenario, max_pending=2, max_batch=4)
         assert len(replies) == 48  # nothing dropped or hung
         shed = [r for r in replies if not r["ok"]]
         served = [r for r in replies if r["ok"]]
@@ -179,6 +179,34 @@ class TestControlPlane:
         assert unknown["id"] == 43
         assert unknown["error"]["type"] == "UnknownPipeline"
 
+    def test_oversized_line_replies_typed_then_closes(self):
+        """A line over the 64 KiB read limit gets a typed BadRequest (id
+        null) before the server closes that connection; the error is
+        counted and other connections are still served."""
+        payload = {"id": 5, "op": "estimate", "pipeline": "golden",
+                   "config": [1, 2, 8, 1], "ns": list(range(1600, 21600))}
+        line = (json.dumps(payload) + "\n").encode()
+        assert len(line) > 64 * 1024
+
+        async def scenario(server, host, port):
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(line)
+            await writer.drain()
+            reply = json.loads(await reader.readline())
+            tail = await reader.read()
+            writer.close()
+            ping = await roundtrip(host, port, {"id": 1, "op": "ping"})
+            stats = await roundtrip(host, port, {"id": 2, "op": "stats"})
+            return reply, tail, ping, stats
+
+        reply, tail, ping, stats = serve(scenario)
+        assert reply["id"] is None and reply["ok"] is False
+        assert reply["error"]["type"] == "BadRequest"
+        assert "65536-byte line limit" in reply["error"]["message"]
+        assert tail == b""  # the server closed the connection after the reply
+        assert ping["ok"] and ping["result"]["pong"]
+        assert stats["result"]["endpoints"]["invalid"]["errors"] == 1
+
 
 class TestGracefulShutdown:
     def test_inflight_requests_answered_before_exit(self):
@@ -202,7 +230,7 @@ class TestGracefulShutdown:
             writer.close()
             return replies
 
-        replies = serve(scenario, batch_window_s=0.05)
+        replies = serve(scenario)
         assert len(replies) == 16
         answered = [r for r in replies if r["ok"]]
         refused = [r for r in replies if not r["ok"]]

@@ -116,7 +116,7 @@ class TestUnifiedExtra:
 class TestBatcherRouting:
     def submit_one(self, registry, request):
         async def scenario():
-            batcher = MicroBatcher(registry, batch_window_s=0)
+            batcher = MicroBatcher(registry)
             batcher.start()
             try:
                 return await batcher.submit(request)

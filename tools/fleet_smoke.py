@@ -199,6 +199,10 @@ def check_promotion_under_traffic(supervisor: FleetSupervisor, root: Path) -> No
 
 
 def check_fleet_status(supervisor: FleetSupervisor) -> None:
+    # The answering replica freshens only its own row; a peer's row lags
+    # by up to one stats interval, which is longer than the workload
+    # above takes.  Wait two intervals so every peer has republished.
+    time.sleep(2 * supervisor.config.stats_interval_s)
     with ServeClient(supervisor.host, supervisor.port) as client:
         status = client.fleet_status()
     if not status.get("fleet") or len(status.get("workers", [])) != WORKERS:

@@ -67,7 +67,7 @@ def optimize_payloads() -> list[dict]:
 async def run_round(payloads: list[dict], batching: bool):
     registry = ModelRegistry()
     registry.add("golden", FIXTURE)
-    kwargs = {} if batching else {"max_batch": 1, "batch_window_s": 0.0}
+    kwargs = {} if batching else {"max_batch": 1}
     server = EstimationServer(registry, port=0, refresh_interval_s=None, **kwargs)
     host, port = await server.start()
     try:
