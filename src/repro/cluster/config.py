@@ -147,8 +147,19 @@ class ClusterConfig:
         return ",".join(str(v) for v in self.as_flat_tuple(kinds))
 
     def key(self) -> Tuple[Tuple[str, int, int], ...]:
-        """Hashable canonical identity (kind, pe_count, procs) for active kinds."""
-        return tuple((a.kind_name, a.pe_count, a.procs_per_pe) for a in self.active)
+        """Hashable canonical identity (kind, pe_count, procs) for active kinds.
+
+        Memoized on the instance (the configuration is frozen), so the
+        estimate cache's keys, the exhaustive key ranks and the
+        exact-cover check share one tuple per configuration.  The memo is
+        not a dataclass field: ``==``, ``hash`` and ``repr`` ignore it."""
+        key = self.__dict__.get("_key")
+        if key is None:
+            key = tuple(
+                (a.kind_name, a.pe_count, a.procs_per_pe) for a in self.active
+            )
+            object.__setattr__(self, "_key", key)
+        return key
 
     # -- validation --------------------------------------------------------------
 

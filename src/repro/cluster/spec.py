@@ -9,6 +9,7 @@ construction so the rest of the code can assume a well-formed cluster.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple
 
 from repro.cluster.network import NetworkSpec
@@ -57,6 +58,7 @@ class ClusterSpec:
             raise ClusterError(f"{self.name}: duplicate node names: {names}")
         # A PE kind name must map to exactly one PEKind object.
         seen: Dict[str, PEKind] = {}
+        counts: Dict[str, int] = {}
         for node in self.nodes:
             prior = seen.get(node.kind.name)
             if prior is not None and prior != node.kind:
@@ -65,6 +67,11 @@ class ClusterSpec:
                     "definitions across nodes"
                 )
             seen[node.kind.name] = node.kind
+            counts[node.kind.name] = counts.get(node.kind.name, 0) + node.cpus
+        # The spec is frozen, so its inventory is counted once here
+        # (``replace`` builds a new spec and counts again): configuration
+        # validation reads it for every candidate the grid kernel routes.
+        object.__setattr__(self, "_pe_counts", counts)
         if self.cost is not None:
             # Duck-typed: anything with kind_names() naming a subset of
             # this cluster's kinds (a rate for hardware the cluster does
@@ -104,16 +111,18 @@ class ClusterSpec:
         return tuple(node for node in self.nodes if node.kind.name == name)
 
     def pe_count(self, name: str) -> int:
-        """Total processors of a kind across all nodes."""
-        return sum(node.cpus for node in self.nodes_of_kind(name))
+        """Total processors of a kind across all nodes (0 for a kind the
+        cluster does not have)."""
+        return self._pe_counts.get(name, 0)
 
     @property
     def total_pes(self) -> int:
         return sum(node.cpus for node in self.nodes)
 
     def pe_counts(self) -> Mapping[str, int]:
-        """Mapping kind name -> available processor count."""
-        return {kind.name: self.pe_count(kind.name) for kind in self.kinds}
+        """Read-only mapping kind name -> available processor count, in
+        first-appearance order."""
+        return MappingProxyType(self._pe_counts)
 
     # -- derivation ----------------------------------------------------------
 

@@ -37,7 +37,7 @@ from repro.core.binning import KindEstimate, MemoryBin, ModelSelector
 from repro.core.composition import CompositionPolicy
 from repro.core.grid_kernel import GridKernel
 from repro.core.model_store import ModelStore
-from repro.core.search import SearchOutcome
+from repro.core.search import SearchOutcome, problem_orders
 from repro.core.stages import (
     ComposeArtifact,
     PipelineContext,
@@ -256,6 +256,7 @@ class EstimationPipeline:
     def estimate(self, config: ClusterConfig, n: int) -> ConfigEstimate:
         """Full estimate: per-kind model evaluation, max composition,
         linear adjustment where applicable."""
+        problem_orders([n])
         raw = self._estimate_raw(config, n)
         adjusted_total = self.adjustment.apply(raw.raw_total, raw.max_mi)
         return replace(
@@ -270,6 +271,7 @@ class EstimationPipeline:
         totals, element-for-element identical to ``estimate(config, n).total``
         — row 0 of a ``1 x len(ns)`` :attr:`grid_kernel` block (uncached;
         :meth:`estimate_grid` is the cached form)."""
+        problem_orders(ns)
         return self.grid_kernel.evaluate([config], ns)[0]
 
     @property
@@ -302,6 +304,7 @@ class EstimationPipeline:
         served from :attr:`estimate_cache`.  This is the objective the
         search backends take (wrap a per-cell function with
         :func:`repro.core.search.pointwise` to compare against it)."""
+        problem_orders(ns)
         return self._engine.estimate_grid(configs, ns)
 
     def optimizer(

@@ -37,6 +37,7 @@ from repro.core.search.base import (
     actual_best,
     grid_block,
     pointwise,
+    problem_orders,
     rank_evaluations,
     validated_estimate,
     validated_estimates,
@@ -92,6 +93,7 @@ __all__ = [
     "grid_block",
     "iter_search_registry",
     "pointwise",
+    "problem_orders",
     "rank_evaluations",
     "register_search",
     "registered_search_backends",

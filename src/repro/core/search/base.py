@@ -10,13 +10,16 @@ everything that is *not* specific to how a backend explores the space:
   counts, best-so-far trace, branch-and-bound counters);
 * :class:`SearchProblem` — one bundle of objective + space + options
   that :func:`repro.core.search.registry.create_search` hands to a
-  backend's ``from_problem`` constructor;
+  backend's ``from_problem`` constructor, deriving what the backends
+  need from its candidates once;
 * the one objective form every backend takes, a :data:`GridEstimator`
   ``(configs, ns) -> (C, S)`` block — :func:`pointwise` lifts a per-cell
   function into it and :func:`grid_block` is the single call site that
   evaluates one and checks its shape;
 * :class:`SearchBackend` — the protocol base class: a backend implements
   ``optimize(n)`` and inherits ``optimize_many``/``best``;
+* :func:`problem_orders` — the one check of the problem orders every
+  backend (and every pipeline estimate entry point) is asked for;
 * validation and ranking helpers with the exact error semantics the
   exhaustive optimizer established (``+inf`` ranks last unless
   ``allow_unestimable=False``; NaN/negative always raise; an all-``inf``
@@ -28,13 +31,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.cluster.config import ClusterConfig
 from repro.core.search.space import SearchSpace
-from repro.errors import SearchError
+from repro.errors import ModelError, SearchError
 
 #: The objective every search backend takes: (configurations,
 #: [n1, n2, ...]) -> a ``(C, S)`` array of estimated seconds — in
@@ -226,6 +229,23 @@ class SearchOutcome:
 # -- validation & ranking helpers --------------------------------------------
 
 
+def problem_orders(ns: Iterable[object]) -> List[int]:
+    """The problem orders ``ns`` as plain ``int`` values.
+
+    Raises :class:`~repro.errors.ModelError` naming the first one that is
+    not an ``int`` or NumPy integer >= 1 (``bool`` is not one, as in the
+    serve protocol).  Every backend runs its sizes through this, and so
+    do the pipeline's estimate entry points: a fractional order would be
+    truncated by the cached grid path but not by the scalar one, and no
+    model has a domain at N <= 0."""
+    sizes = []
+    for n in ns:
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ModelError(f"problem order must be an integer >= 1, got {n!r}")
+        sizes.append(int(n))
+    return sizes
+
+
 def validated_estimate(
     value: float, config: ClusterConfig, n: int, allow_unestimable: bool = True
 ) -> float:
@@ -267,6 +287,21 @@ def validated_estimates(
     return arr
 
 
+def key_ranks_of(configs: Sequence[ClusterConfig]) -> np.ndarray:
+    """Ordinal of each configuration's canonical key in sorted-key order.
+
+    Sorting by ``(estimate, key_rank)`` equals sorting by
+    ``(estimate, key)``: the ranks are a strictly monotone relabeling of
+    the keys (equal keys get distinct ranks in original-index order,
+    which is exactly the stable-sort tie-break of
+    :func:`rank_evaluations`)."""
+    keys = [config.key() for config in configs]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    ranks = np.empty(len(order), dtype=np.int64)
+    ranks[np.asarray(order, dtype=np.int64)] = np.arange(len(order), dtype=np.int64)
+    return ranks
+
+
 def rank_evaluations(
     n: int,
     entries: Sequence[Tuple[ClusterConfig, float]],
@@ -279,7 +314,10 @@ def rank_evaluations(
     Ordering is ``(estimate, config.key())`` — ties break on the
     canonical configuration key, which is what makes exact backends
     bitwise-reproducible regardless of evaluation order.  Raises when the
-    best entry is not finite (same error as the exhaustive optimizer).
+    best entry is not finite: for a complete run with the exhaustive
+    optimizer's error, and for a run that may have left candidates
+    unvisited with one that says only the evaluated candidates are out
+    of the models' domain.
     """
     if not entries:
         raise SearchError(f"no candidate was evaluated at N={n}")
@@ -294,9 +332,15 @@ def rank_evaluations(
         for i in order
     ]
     if not math.isfinite(ranking[0].estimate_s):
+        if complete:
+            raise SearchError(
+                f"no candidate could be estimated at N={n} "
+                "(all models out of domain)"
+            )
         raise SearchError(
-            f"no candidate could be estimated at N={n} "
-            "(all models out of domain)"
+            f"no candidate could be estimated among the {len(ranking)} "
+            f"evaluated at N={n} (each is outside the models' domain); "
+            "an exact backend searches every candidate"
         )
     return SearchOutcome(
         n=n,
@@ -321,16 +365,25 @@ class SearchProblem:
     ``space`` (a product space) must be provided; backends that need the
     missing form derive it via :meth:`resolved_space` /
     :meth:`resolved_candidates`.
+
+    One problem may serve many runs (the pipeline's search engine hands
+    one to every backend it builds over its default pool).  What the
+    backends derive from the candidates alone — the product space, the
+    exact-cover verdict, the key ranks — is derived on first use and
+    kept, so ``candidates``, ``space`` and ``kinds`` must not change once
+    the problem is in use.  A bound oracle memoizes per-size profiles, so
+    ``bounds`` builds one per backend (:meth:`resolved_bounds`).
     """
 
     grid_estimator: GridEstimator
     candidates: Optional[Sequence[ClusterConfig]] = None
     space: Optional[SearchSpace] = None
     kinds: Optional[Sequence[str]] = None
-    #: Lower-bound oracle for branch-and-bound (duck-typed
+    #: Builds the lower-bound oracle for branch-and-bound over the
+    #: problem's space (``space -> KindTimeBound``, duck-typed
     #: :class:`repro.core.search.bounds.KindTimeBound`); without one,
     #: branch-and-bound cannot prune and refuses to run.
-    bounds: Optional[object] = None
+    bounds: Optional[Callable[[SearchSpace], object]] = None
     #: Rate card for the cost-aware backends (duck-typed
     #: :class:`repro.cost.model.CostModel`); None means every kind is
     #: free and the frontier degenerates to the minimum-time point.
@@ -338,13 +391,48 @@ class SearchProblem:
     allow_unestimable: bool = True
     #: Seed for the stochastic backends (hill climbing, annealing).
     seed: int = 0
+    _space: Optional[SearchSpace] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _covers: Optional[bool] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _key_ranks: Optional[np.ndarray] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def resolved_space(self) -> SearchSpace:
         if self.space is not None:
             return self.space
+        if self._space is None:
+            if self.candidates is None:
+                raise SearchError(
+                    "search problem has neither candidates nor space"
+                )
+            self._space = SearchSpace.from_candidates(self.candidates, self.kinds)
+        return self._space
+
+    def covers_space(self) -> bool:
+        """True when the candidates are exactly :meth:`resolved_space`'s
+        configurations (always, for a problem given only a space) — the
+        precondition of the tree searches, which enumerate the space."""
         if self.candidates is None:
-            raise SearchError("search problem has neither candidates nor space")
-        return SearchSpace.from_candidates(self.candidates, self.kinds)
+            return True
+        if self._covers is None:
+            self._covers = self.resolved_space().is_exact_cover_of(self.candidates)
+        return self._covers
+
+    def key_ranks(self) -> np.ndarray:
+        """:func:`key_ranks_of` the :meth:`resolved_candidates`, read-only."""
+        if self._key_ranks is None:
+            ranks = key_ranks_of(self.resolved_candidates())
+            ranks.flags.writeable = False
+            self._key_ranks = ranks
+        return self._key_ranks
+
+    def resolved_bounds(self) -> Optional[object]:
+        """A fresh bound oracle over :meth:`resolved_space`, or None."""
+        return None if self.bounds is None else self.bounds(self.resolved_space())
 
     def resolved_candidates(self) -> List[ClusterConfig]:
         if self.candidates is not None:
@@ -388,7 +476,7 @@ class SearchBackend:
     def optimize_many(self, ns: Sequence[int]) -> List[SearchOutcome]:
         """Rank for every size; backends with a vectorized grid path
         override this (the exhaustive optimizer does)."""
-        sizes = [int(n) for n in ns]
+        sizes = problem_orders(ns)
         if not sizes:
             raise SearchError("optimize_many needs at least one size")
         return [self.optimize(n) for n in sizes]

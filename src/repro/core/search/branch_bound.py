@@ -52,6 +52,7 @@ from repro.core.search.base import (
     SearchProblem,
     SearchStats,
     grid_block,
+    problem_orders,
     rank_evaluations,
     validated_estimate,
 )
@@ -128,16 +129,15 @@ class BranchBoundSearch(SearchBackend):
         work_factor: int = 256,
     ) -> "BranchBoundSearch":
         space = problem.resolved_space()
-        if problem.candidates is not None and not space.is_exact_cover_of(
-            problem.candidates
-        ):
+        if not problem.covers_space():
             raise SearchError(
                 "branch-and-bound needs a product-structured candidate set "
                 f"(got {len(list(problem.candidates))} candidates that do not "
                 f"form the {space.size}-configuration grid their per-kind "
                 "choices span); use the exhaustive backend for irregular sets"
             )
-        if problem.bounds is None:
+        bounds = problem.resolved_bounds()
+        if bounds is None:
             raise SearchError(
                 "branch-and-bound needs a bound oracle "
                 "(SearchProblem.bounds); without one it cannot prune"
@@ -145,7 +145,7 @@ class BranchBoundSearch(SearchBackend):
         return cls(
             problem.grid_estimator,
             space,
-            problem.bounds,
+            bounds,
             allow_unestimable=problem.allow_unestimable,
             budget=budget,
             work_factor=work_factor,
@@ -231,6 +231,7 @@ class BranchBoundSearch(SearchBackend):
         return BOUND_SLACK * scale_lb * t_lb
 
     def optimize(self, n: int) -> SearchOutcome:
+        n = problem_orders([n])[0]
         started = time.perf_counter()
         stats = SearchStats(backend=self.backend_type, budget=self.budget)
         self.stats = stats

@@ -27,6 +27,8 @@ from repro.core.search.base import (
     SearchProblem,
     SearchStats,
     grid_block,
+    key_ranks_of,
+    problem_orders,
     rank_evaluations,
     validated_estimates,
 )
@@ -72,8 +74,7 @@ class ExhaustiveOptimizer(SearchBackend):
         self.grid_estimator = grid_estimator
         self.candidates = list(candidates)
         self.allow_unestimable = allow_unestimable
-        # Sort keys are recomputed on every optimize(); cache them once.
-        self._candidate_keys = [config.key() for config in self.candidates]
+        # Derived on the first ranking, or taken from the problem.
         self._key_rank_cache: Optional[np.ndarray] = None
         self.stats = None
 
@@ -87,31 +88,22 @@ class ExhaustiveOptimizer(SearchBackend):
                 "not support an evaluation budget (pick 'branch-bound' or "
                 "'beam' for budgeted search)"
             )
-        return cls(
+        instance = cls(
             problem.grid_estimator,
             problem.resolved_candidates(),
             allow_unestimable=problem.allow_unestimable,
         )
+        if problem.candidates is not None:
+            # A space-only problem would enumerate its space again to
+            # rank the keys; the instance ranks the list it already holds.
+            instance._key_rank_cache = problem.key_ranks()
+        return instance
 
     @property
     def _key_ranks(self) -> np.ndarray:
-        """Ordinal of each candidate's canonical key in sorted-key order.
-
-        Sorting by ``(estimate, key_rank)`` equals sorting by
-        ``(estimate, key)``: the ranks are a strictly monotone relabeling
-        of the keys (equal keys get distinct ranks in original-index
-        order, which is exactly the stable-sort tie-break of
-        :func:`rank_evaluations`)."""
+        """The candidates' :func:`~repro.core.search.base.key_ranks_of`."""
         if self._key_rank_cache is None:
-            order = sorted(
-                range(len(self._candidate_keys)),
-                key=lambda i: self._candidate_keys[i],
-            )
-            ranks = np.empty(len(order), dtype=np.int64)
-            ranks[np.asarray(order, dtype=np.int64)] = np.arange(
-                len(order), dtype=np.int64
-            )
-            self._key_rank_cache = ranks
+            self._key_rank_cache = key_ranks_of(self.candidates)
         return self._key_rank_cache
 
     def _rank(self, n: int, values: np.ndarray, started: float) -> SearchOutcome:
@@ -154,7 +146,7 @@ class ExhaustiveOptimizer(SearchBackend):
         each outcome's ``search_seconds`` is its share of that evaluation
         plus its own ranking cost.
         """
-        sizes = [int(n) for n in ns]
+        sizes = problem_orders(ns)
         if not sizes:
             raise SearchError("optimize_many needs at least one size")
         started = time.perf_counter()

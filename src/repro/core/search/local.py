@@ -41,6 +41,7 @@ from repro.core.search.base import (
     SearchProblem,
     SearchStats,
     grid_block,
+    problem_orders,
     rank_evaluations,
     validated_estimate,
 )
@@ -292,6 +293,7 @@ class LocalSearchBase(SearchBackend):
         The outcome is marked ``complete=False``: a heuristic ranking
         covers the visited subset, not the space.
         """
+        n = problem_orders([n])[0]
         started = time.perf_counter()
         options = dict(self._search_options)
         if self._accepts_seed() and "seed" not in options:

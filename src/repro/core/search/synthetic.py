@@ -186,14 +186,13 @@ def synthetic_problem(
             np.maximum.at(out[:, j], cand, ta + tc)
         return out
 
-    bounds = KindTimeBound(
-        synthetic_kind_time(params), p_max=space.max_total_processes
-    )
     return SearchProblem(
         grid_estimator,
         space=space,
         kinds=kinds,
-        bounds=bounds,
+        bounds=lambda space: KindTimeBound(
+            synthetic_kind_time(params), p_max=space.max_total_processes
+        ),
         allow_unestimable=False,
         seed=seed,
     )

@@ -53,11 +53,9 @@ from repro.core.memory_guard import MemoryGuard, split_dataset
 from repro.core.model_store import ModelStore
 from repro.core.search import (
     DEFAULT_BACKEND,
-    ExhaustiveOptimizer,
     SearchBackend,
     SearchOutcome,
     SearchProblem,
-    SearchSpace,
     create_search,
     estimator_bounds,
 )
@@ -515,6 +513,10 @@ class SearchEngine:
     could alter an estimate yields a fresh fingerprint.  The engine is
     itself dropped by the stage graph whenever an estimate-determining
     stage changes, which is the generic invalidation path.
+
+    It also owns the one :attr:`problem` over the default candidate pool,
+    which keeps what every search call would otherwise derive again from
+    that pool (see DESIGN.md §13).
     """
 
     def __init__(
@@ -541,6 +543,7 @@ class SearchEngine:
         self.cost_model = cost_model
         self._cache: Optional[EstimateCache] = None
         self._grid_kernel: Optional[GridKernel] = None
+        self._problem: Optional[SearchProblem] = None
 
     @property
     def estimate_cache(self) -> EstimateCache:
@@ -585,6 +588,31 @@ class SearchEngine:
         objective every search backend takes."""
         return self.estimate_cache.get_block(configs, ns, self.grid_kernel.evaluate)
 
+    @property
+    def problem(self) -> SearchProblem:
+        """The :class:`SearchProblem` over the default candidate pool,
+        built on first use and handed to every backend :meth:`optimizer`
+        builds.  The pool (the plan's evaluation grid) and the cluster
+        spec are immutable, so the product space, exact-cover verdict
+        and key ranks it derives lazily hold for the engine's lifetime;
+        backends — which carry per-run stats and RNG state — and bound
+        oracles stay per call."""
+        if self._problem is None:
+            self._problem = self._problem_over(tuple(self._candidates()))
+        return self._problem
+
+    def _problem_over(self, pool: Sequence[ClusterConfig]) -> SearchProblem:
+        facade, adjustment = self.facade, self.adjustment
+        return SearchProblem(
+            self.estimate_grid,
+            candidates=pool,
+            bounds=lambda space: estimator_bounds(
+                facade, adjustment, p_max=space.max_total_processes
+            ),
+            cost=self.cost_model,
+            seed=self.seed,
+        )
+
     def optimizer(
         self,
         candidates: Optional[Sequence[ClusterConfig]] = None,
@@ -595,10 +623,9 @@ class SearchEngine:
         """A ready-to-run search backend over the candidate grid.
 
         ``backend=None`` uses the engine's default (the pipeline config's
-        ``search_backend``); the plain exhaustive default is built
-        directly, skipping the product-space derivation it does not
-        need.  Any other tag goes through the search
-        registry with a :class:`SearchProblem` carrying the model-derived
+        ``search_backend``).  Every tag goes through the search registry
+        with a :class:`SearchProblem` — :attr:`problem`, or a fresh one
+        over an explicit ``candidates`` pool — carrying the model-derived
         bound oracle (so ``branch-bound`` can prune), the rate card (so
         ``budget-frontier`` can price), and the pipeline seed (so
         stochastic backends are reproducible).  Extra ``options`` go to
@@ -607,22 +634,10 @@ class SearchEngine:
         :class:`~repro.errors.SearchError`.
         """
         tag = backend if backend is not None else self.default_backend
-        pool = (
-            list(candidates) if candidates is not None else self._candidates()
-        )
-        if tag == "exhaustive" and budget is None and not options:
-            return ExhaustiveOptimizer(self.estimate_grid, pool)
-        space = SearchSpace.from_candidates(pool)
-        problem = SearchProblem(
-            self.estimate_grid,
-            candidates=pool,
-            space=space,
-            kinds=list(space.kinds),
-            bounds=estimator_bounds(
-                self.facade, self.adjustment, p_max=space.max_total_processes
-            ),
-            cost=self.cost_model,
-            seed=self.seed,
+        problem = (
+            self.problem
+            if candidates is None
+            else self._problem_over(list(candidates))
         )
         return create_search(tag, problem, budget=budget, **options)
 

@@ -126,8 +126,10 @@ class FrontierOutcome:
 
     @property
     def min_time(self) -> FrontierPoint:
-        """The frontier's fast endpoint (the exhaustive winner when the
-        frontier is complete and unrestricted)."""
+        """The frontier's fast endpoint.  When the frontier is complete
+        and unrestricted it carries the exhaustive winner's estimate
+        bitwise, and the winner itself unless an exact time tie with a
+        strictly cheaper configuration dominates it."""
         return self.points[0]
 
     @property

@@ -20,8 +20,10 @@ both objectives and cannot reach the frontier, not even as an exact tie.
 That strictness is what makes the pruned frontier identical — point for
 point, bitwise — to :func:`repro.cost.pareto.enumerate_frontier` over
 the same space.  In particular no point tied with the minimum time is
-ever pruned, so the frontier's fast endpoint stays bitwise-identical to
-the exhaustive optimizer's winner.
+ever pruned, so the frontier's fast endpoint carries the exhaustive
+optimizer's winning estimate bitwise — and its configuration too, unless
+an exact time tie with a strictly cheaper configuration dominates the
+key tie-break winner (DESIGN §14).
 
 ``max_cost`` additionally prunes every subtree with ``c_lb > max_cost``
 (it cannot contain a feasible point) and restricts the frontier and the
@@ -44,6 +46,7 @@ from repro.core.search.base import (
     SearchOutcome,
     SearchProblem,
     SearchStats,
+    problem_orders,
     rank_evaluations,
 )
 from repro.core.search.bounds import KindTimeBound
@@ -120,14 +123,13 @@ class BudgetFrontierSearch(BranchBoundSearch):
         alpha: Optional[float] = None,
     ) -> "BudgetFrontierSearch":
         space = problem.resolved_space()
-        if problem.candidates is not None and not space.is_exact_cover_of(
-            problem.candidates
-        ):
+        if not problem.covers_space():
             raise SearchError(
                 "budget-frontier needs a product-structured candidate set; "
                 "use enumerate_frontier for irregular sets"
             )
-        if problem.bounds is None:
+        bounds = problem.resolved_bounds()
+        if bounds is None:
             raise SearchError(
                 "budget-frontier needs a bound oracle "
                 "(SearchProblem.bounds); without one it cannot prune"
@@ -135,7 +137,7 @@ class BudgetFrontierSearch(BranchBoundSearch):
         return cls(
             problem.grid_estimator,
             space,
-            problem.bounds,
+            bounds,
             cost=problem.cost,
             allow_unestimable=problem.allow_unestimable,
             budget=budget,
@@ -150,6 +152,7 @@ class BudgetFrontierSearch(BranchBoundSearch):
         self, n: int
     ) -> Tuple[List[FrontierPoint], List[FrontierPoint], SearchStats, float]:
         """One DFS: every evaluated point, the archive, stats, start time."""
+        n = problem_orders([n])[0]
         started = time.perf_counter()
         stats = SearchStats(backend=self.backend_type, budget=self.budget)
         self.stats = stats
@@ -371,7 +374,7 @@ class BudgetFrontierSearch(BranchBoundSearch):
         return ranked
 
     def frontier_many(self, ns: Sequence[int]) -> List[FrontierOutcome]:
-        sizes = [int(n) for n in ns]
+        sizes = problem_orders(ns)
         if not sizes:
             raise SearchError("frontier_many needs at least one size")
         return [self.frontier(n) for n in sizes]

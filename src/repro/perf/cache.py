@@ -122,14 +122,18 @@ class EstimateCache:
 
     def get(self, config_key: Hashable, n: int) -> Optional[float]:
         """Cached estimate, counting the lookup as a hit or miss."""
-        key = (config_key, n, self.fingerprint)
-        value = self._data.get(key)
+        value = self._recall((config_key, n, self.fingerprint))
         if value is None:
             self.stats.misses += 1
         else:
             self.stats.hits += 1
-            if self.capacity is not None:
-                self._data.move_to_end(key)
+        return value
+
+    def _recall(self, key: Tuple[Hashable, int, str]) -> Optional[float]:
+        """Uncounted lookup; a hit refreshes its recency under a capacity."""
+        value = self._data.get(key)
+        if value is not None and self.capacity is not None:
+            self._data.move_to_end(key)
         return value
 
     def put(self, config_key: Hashable, n: int, value: float) -> None:
@@ -154,31 +158,48 @@ class EstimateCache:
         cell is looked up first, the rows with a miss go to
         ``evaluate(configs, ns)`` as one block, and only the missing cells
         are stored (hit cells keep their cached values, so a warm sweep
-        is pure dictionary lookups)."""
+        is pure dictionary lookups).
+
+        One pass with a local lookup per cell and the hit and miss
+        counters added once, with the same outcome as a :meth:`get` per
+        cell in block order followed by a :meth:`put` per missing cell in
+        block order.  An unbounded cache stores directly; a bounded one
+        stores through :meth:`put`, which owns the eviction policy."""
         sizes = [int(n) for n in ns]
-        out = np.empty((len(configs), len(sizes)), dtype=float)
-        hit_mask = np.zeros(out.shape, dtype=bool)
+        width = len(sizes)
+        fingerprint, data = self.fingerprint, self._data
+        lookup = data.get if self.capacity is None else self._recall
         keys = [self.key_of(config) for config in configs]
+        # Row-major cells; None marks a miss until the evaluated block fills it.
+        values: List[Optional[float]] = []
         miss_rows: List[int] = []
-        for i, key in enumerate(keys):
-            row_full = True
-            for j, n in enumerate(sizes):
-                hit = self.get(key, n)
-                if hit is None:
-                    row_full = False
-                else:
-                    out[i, j] = hit
-                    hit_mask[i, j] = True
-            if not row_full:
+        for i, config_key in enumerate(keys):
+            row = [lookup((config_key, n, fingerprint)) for n in sizes]
+            if None in row:
                 miss_rows.append(i)
+            values += row
+        misses = values.count(None)
+        self.stats.hits += len(values) - misses
+        self.stats.misses += misses
         if miss_rows:
-            block = evaluate([configs[i] for i in miss_rows], sizes)
-            for r, i in enumerate(miss_rows):
+            block = np.asarray(
+                evaluate([configs[i] for i in miss_rows], sizes), dtype=float
+            )
+            if block.shape != (len(miss_rows), width):
+                raise ReproError(
+                    f"block evaluator returned shape {block.shape}, "
+                    f"expected {(len(miss_rows), width)}"
+                )
+            for i, fresh in zip(miss_rows, block.tolist()):
+                base, config_key = i * width, keys[i]
                 for j, n in enumerate(sizes):
-                    if not hit_mask[i, j]:
-                        out[i, j] = block[r, j]
-                        self.put(keys[i], n, float(block[r, j]))
-        return out
+                    if values[base + j] is None:
+                        value = values[base + j] = fresh[j]
+                        if self.capacity is None:
+                            data[(config_key, n, fingerprint)] = value
+                        else:
+                            self.put(config_key, n, value)
+        return np.array(values, dtype=float).reshape(len(keys), width)
 
     def clear(self) -> None:
         """Drop all entries (counters survive; they describe the session)."""

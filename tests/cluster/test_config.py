@@ -1,5 +1,7 @@
 """Unit tests for run configurations."""
 
+import pickle
+
 import pytest
 
 from repro.cluster.config import ClusterConfig, KindAllocation, enumerate_configs
@@ -64,6 +66,19 @@ class TestClusterConfig:
         explicit = cfg(1, 2, 0, 0)
         implicit = ClusterConfig.of(athlon=(1, 2))
         assert explicit.key() == implicit.key()
+
+    def test_key_memo_keeps_value_semantics(self):
+        fresh, memoized = cfg(1, 3, 8, 1), cfg(1, 3, 8, 1)
+        key = memoized.key()
+        assert memoized.key() is key
+        assert memoized == fresh and hash(memoized) == hash(fresh)
+        assert memoized.as_flat_tuple(KINDS) == fresh.as_flat_tuple(KINDS)
+        assert memoized.label(KINDS) == fresh.label(KINDS) == "1,3,8,1"
+        assert repr(memoized) == repr(fresh)
+        restored = pickle.loads(pickle.dumps(memoized))
+        assert restored == fresh and hash(restored) == hash(fresh)
+        assert restored.key() == key
+        assert restored.label(KINDS) == "1,3,8,1"
 
     def test_allocation_lookup_defaults_to_zero(self):
         config = ClusterConfig.of(athlon=(1, 2))

@@ -1,5 +1,7 @@
 """Unit tests for ClusterSpec."""
 
+import dataclasses
+
 import pytest
 
 from repro.cluster.network import fast_ethernet, gigabit_sx
@@ -36,6 +38,21 @@ class TestInventory:
 
     def test_pe_counts_mapping(self):
         assert two_kind_spec().pe_counts() == {"athlon": 1, "pentium2": 8}
+
+    def test_pe_counts_read_only(self):
+        counts = two_kind_spec().pe_counts()
+        with pytest.raises(TypeError):
+            counts["athlon"] = 99
+        assert two_kind_spec().pe_count("athlon") == 1
+
+    def test_replaced_spec_counts_its_own_nodes(self):
+        spec = two_kind_spec()
+        assert spec.pe_counts() == {"athlon": 1, "pentium2": 8}
+        smaller = dataclasses.replace(spec, nodes=spec.nodes[:2])
+        assert smaller.pe_counts() == {"athlon": 1, "pentium2": 2}
+        assert smaller.pe_count("pentium2") == 2
+        assert spec.pe_count("pentium2") == 8
+        assert spec.pe_count("itanium") == 0
 
     def test_describe_mentions_everything(self):
         text = two_kind_spec().describe()

@@ -1,11 +1,15 @@
 """Tests for the end-to-end estimation pipeline."""
 
+import numpy as np
 import pytest
 
 from repro.cluster.config import ClusterConfig
+from repro.cluster.presets import synthetic_cluster
 from repro.core.pipeline import EstimationPipeline, PipelineConfig
 from repro.core.binning import MemoryBin
+from repro.core.search import registered_search_backends
 from repro.errors import ModelError
+from repro.measure.grids import custom_plan
 
 KINDS = ("athlon", "pentium2")
 
@@ -147,3 +151,125 @@ class TestOptimization:
         assert binned.estimate(wide, 4800).total == pytest.approx(
             plain.estimate(wide, 4800).total
         )
+
+
+def _small_pipeline(seed=3):
+    """A two-kind synthetic pipeline that builds in a fraction of a second."""
+    spec = synthetic_cluster([0.5, 1.0], nodes_per_kind=3)
+    plan = custom_plan(
+        spec, (400, 800, 1600, 3200), (1600,), max_procs=2,
+        multiproc_kinds=spec.kind_names,
+    )
+    return EstimationPipeline(spec, PipelineConfig(seed=seed, adjust=False), plan=plan)
+
+
+def _signature(outcomes):
+    return [
+        (
+            o.n,
+            o.complete,
+            [(e.config.key(), e.estimate_s) for e in o.ranking],
+            o.stats.to_dict(include_trace=True),
+        )
+        for o in outcomes
+    ]
+
+
+class TestSharedProblem:
+    """The search engine derives its default pool's search data once."""
+
+    @pytest.mark.parametrize("tag", registered_search_backends())
+    def test_backends_share_one_problem(self, ns_pipeline, tag):
+        engine = ns_pipeline.graph.get("search")
+        first = ns_pipeline.optimizer(backend=tag)
+        problem = engine.problem
+        second = ns_pipeline.optimizer(backend=tag)
+        assert engine.problem is problem
+        assert first is not second
+        if tag == "exhaustive":
+            assert first._key_ranks is second._key_ranks is problem.key_ranks()
+        else:
+            assert first.space is second.space is problem.resolved_space()
+        if hasattr(first, "bounds"):
+            # Oracles memoize per-size profiles: one per backend.
+            assert first.bounds is not second.bounds
+        sizes = ns_pipeline.plan.evaluation_sizes
+        assert _signature(first.optimize_many(sizes)) == _signature(
+            second.optimize_many(sizes)
+        )
+
+    def test_explicit_pool_leaves_cached_problem_alone(self):
+        pipeline = _small_pipeline()
+        engine = pipeline.graph.get("search")
+        pool = [
+            c for c in pipeline.plan.evaluation_configs
+            if all(a.pe_count <= 2 for a in c.active)
+        ]
+        explicit = pipeline.optimizer(pool, backend="branch-bound")
+        assert engine._problem is None  # neither built nor read
+        problem = engine.problem
+        again = pipeline.optimizer(pool, backend="branch-bound")
+        assert engine.problem is problem
+        assert again.space is not problem.resolved_space()
+        assert explicit.space == again.space
+        outcome = explicit.optimize(3200)
+        assert {e.config.key() for e in outcome.ranking} <= {c.key() for c in pool}
+
+    def test_refit_gets_fresh_problem(self):
+        pipeline = _small_pipeline()
+        before = pipeline.optimizer(backend="branch-bound")
+        problem = pipeline.graph.get("search").problem
+        pipeline.graph.set("adjust", pipeline.adjustment)
+        engine = pipeline.graph.get("search")
+        after = pipeline.optimizer(backend="branch-bound")
+        assert engine.problem is not problem
+        assert after.space is not before.space
+        assert _signature([after.optimize(3200)]) == _signature([before.optimize(3200)])
+
+
+class TestProblemOrders:
+    """Every estimate and search entry point rejects a problem order that
+    is not an integer >= 1 (the grid path used to truncate 3200.5 while
+    the scalar path evaluated it, and N <= 0 was answered)."""
+
+    ENTRY_POINTS = {
+        "estimate": lambda p, n: p.estimate(cfg(1, 2, 8, 1), n),
+        "estimate_totals": lambda p, n: p.estimate_totals(cfg(1, 2, 8, 1), [3200, n]),
+        "estimate_grid": lambda p, n: p.estimate_grid([cfg(1, 2, 8, 1)], [n]),
+        "optimize": lambda p, n: p.optimize(n),
+        "optimize_many": lambda p, n: p.optimize_many([3200, n]),
+        "pareto": lambda p, n: p.pareto(n),
+        "pareto_many": lambda p, n: p.pareto_many([n]),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize(
+        "bad", [0, -5, 3200.5, True, np.float64(3200.0), "3200", None]
+    )
+    def test_rejected(self, basic_pipeline, entry, bad):
+        with pytest.raises(ModelError, match="problem order") as raised:
+            self.ENTRY_POINTS[entry](basic_pipeline, bad)
+        assert repr(bad) in str(raised.value)
+
+    @pytest.mark.parametrize("tag", registered_search_backends())
+    @pytest.mark.parametrize("bad", [0, -5, 3200.5, True, np.float64(3200.0)])
+    def test_rejected_by_handed_out_backends(self, basic_pipeline, tag, bad):
+        backend = basic_pipeline.optimizer(backend=tag)
+        calls = [backend.optimize, lambda n: backend.optimize_many([3200, n])]
+        if tag == "budget-frontier":
+            calls += [backend.frontier, lambda n: backend.frontier_many([3200, n])]
+        for call in calls:
+            with pytest.raises(ModelError, match="problem order") as raised:
+                call(bad)
+            assert repr(bad) in str(raised.value)
+
+    def test_numpy_integers_accepted(self, basic_pipeline):
+        config = cfg(1, 2, 8, 1)
+        n = np.int64(3200)
+        assert basic_pipeline.estimate(config, n).total == (
+            basic_pipeline.estimate(config, 3200).total
+        )
+        assert basic_pipeline.estimate_grid([config], [n])[0, 0] == (
+            basic_pipeline.estimate_totals(config, [3200])[0]
+        )
+        assert basic_pipeline.optimize(n).best == basic_pipeline.optimize(3200).best

@@ -79,6 +79,13 @@ class TestCLI:
         assert code == 0
         assert "  1. " in out and "  3. " in out
 
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    def test_optimize_rejects_non_positive_order(self, capsys, n):
+        code, out, err = run_cli(capsys, "optimize", "--protocol", "ns", "--n", n)
+        assert code == 1
+        assert f"problem order must be an integer >= 1, got {n}" in err
+        assert "  1. " not in out
+
     def test_seed_changes_nothing_structural(self, capsys):
         _, out_a, _ = run_cli(capsys, "--seed", "1", "fig2")
         _, out_b, _ = run_cli(capsys, "--seed", "2", "fig2")

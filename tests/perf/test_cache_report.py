@@ -2,6 +2,7 @@
 invalidation) and the per-stage performance report."""
 
 
+import numpy as np
 import pytest
 
 from repro.cluster.config import ClusterConfig
@@ -117,6 +118,63 @@ class TestLRUBound:
         assert len(cache) == 100
         assert cache.stats.evictions == 0
         assert "entries" in cache.describe() and "/" not in cache.describe().split(",")[0]
+
+    def test_get_block_matches_per_cell_sequence(self):
+        # A capacity smaller than the block, a mixed hit/miss block and a
+        # configuration listed twice: get_block must leave exactly what
+        # a get per cell in block order, then a put per missing cell,
+        # leaves behind.
+        configs = [
+            cfg(1, 1, 0, 0), cfg(0, 0, 2, 1), cfg(1, 2, 8, 1),
+            cfg(1, 1, 0, 0), cfg(1, 3, 4, 1),
+        ]
+        sizes = [100, 200]
+
+        def evaluate(block_configs, ns):
+            return np.array(
+                [[float(c.total_processes * n) for n in ns] for c in block_configs]
+            )
+
+        def per_cell(cache):
+            keys = [cache.key_of(c) for c in configs]
+            out = np.empty((len(configs), len(sizes)))
+            missing = []
+            for i, key in enumerate(keys):
+                for j, n in enumerate(sizes):
+                    value = cache.get(key, n)
+                    if value is None:
+                        missing.append((i, j))
+                    else:
+                        out[i, j] = value
+            rows = sorted({i for i, _ in missing})
+            block = evaluate([configs[i] for i in rows], sizes)
+            for i, j in missing:
+                out[i, j] = block[rows.index(i), j]
+                cache.put(keys[i], sizes[j], float(out[i, j]))
+            return out
+
+        def warm(cache):
+            cache.put(cache.key_of(cfg(1, 2, 8, 1)), 200, 20.0)
+            cache.put(cache.key_of(cfg(1, 1, 0, 0)), 100, 1.5)
+            cache.put(cache.key_of(cfg(0, 0, 2, 1)), 999, 0.5)
+
+        for capacity in (3, 4, 7, None):
+            reference, blocked = (EstimateCache("fp", capacity) for _ in range(2))
+            warm(reference)
+            warm(blocked)
+            expected = per_cell(reference)
+            got = blocked.get_block(configs, sizes, evaluate)
+            assert got.tolist() == expected.tolist()
+            assert blocked.stats.as_tuple() == reference.stats.as_tuple()
+            assert list(blocked._data.items()) == list(reference._data.items())
+        assert reference.stats.hits == 3 and reference.stats.misses == 7
+
+    def test_get_block_rejects_misshaped_evaluation(self):
+        cache = EstimateCache("fp")
+        with pytest.raises(ReproError, match="shape"):
+            cache.get_block(
+                [cfg(1, 1, 0, 0)], [100, 200], lambda configs, ns: np.ones((1, 1))
+            )
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ReproError, match="capacity"):

@@ -11,7 +11,10 @@ Fast CI guard for the Search protocol.  It fits the paper's NS pipeline
 * branch-and-bound actually prunes (fewer evaluations than candidates,
   evaluations + pruned candidates cover the grid);
 * heuristic backends return a finite, validly-ranked answer and respect
-  an evaluation budget when given one.
+  an evaluation budget when given one;
+* every backend called twice on the same pipeline — the second call on
+  the search engine's shared problem and a warm estimate cache — gives
+  bitwise the same outcome and ``SearchStats``.
 
 Exit status is non-zero on any failure.  Run it as::
 
@@ -38,9 +41,21 @@ def fail(message: str) -> None:
     raise SystemExit(1)
 
 
+def signature(outcome) -> tuple:
+    """Everything observable about an outcome, floats bit-for-bit."""
+    return (
+        outcome.n,
+        outcome.complete,
+        [(e.config.key(), e.estimate_s) for e in outcome.ranking],
+        outcome.stats.to_dict(include_trace=True),
+    )
+
+
 def check_backend(pipeline, tag: str, n: int, reference) -> str:
     outcome = pipeline.optimize(n, backend=tag)
     stats = outcome.stats
+    if signature(pipeline.optimize(n, backend=tag)) != signature(outcome):
+        fail(f"{tag}: a second call differs from the first at N={n}")
     if not math.isfinite(outcome.best.estimate_s):
         fail(f"{tag} returned a non-finite best at N={n}")
     if tag in EXACT_BACKENDS:
@@ -67,6 +82,7 @@ def check_backend(pipeline, tag: str, n: int, reference) -> str:
     return (
         f"{stats.evaluations} evals"
         + (f", {stats.pruned_candidates} pruned" if stats.pruned_candidates else "")
+        + ", repeat identical"
     )
 
 
