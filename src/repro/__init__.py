@@ -63,7 +63,7 @@ from repro.errors import (
     SearchError,
     SimulationError,
 )
-from repro.hpl import HPLParameters, HPLResult, PhaseTimes, run_hpl
+from repro.hpl import HPLParameters, PhaseTimes, run_hpl
 from repro.hpl.driver import NoiseSpec
 from repro.measure import Dataset, basic_plan, nl_plan, ns_plan, run_campaign
 
@@ -81,7 +81,6 @@ __all__ = [
     "ExhaustiveOptimizer",
     "FitError",
     "HPLParameters",
-    "HPLResult",
     "KindAllocation",
     "LinearAdjustment",
     "MeasurementError",

@@ -14,12 +14,13 @@ from typing import List, Optional
 from repro.analysis.tables import render_table
 from repro.cluster.config import ClusterConfig
 from repro.cluster.spec import ClusterSpec
-from repro.hpl.driver import HPLResult, NoiseSpec, run_hpl
+from repro.hpl.driver import NoiseSpec, run_hpl
 from repro.hpl.schedule import HPLParameters
 from repro.hpl.timing import PHASE_NAMES
+from repro.runs import WorkloadResult
 
 
-def kind_breakdown_table(result: HPLResult) -> str:
+def kind_breakdown_table(result: WorkloadResult) -> str:
     """Per-kind mean phase times with Ta/Tc groupings."""
     rows = []
     for kind in result.kind_names():
@@ -40,17 +41,15 @@ def kind_breakdown_table(result: HPLResult) -> str:
     )
 
 
-def process_breakdown_table(result: HPLResult, limit: Optional[int] = None) -> str:
+def process_breakdown_table(result: WorkloadResult, limit: Optional[int] = None) -> str:
     """Per-process phase times (bottleneck hunting)."""
     rows = []
-    timings = result.process_timings()
-    if limit is not None:
-        timings = timings[:limit]
-    for timing in timings:
+    for rank, kind in enumerate(result.rank_kinds[:limit]):
+        phases = result.phase_class.from_arrays(result.phase_arrays, rank)
         rows.append(
-            [timing.rank, timing.kind_name]
-            + [f"{getattr(timing.phases, name):.2f}" for name in PHASE_NAMES]
-            + [f"{timing.total:.2f}"]
+            [rank, kind]
+            + [f"{getattr(phases, name):.2f}" for name in PHASE_NAMES]
+            + [f"{phases.total:.2f}"]
         )
     return render_table(
         ["rank", "kind", *PHASE_NAMES, "total"],

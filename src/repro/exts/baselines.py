@@ -37,12 +37,12 @@ from repro.cluster.config import ClusterConfig
 from repro.cluster.placement import place_processes
 from repro.cluster.spec import ClusterSpec
 from repro.errors import SimulationError
-from repro.hpl import workload
-from repro.hpl.driver import HPLResult, NoiseSpec
+from repro.hpl import flops
+from repro.hpl.driver import NoiseSpec
 from repro.hpl.memory import node_slowdowns
 from repro.hpl.schedule import HPLParameters, ScheduleResult, _noise_or_ones
 from repro.hpl.timing import PHASE_NAMES
-from repro.rng import stream
+from repro.runs import WorkloadResult, noise_rows
 from repro.simnet.collectives import ring_delivery_times
 from repro.simnet.transport import LinkKind, Transport
 
@@ -95,8 +95,8 @@ def simulate_hbc(
     slots = place_processes(spec, config)
     p = len(slots)
     transport = Transport(spec, slots)
-    f_comp = _noise_or_ones(compute_noise, p, "compute_noise")
-    f_comm = _noise_or_ones(comm_noise, p, "comm_noise")
+    f_comp = _noise_or_ones(compute_noise, (p,), "compute_noise")
+    f_comm = _noise_or_ones(comm_noise, (p,), "comm_noise")
 
     paging = node_slowdowns(spec, slots, n, nb=params.nb, slope=params.paging_slope)
     update_rate = np.empty(p)
@@ -150,7 +150,7 @@ def simulate_hbc(
             q = np.zeros(p)
 
         t_pfact = (
-            workload.pfact_flops(m_rows, width) / pfact_rate[owner] * f_comp[owner]
+            flops.pfact_flops(m_rows, width) / pfact_rate[owner] * f_comp[owner]
         )
         t_mxswp = width * params.mxswp_per_column_s * f_comm[owner]
         step = np.zeros(p)
@@ -159,7 +159,7 @@ def simulate_hbc(
         step[owner] += t_pfact + t_mxswp
 
         if p > 1:
-            nbytes = workload.panel_bytes(m_rows, width)
+            nbytes = flops.panel_bytes(m_rows, width)
             hops = transport.ring_hop_times(nbytes) * forward_slow + hop_handoff
             delivery = ring_delivery_times(
                 hops, root=owner, pipeline_factor=params.ring_pipeline_factor
@@ -173,9 +173,9 @@ def simulate_hbc(
             step[owner] += send_cost
             step[non_owner] = np.maximum(step[non_owner], bcast_wait[non_owner])
 
-        t_laswp = workload.laswp_bytes(width, q) / laswp_rate * f_comm
+        t_laswp = flops.laswp_bytes(width, q) / laswp_rate * f_comm
         t_update = np.array(
-            [workload.update_flops(m_rows, width, int(qq)) for qq in q]
+            [flops.update_flops(m_rows, width, int(qq)) for qq in q]
         ) / update_rate * f_comp
         t_over = step_overhead * f_comp
         phase["laswp"] += t_laswp
@@ -184,7 +184,7 @@ def simulate_hbc(
         wall += float(np.max(step))
 
     t_uptrsv = (
-        workload.solve_flops(n) / p / update_rate + params.uptrsv_latency_s * p
+        flops.solve_flops(n) / p / update_rate + params.uptrsv_latency_s * p
     ) * f_comp
     phase["uptrsv"] += t_uptrsv
     wall += float(np.max(t_uptrsv))
@@ -202,19 +202,12 @@ def run_hbc(
     noise: Optional[NoiseSpec] = None,
     seed: int = 0,
     trial: int = 0,
-) -> HPLResult:
+) -> WorkloadResult:
     """Driver-shaped wrapper (same signature as :func:`run_hpl`)."""
-    compute_noise = comm_noise = None
-    if noise is not None and noise.enabled:
-        p = config.total_processes
-        rng = stream(seed, "hbc-run", config.key(), n, trial)
-        compute_noise = np.exp(rng.normal(0.0, noise.sigma_compute, size=p))
-        comm_noise = np.exp(rng.normal(0.0, noise.sigma_comm, size=p))
-        if noise.outlier_probability > 0 and rng.random() < noise.outlier_probability:
-            compute_noise = compute_noise * noise.outlier_factor
-            comm_noise = comm_noise * noise.outlier_factor
+    compute_rows, comm_rows = noise_rows("hbc-run", config, [n], [trial], noise, seed)
     schedule = simulate_hbc(
         spec, config, n, params=params,
-        compute_noise=compute_noise, comm_noise=comm_noise,
+        compute_noise=None if compute_rows is None else compute_rows[0],
+        comm_noise=None if comm_rows is None else comm_rows[0],
     )
-    return HPLResult(spec_name=spec.name, config=config, n=n, schedule=schedule)
+    return schedule.to_result(spec.name, config)

@@ -37,7 +37,7 @@ from repro.cluster.config import ClusterConfig
 from repro.cluster.placement import place_processes
 from repro.cluster.spec import ClusterSpec
 from repro.errors import SimulationError
-from repro.hpl import workload
+from repro.hpl import flops
 from repro.hpl.memory import node_slowdowns
 from repro.hpl.schedule import HPLParameters, ScheduleResult, _noise_or_ones
 from repro.hpl.timing import PHASE_NAMES
@@ -118,8 +118,8 @@ def simulate_schedule_2d(
             f"grid {shape} has {shape.size} slots for P={p} processes"
         )
     transport = Transport(spec, slots)
-    f_comp = _noise_or_ones(compute_noise, p, "compute_noise")
-    f_comm = _noise_or_ones(comm_noise, p, "comm_noise")
+    f_comp = _noise_or_ones(compute_noise, (p,), "compute_noise")
+    f_comm = _noise_or_ones(comm_noise, (p,), "comm_noise")
 
     paging = node_slowdowns(spec, slots, n, nb=params.nb, slope=params.paging_slope)
     update_rate = np.empty(p)
@@ -171,7 +171,7 @@ def simulate_schedule_2d(
         # Cooperative panel factorization + pivot all-reduce per column.
         t_pfact = np.where(
             in_owner_col,
-            workload.pfact_flops(m_rows, width) / shape.pr / pfact_rate * f_comp,
+            flops.pfact_flops(m_rows, width) / shape.pr / pfact_rate * f_comp,
             0.0,
         )
         allreduce_hops = math.ceil(math.log2(shape.pr)) if shape.pr > 1 else 0
@@ -188,7 +188,7 @@ def simulate_schedule_2d(
 
         # Panel broadcast along each grid row (ring of Q).
         if shape.q > 1:
-            nbytes = workload.panel_bytes(local_panel_rows, width)
+            nbytes = flops.panel_bytes(local_panel_rows, width)
             forward_slow_full = 1.0 + params.forward_interference * (co_res - 1.0)
             for row_index in range(shape.pr):
                 members = row_members[row_index]
@@ -224,7 +224,7 @@ def simulate_schedule_2d(
         # Row interchanges: fraction (Pr-1)/Pr of swapped rows cross
         # process boundaries within the column (network), the rest are
         # local memory copies.
-        swap_bytes = workload.laswp_bytes(width, q_local)
+        swap_bytes = flops.laswp_bytes(width, q_local)
         cross_fraction = (shape.pr - 1) / shape.pr
         t_laswp = (
             swap_bytes * (1 - cross_fraction) / laswp_rate
@@ -233,7 +233,7 @@ def simulate_schedule_2d(
         ) * f_comm
         local_m = m_rows / shape.pr
         t_update = np.array(
-            [workload.update_flops(int(local_m), width, int(qq)) for qq in q_local]
+            [flops.update_flops(int(local_m), width, int(qq)) for qq in q_local]
         ) / update_rate * f_comp
         t_over = step_overhead * f_comp
 
@@ -243,7 +243,7 @@ def simulate_schedule_2d(
         wall += float(np.max(step))
 
     t_uptrsv = (
-        workload.solve_flops(n) / p / update_rate + params.uptrsv_latency_s * p
+        flops.solve_flops(n) / p / update_rate + params.uptrsv_latency_s * p
     ) * f_comp
     phase["uptrsv"] += t_uptrsv
     wall += float(np.max(t_uptrsv))

@@ -13,18 +13,17 @@ Two complementary implementations live here:
 
 :mod:`repro.hpl.driver` is the user-facing entry point: run HPL of order
 ``N`` on a cluster configuration and get wall time, Gflops and the timing
-breakdown that the estimation models consume.
+breakdown that the estimation models consume, as the
+:class:`~repro.runs.WorkloadResult` every workload family returns.
 """
 
-from repro.hpl.driver import HPLParameters, HPLResult, run_hpl
+from repro.hpl.driver import HPLParameters, run_hpl
 from repro.hpl.lu import blocked_lu, hpl_residual_check, lu_solve
-from repro.hpl.timing import PhaseTimes, ProcessTiming
+from repro.hpl.timing import PhaseTimes
 
 __all__ = [
     "HPLParameters",
-    "HPLResult",
     "PhaseTimes",
-    "ProcessTiming",
     "blocked_lu",
     "hpl_residual_check",
     "lu_solve",

@@ -1,9 +1,9 @@
 """Top-level HPL run driver: the simulated ``xhpl`` binary.
 
-:func:`run_hpl` executes one simulated HPL run and returns an
-:class:`HPLResult` carrying everything a measurement campaign records:
-wall time, the reported Gflops, and the per-process / per-kind detailed
-timing breakdown that the estimation models are fitted to.
+:func:`run_hpl` executes one simulated HPL run and returns the shared
+:class:`~repro.runs.WorkloadResult` carrying everything a measurement
+campaign records: wall time, the reported Gflops, and the per-process
+phase arrays whose per-kind means the estimation models are fitted to.
 
 Noise injection lives here (not in the schedule walker) so that a single
 ``(seed, config, N, trial)`` tuple reproducibly determines a measurement —
@@ -15,21 +15,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Union
 
-import numpy as np
-
 from repro.cluster.config import ClusterConfig
 from repro.cluster.spec import ClusterSpec
 from repro.errors import SimulationError
 from repro.hpl.schedule import (
     HPLParameters,
-    ScheduleResult,
     simulate_schedule,
     simulate_schedule_batch,
 )
-from repro.hpl.timing import PhaseTimes, ProcessTiming, aggregate_mean
-from repro.hpl.workload import hpl_benchmark_flops
-from repro.rng import stream
-from repro.units import gflops
+from repro.runs import WorkloadResult, noise_rows, normalize_trials
 
 
 @dataclass(frozen=True)
@@ -68,65 +62,6 @@ class NoiseSpec:
         )
 
 
-@dataclass
-class HPLResult:
-    """One simulated HPL measurement."""
-
-    spec_name: str
-    config: ClusterConfig
-    n: int
-    schedule: ScheduleResult
-
-    @property
-    def wall_time_s(self) -> float:
-        return self.schedule.wall_time_s
-
-    @property
-    def gflops(self) -> float:
-        """The figure HPL prints: benchmark flops over wall time."""
-        return gflops(hpl_benchmark_flops(self.n), self.wall_time_s)
-
-    @property
-    def total_processes(self) -> int:
-        return self.schedule.size
-
-    def process_timings(self) -> List[ProcessTiming]:
-        return self.schedule.all_timings()
-
-    def kind_names(self) -> List[str]:
-        seen: List[str] = []
-        for slot in self.schedule.slots:
-            if slot.kind.name not in seen:
-                seen.append(slot.kind.name)
-        return seen
-
-    def kind_phases(self, kind_name: str) -> PhaseTimes:
-        """Mean phase breakdown over the processes of one kind.
-
-        The paper models the per-PE time ``Ti`` of each kind; processes of
-        a kind are statistically identical under the paper's assumptions,
-        so the mean is the natural per-kind measurement.
-        """
-        phases = [
-            t.phases for t in self.process_timings() if t.kind_name == kind_name
-        ]
-        if not phases:
-            raise SimulationError(
-                f"kind {kind_name!r} has no processes in config {self.config.label()}"
-            )
-        return aggregate_mean(phases)
-
-    def kind_ta(self, kind_name: str) -> float:
-        return self.kind_phases(kind_name).ta
-
-    def kind_tc(self, kind_name: str) -> float:
-        return self.kind_phases(kind_name).tc
-
-    def bottleneck_kind(self) -> str:
-        """Kind whose mean busy time is largest (drives the wall time)."""
-        return max(self.kind_names(), key=lambda k: self.kind_phases(k).total)
-
-
 def run_hpl(
     spec: ClusterSpec,
     config: ClusterConfig,
@@ -135,7 +70,7 @@ def run_hpl(
     noise: Optional[NoiseSpec] = None,
     seed: int = 0,
     trial: int = 0,
-) -> HPLResult:
+) -> WorkloadResult:
     """Run one simulated HPL measurement.
 
     Parameters
@@ -151,46 +86,16 @@ def run_hpl(
         the noise draw, so campaigns are reproducible and independent
         per measurement.
     """
-    compute_noise = comm_noise = None
-    if noise is not None and noise.enabled:
-        p = config.total_processes
-        rng = stream(seed, "hpl-run", config.key(), n, trial)
-        compute_noise = np.exp(rng.normal(0.0, noise.sigma_compute, size=p))
-        comm_noise = np.exp(rng.normal(0.0, noise.sigma_comm, size=p))
-        if noise.outlier_probability > 0 and rng.random() < noise.outlier_probability:
-            compute_noise = compute_noise * noise.outlier_factor
-            comm_noise = comm_noise * noise.outlier_factor
+    compute_rows, comm_rows = noise_rows("hpl-run", config, [n], [trial], noise, seed)
     schedule = simulate_schedule(
-        spec, config, n, params=params, compute_noise=compute_noise, comm_noise=comm_noise
+        spec,
+        config,
+        n,
+        params=params,
+        compute_noise=None if compute_rows is None else compute_rows[0],
+        comm_noise=None if comm_rows is None else comm_rows[0],
     )
-    return HPLResult(spec_name=spec.name, config=config, n=n, schedule=schedule)
-
-
-def _noise_rows(
-    config: ClusterConfig,
-    sizes: Sequence[int],
-    trials: Sequence[int],
-    noise: Optional[NoiseSpec],
-    seed: int,
-):
-    """Per-run noise rows for a batch, drawn exactly as :func:`run_hpl`
-    draws them — one independent ``(seed, config, N, trial)`` stream per
-    row — so batched results stay bit-identical to per-run ones."""
-    if noise is None or not noise.enabled:
-        return None, None
-    p = config.total_processes
-    compute_rows = np.empty((len(sizes), p))
-    comm_rows = np.empty((len(sizes), p))
-    for i, (n, trial) in enumerate(zip(sizes, trials)):
-        rng = stream(seed, "hpl-run", config.key(), n, trial)
-        compute = np.exp(rng.normal(0.0, noise.sigma_compute, size=p))
-        comm = np.exp(rng.normal(0.0, noise.sigma_comm, size=p))
-        if noise.outlier_probability > 0 and rng.random() < noise.outlier_probability:
-            compute = compute * noise.outlier_factor
-            comm = comm * noise.outlier_factor
-        compute_rows[i] = compute
-        comm_rows[i] = comm
-    return compute_rows, comm_rows
+    return schedule.to_result(spec.name, config)
 
 
 def run_hpl_batch(
@@ -201,7 +106,7 @@ def run_hpl_batch(
     noise: Optional[NoiseSpec] = None,
     seed: int = 0,
     trial: Union[int, Sequence[int]] = 0,
-) -> List[HPLResult]:
+) -> List[WorkloadResult]:
     """Run one configuration at many problem orders in a single batched
     simulation (:func:`~repro.hpl.schedule.simulate_schedule_batch`).
 
@@ -214,15 +119,8 @@ def run_hpl_batch(
     ``run_hpl(spec, config, ns[i], ..., trial=trial[i])``.
     """
     sizes = [int(n) for n in ns]
-    if isinstance(trial, (int, np.integer)):
-        trials = [int(trial)] * len(sizes)
-    else:
-        trials = [int(t) for t in trial]
-        if len(trials) != len(sizes):
-            raise SimulationError(
-                f"{len(sizes)} sizes but {len(trials)} trial indices"
-            )
-    compute_rows, comm_rows = _noise_rows(config, sizes, trials, noise, seed)
+    trials = normalize_trials(sizes, trial)
+    compute_rows, comm_rows = noise_rows("hpl-run", config, sizes, trials, noise, seed)
     schedules = simulate_schedule_batch(
         spec,
         config,
@@ -231,10 +129,7 @@ def run_hpl_batch(
         compute_noise=compute_rows,
         comm_noise=comm_rows,
     )
-    return [
-        HPLResult(spec_name=spec.name, config=config, n=n, schedule=schedule)
-        for n, schedule in zip(sizes, schedules)
-    ]
+    return [schedule.to_result(spec.name, config) for schedule in schedules]
 
 
 def sweep_sizes(
@@ -244,7 +139,7 @@ def sweep_sizes(
     params: Optional[HPLParameters] = None,
     noise: Optional[NoiseSpec] = None,
     seed: int = 0,
-) -> Dict[int, HPLResult]:
+) -> Dict[int, WorkloadResult]:
     """Run one configuration across several problem orders (one batched
     simulation; later duplicates of a size win, as in the dict literal)."""
     results = run_hpl_batch(

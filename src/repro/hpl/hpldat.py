@@ -25,8 +25,8 @@ from repro.cluster.config import ClusterConfig
 from repro.cluster.spec import ClusterSpec
 from repro.errors import SimulationError
 from repro.exts.grid2d import GridShape, simulate_schedule_2d
-from repro.hpl.driver import HPLResult
 from repro.hpl.schedule import HPLParameters
+from repro.runs import WorkloadResult
 
 _HEADER = (
     "HPLinpack benchmark input file",
@@ -160,7 +160,7 @@ def run_dat(
     config: ClusterConfig,
     dat: HPLDat,
     params: HPLParameters | None = None,
-) -> List[HPLResult]:
+) -> List[WorkloadResult]:
     """Execute every run an HPL.dat describes on the simulator.
 
     Each grid's size must equal the configuration's process count (as real
@@ -178,7 +178,5 @@ def run_dat(
         schedule = simulate_schedule_2d(
             spec, config, n, grid, params=replace(base, nb=nb)
         )
-        results.append(
-            HPLResult(spec_name=spec.name, config=config, n=n, schedule=schedule)
-        )
+        results.append(schedule.to_result(spec.name, config))
     return results

@@ -8,7 +8,7 @@ linear algebra:
 * tests verify ``P A = L U`` to machine precision and compare against
   :func:`scipy.linalg.lu_factor`;
 * the optional flop counter validates the closed forms of
-  :mod:`repro.hpl.workload` phase by phase;
+  :mod:`repro.hpl.flops` phase by phase;
 * :func:`hpl_residual_check` reproduces HPL's pass/fail criterion
   ``||Ax - b||_inf / (eps * (||A||_inf ||x||_inf + ||b||_inf) * N) < threshold``.
 
@@ -24,7 +24,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.hpl import workload
+from repro.hpl import flops
 
 
 @dataclass
@@ -33,8 +33,8 @@ class FlopCounter:
 
     phases: Dict[str, float] = field(default_factory=dict)
 
-    def add(self, phase: str, flops: float) -> None:
-        self.phases[phase] = self.phases.get(phase, 0.0) + flops
+    def add(self, phase: str, count: float) -> None:
+        self.phases[phase] = self.phases.get(phase, 0.0) + count
 
     @property
     def total(self) -> float:
@@ -106,12 +106,12 @@ def blocked_lu(
             for i in range(1, width):
                 a12[i, :] -= l11[i, :i] @ a12[:i, :]
             if counter is not None:
-                counter.add("update", workload.trsm_flops(width, n - jend))
+                counter.add("update", flops.trsm_flops(width, n - jend))
             # A22 -= L21 @ U12
             a[jend:, jend:] -= a[jend:, j0:jend] @ a12
             if counter is not None:
                 counter.add(
-                    "update", workload.gemm_flops(n - jend, width, n - jend)
+                    "update", flops.gemm_flops(n - jend, width, n - jend)
                 )
     return a, piv
 
@@ -142,7 +142,7 @@ def lu_solve(
             x[i] -= lu[i, i + 1 :] @ x[i + 1 :]
         x[i] /= lu[i, i]
     if counter is not None:
-        counter.add("uptrsv", workload.solve_flops(n))
+        counter.add("uptrsv", flops.solve_flops(n))
     return x
 
 

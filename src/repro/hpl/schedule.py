@@ -59,9 +59,10 @@ from repro.cluster.config import ClusterConfig
 from repro.cluster.placement import ProcessSlot, place_processes
 from repro.cluster.spec import ClusterSpec
 from repro.errors import SimulationError
-from repro.hpl import workload
+from repro.hpl import flops
 from repro.hpl.memory import node_slowdowns
-from repro.hpl.timing import PHASE_NAMES, PhaseTimes, ProcessTiming
+from repro.hpl.timing import PHASE_NAMES, PhaseTimes
+from repro.runs import WorkloadResult
 from repro.simnet.collectives import ring_delivery_times, ring_delivery_times_batch
 from repro.simnet.transport import LinkKind, Transport
 
@@ -156,19 +157,33 @@ class ScheduleResult:
     def size(self) -> int:
         return len(self.slots)
 
-    def process_timing(self, rank: int) -> ProcessTiming:
-        return ProcessTiming(
-            rank=rank,
-            kind_name=self.slots[rank].kind.name,
-            phases=PhaseTimes.from_arrays(self.phase_arrays, rank),
-        )
-
-    def all_timings(self) -> List[ProcessTiming]:
-        return [self.process_timing(r) for r in range(self.size)]
-
     def busy_times(self) -> np.ndarray:
         """Per-rank total busy (phase-accounted) time."""
         return sum(self.phase_arrays[name] for name in PHASE_NAMES)
+
+    def to_result(
+        self,
+        spec_name: str,
+        config: ClusterConfig,
+        benchmark_flops: Optional[float] = None,
+    ) -> WorkloadResult:
+        """This run as the shared measurement result.  Gflops are charged
+        against HPL's flop count unless the caller's application supplies
+        its own (``benchmark_flops``)."""
+        return WorkloadResult(
+            spec_name=spec_name,
+            config=config,
+            n=self.n,
+            wall_time_s=self.wall_time_s,
+            phase_arrays=self.phase_arrays,
+            rank_kinds=[slot.kind.name for slot in self.slots],
+            phase_class=PhaseTimes,
+            benchmark_flops=(
+                flops.hpl_benchmark_flops(self.n)
+                if benchmark_flops is None
+                else benchmark_flops
+            ),
+        )
 
 
 # -- walker instrumentation ----------------------------------------------------
@@ -306,14 +321,14 @@ def _build_panel_table(n: int, nb: int, p: int) -> PanelTable:
         width=width,
         m_rows=m_rows,
         q=q,
-        pfact_flops=np.asarray(workload.pfact_flops(m_rows, width), dtype=float),
+        pfact_flops=np.asarray(flops.pfact_flops(m_rows, width), dtype=float),
         update_flops=np.asarray(
-            workload.update_flops(m_rows[:, None], width[:, None], q), dtype=float
+            flops.update_flops(m_rows[:, None], width[:, None], q), dtype=float
         ),
         laswp_bytes=np.asarray(
-            workload.laswp_bytes(width[:, None], q), dtype=float
+            flops.laswp_bytes(width[:, None], q), dtype=float
         ),
-        panel_nbytes=np.asarray(workload.panel_bytes(m_rows, width), dtype=float),
+        panel_nbytes=np.asarray(flops.panel_bytes(m_rows, width), dtype=float),
     )
 
 
@@ -450,8 +465,8 @@ def simulate_schedule(
     p = len(slots)
     transport = Transport(spec, slots)
 
-    f_comp = _noise_or_ones(compute_noise, p, "compute_noise")
-    f_comm = _noise_or_ones(comm_noise, p, "comm_noise")
+    f_comp = _noise_or_ones(compute_noise, (p,), "compute_noise")
+    f_comm = _noise_or_ones(comm_noise, (p,), "comm_noise")
 
     update_rate, pfact_rate, laswp_rate, step_overhead = _rank_rates(
         spec, slots, n, params
@@ -484,7 +499,7 @@ def simulate_schedule(
 
         # -- phase costs ------------------------------------------------------
         t_pfact = (
-            workload.pfact_flops(m_rows, width) / pfact_rate[owner] * f_comp[owner]
+            flops.pfact_flops(m_rows, width) / pfact_rate[owner] * f_comp[owner]
         )
         t_mxswp = width * params.mxswp_per_column_s * f_comm[owner]
 
@@ -494,7 +509,7 @@ def simulate_schedule(
         step[owner] += t_pfact + t_mxswp
 
         if p > 1:
-            nbytes = workload.panel_bytes(m_rows, width)
+            nbytes = flops.panel_bytes(m_rows, width)
             hops = transport.ring_hop_times(nbytes) * forward_slow + hop_handoff
             delivery = ring_delivery_times(
                 hops, root=owner, pipeline_factor=params.ring_pipeline_factor
@@ -511,9 +526,9 @@ def simulate_schedule(
                 step[non_owner], bcast_wait[non_owner]
             )
 
-        t_laswp = workload.laswp_bytes(width, q) / laswp_rate * f_comm
+        t_laswp = flops.laswp_bytes(width, q) / laswp_rate * f_comm
         t_update = np.array(
-            [workload.update_flops(m_rows, width, int(qq)) for qq in q]
+            [flops.update_flops(m_rows, width, int(qq)) for qq in q]
         ) / update_rate * f_comp
         t_over = step_overhead * f_comp
 
@@ -525,7 +540,7 @@ def simulate_schedule(
 
     # Backward substitution --------------------------------------------------
     t_uptrsv = (
-        workload.solve_flops(n) / p / update_rate + params.uptrsv_latency_s * p
+        flops.solve_flops(n) / p / update_rate + params.uptrsv_latency_s * p
     ) * f_comp
     phase["uptrsv"] += t_uptrsv
     wall += float(np.max(t_uptrsv))
@@ -576,8 +591,8 @@ def simulate_schedule_batch(
     transport = Transport(spec, slots)
     rows = len(sizes)
 
-    f_comp = _noise_rows(compute_noise, rows, p, "compute_noise")  # (S, P)
-    f_comm = _noise_rows(comm_noise, rows, p, "comm_noise")
+    f_comp = _noise_or_ones(compute_noise, (rows, p), "compute_noise")
+    f_comm = _noise_or_ones(comm_noise, (rows, p), "comm_noise")
 
     forward_slow, hop_handoff = _ring_factors(params, slots, transport)
 
@@ -676,7 +691,7 @@ def simulate_schedule_batch(
     wall_body = step.max(axis=2).cumsum(axis=1)[:, -1]  # (S,)
 
     # -- backward substitution ------------------------------------------------
-    solve = np.array([workload.solve_flops(n) for n in sizes])  # (S,)
+    solve = np.array([flops.solve_flops(n) for n in sizes])  # (S,)
     t_uptrsv = (
         solve[:, None] / p / update_rate + params.uptrsv_latency_s * p
     ) * f_comp  # (S, P)
@@ -714,28 +729,14 @@ def simulate_schedule_batch(
 
 
 def _noise_or_ones(
-    noise: Optional[np.ndarray], p: int, name: str
+    noise: Optional[np.ndarray], shape: Tuple[int, ...], name: str
 ) -> np.ndarray:
+    """Validated noise factors of ``shape`` (ones when ``noise`` is None)."""
     if noise is None:
-        return np.ones(p)
+        return np.ones(shape)
     arr = np.asarray(noise, dtype=float)
-    if arr.shape != (p,):
-        raise SimulationError(f"{name} must have shape ({p},), got {arr.shape}")
-    if np.any(arr <= 0) or not np.all(np.isfinite(arr)):
-        raise SimulationError(f"{name} must be positive and finite")
-    return arr
-
-
-def _noise_rows(
-    noise: Optional[np.ndarray], rows: int, p: int, name: str
-) -> np.ndarray:
-    if noise is None:
-        return np.ones((rows, p))
-    arr = np.asarray(noise, dtype=float)
-    if arr.shape != (rows, p):
-        raise SimulationError(
-            f"{name} must have shape ({rows}, {p}), got {arr.shape}"
-        )
+    if arr.shape != shape:
+        raise SimulationError(f"{name} must have shape {shape}, got {arr.shape}")
     if np.any(arr <= 0) or not np.all(np.isfinite(arr)):
         raise SimulationError(f"{name} must be positive and finite")
     return arr

@@ -14,22 +14,21 @@ identity ``total == ta + tc`` holds exactly and is property-tested.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Dict, Iterable, List, Mapping
+from dataclasses import dataclass
 
-import numpy as np
-
-from repro.errors import SimulationError
+from repro.runs import PhaseVector, register_phases
 
 PHASE_NAMES = ("pfact", "mxswp", "bcast", "update", "laswp", "uptrsv")
 
-#: Phases the paper counts as computation and as communication.
+#: Phases the paper counts as computation and as communication, in the
+#: order ``ta`` and ``tc`` sum them (the paper's order above).
 COMPUTE_PHASES = ("pfact", "update", "uptrsv")
-COMM_PHASES = ("mxswp", "bcast", "laswp")
+COMM_PHASES = ("mxswp", "laswp", "bcast")
 
 
+@register_phases
 @dataclass(frozen=True)
-class PhaseTimes:
+class PhaseTimes(PhaseVector):
     """Seconds spent in each HPL phase by one process (or an aggregate)."""
 
     pfact: float = 0.0
@@ -39,100 +38,12 @@ class PhaseTimes:
     laswp: float = 0.0
     uptrsv: float = 0.0
 
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not np.isfinite(value) or value < 0:
-                raise SimulationError(f"phase {f.name} has invalid time {value!r}")
-
-    # -- paper groupings -------------------------------------------------------
+    PHASE_NAMES = PHASE_NAMES
+    COMPUTE_PHASES = COMPUTE_PHASES
+    COMM_PHASES = COMM_PHASES
 
     @property
     def rfact(self) -> float:
         """Recursive panel factorization incl. pivot communication
         (the paper's ``rfact = pfact + mxswp``)."""
         return self.pfact + self.mxswp
-
-    @property
-    def ta(self) -> float:
-        """Computation time per the paper's grouping."""
-        return self.pfact + self.update + self.uptrsv
-
-    @property
-    def tc(self) -> float:
-        """Communication time per the paper's grouping."""
-        return self.mxswp + self.laswp + self.bcast
-
-    @property
-    def total(self) -> float:
-        return self.ta + self.tc
-
-    # -- algebra ------------------------------------------------------------------
-
-    def __add__(self, other: "PhaseTimes") -> "PhaseTimes":
-        return PhaseTimes(
-            **{name: getattr(self, name) + getattr(other, name) for name in PHASE_NAMES}
-        )
-
-    def scaled(self, factor: float) -> "PhaseTimes":
-        if factor < 0:
-            raise SimulationError(f"negative scale factor {factor}")
-        return PhaseTimes(
-            **{name: getattr(self, name) * factor for name in PHASE_NAMES}
-        )
-
-    def as_dict(self) -> Dict[str, float]:
-        return {name: getattr(self, name) for name in PHASE_NAMES}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, float]) -> "PhaseTimes":
-        unknown = set(data) - set(PHASE_NAMES)
-        if unknown:
-            raise SimulationError(f"unknown phases: {sorted(unknown)}")
-        return cls(**{name: float(data.get(name, 0.0)) for name in PHASE_NAMES})
-
-    @classmethod
-    def from_arrays(cls, arrays: Mapping[str, np.ndarray], index: int) -> "PhaseTimes":
-        """Extract process ``index`` from per-phase arrays (simulator output)."""
-        return cls(**{name: float(arrays[name][index]) for name in PHASE_NAMES})
-
-
-@dataclass(frozen=True)
-class ProcessTiming:
-    """Phase times of one placed process."""
-
-    rank: int
-    kind_name: str
-    phases: PhaseTimes
-
-    @property
-    def ta(self) -> float:
-        return self.phases.ta
-
-    @property
-    def tc(self) -> float:
-        return self.phases.tc
-
-    @property
-    def total(self) -> float:
-        return self.phases.total
-
-
-def aggregate_mean(timings: Iterable[PhaseTimes]) -> PhaseTimes:
-    """Field-wise mean of several phase records (model-construction view:
-    processes of a kind behave statistically identically)."""
-    items: List[PhaseTimes] = list(timings)
-    if not items:
-        raise SimulationError("cannot aggregate zero timings")
-    acc = items[0]
-    for item in items[1:]:
-        acc = acc + item
-    return acc.scaled(1.0 / len(items))
-
-
-def aggregate_max_total(timings: Iterable[PhaseTimes]) -> PhaseTimes:
-    """The record with the largest total (the bottleneck process)."""
-    items = list(timings)
-    if not items:
-        raise SimulationError("cannot aggregate zero timings")
-    return max(items, key=lambda t: t.total)

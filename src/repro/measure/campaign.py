@@ -22,17 +22,18 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.cluster.config import ClusterConfig
 from repro.cluster.spec import ClusterSpec
 from repro.errors import MeasurementError
-from repro.hpl.driver import HPLResult, NoiseSpec, run_hpl_batch
+from repro.hpl.driver import NoiseSpec, run_hpl_batch
 from repro.hpl.schedule import HPLParameters
 from repro.measure.dataset import Dataset
 from repro.measure.grids import CampaignPlan, group_runs_by_config
 from repro.measure.record import MeasurementRecord
 from repro.perf.parallel import ParallelRunner
+from repro.runs import WorkloadResult
 
 #: Batched runner: all problem orders of one configuration in a single call
-#: (``run_hpl_batch`` signature), returning one result per entry.  A
+#: (``run_hpl_batch`` signature), returning one shared result per entry.  A
 #: workload family supplies its own (:meth:`repro.workloads.Workload.batch_runner`).
-BatchRunner = Callable[..., List[HPLResult]]
+BatchRunner = Callable[..., List[WorkloadResult]]
 
 
 @dataclass

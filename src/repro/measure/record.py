@@ -1,10 +1,10 @@
-"""Measurement records: what one timed HPL run contributes to a dataset.
+"""Measurement records: what one timed run contributes to a dataset.
 
 A record stores the configuration (as a flat kind tuple, the paper's
 ``(P1, M1, P2, M2)``), the problem order, the wall time, and — per PE kind
-— the mean detailed-timing breakdown of that kind's processes.  The model
-layer consumes ``ta`` / ``tc`` per kind; everything else is kept for
-analysis and reporting.
+— the mean phase breakdown of that kind's processes, for any workload
+family.  The model layer consumes ``ta`` / ``tc`` per kind; everything
+else is kept for analysis and reporting.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ from typing import Dict, Mapping, Sequence, Tuple
 
 from repro.cluster.config import ClusterConfig
 from repro.errors import MeasurementError
-from repro.hpl.driver import HPLResult
-from repro.hpl.timing import PhaseTimes
+from repro.runs import PhaseVector, WorkloadResult
 
 
 @dataclass(frozen=True)
@@ -26,9 +25,9 @@ class KindMeasurement:
     kind_name: str
     pe_count: int
     procs_per_pe: int
-    #: The workload family's phase vector (:class:`PhaseTimes` for HPL;
-    #: any :class:`repro.workloads.PhaseVector` subclass otherwise).
-    phases: PhaseTimes
+    #: The workload family's phase vector
+    #: (:class:`~repro.hpl.timing.PhaseTimes` for HPL and SUMMA).
+    phases: PhaseVector
 
     @property
     def ta(self) -> float:
@@ -66,7 +65,7 @@ class KindMeasurement:
 
 @dataclass(frozen=True)
 class MeasurementRecord:
-    """One timed HPL run."""
+    """One timed run of any workload family."""
 
     kinds: Tuple[str, ...]  # kind-name order of the flat tuple
     config_tuple: Tuple[int, ...]  # (P1, M1, P2, M2, ...)
@@ -161,7 +160,7 @@ class MeasurementRecord:
     @classmethod
     def from_result(
         cls,
-        result: HPLResult,
+        result: WorkloadResult,
         kinds: Sequence[str],
         seed: int = 0,
         trial: int = 0,

@@ -611,7 +611,9 @@ class FleetStatsBlock:
 def seed_from_segment(segment: ArtifactSegment) -> int:
     """Seed this process's panel-table memo from a packed segment;
     returns the number of tables seeded (see
-    :func:`repro.hpl.schedule.seed_panel_tables`)."""
+    :func:`repro.hpl.schedule.seed_panel_tables`).  The tables are views
+    into the segment: keep it open while they may be used, or call
+    :func:`repro.hpl.schedule.clear_panel_tables` before closing it."""
     from repro.hpl.schedule import seed_panel_tables
 
     return seed_panel_tables(shared_panel_tables(segment))

@@ -5,20 +5,20 @@ Importing this package registers the built-in families (``hpl``,
 everything the rest of the library needs is re-exported here.
 """
 
+from repro.runs import (
+    PhaseVector,
+    WorkloadResult,
+    register_phases,
+    registered_phase_schemas,
+)
 from repro.workloads.base import (
     Workload,
-    WorkloadResult,
     create_workload,
     iter_workloads,
     register_workload,
     registered_workloads,
 )
-from repro.workloads.phases import (
-    PhaseVector,
-    phases_from_dict,
-    register_phases,
-    registered_phase_schemas,
-)
+from repro.workloads.phases import phases_from_dict
 from repro.workloads.hpl import HPLWorkload
 from repro.workloads.montecarlo import (
     MonteCarloPhases,

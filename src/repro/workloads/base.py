@@ -4,7 +4,8 @@ A *workload family* bundles everything the estimation pipeline needs to
 know about one phase-structured parallel application:
 
 * the deterministic simulator (a batch runner with the signature of
-  :func:`~repro.hpl.driver.run_hpl_batch`) — the one way campaigns
+  :func:`~repro.hpl.driver.run_hpl_batch`, returning one shared
+  :class:`~repro.runs.WorkloadResult` per run) — the one way campaigns
   choose the application;
 * the phase decomposition used for fitting (a phase-vector class, see
   :mod:`repro.workloads.phases`);
@@ -24,14 +25,11 @@ the registry stores one shared instance per tag.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence, Tuple, Type
-
-import numpy as np
+from typing import Callable, Dict, Tuple, Type
 
 from repro.cluster.config import ClusterConfig
-from repro.errors import ModelError, SimulationError
+from repro.errors import ModelError
 from repro.measure.grids import CampaignPlan
-from repro.rng import stream
 
 _WORKLOADS: Dict[str, "Workload"] = {}
 
@@ -90,8 +88,7 @@ class Workload:
 
     tag: str = ""
     display: str = ""
-    #: The family's phase-vector class (duck-compatible with
-    #: :class:`repro.hpl.timing.PhaseTimes`).
+    #: The family's :class:`~repro.runs.PhaseVector` subclass.
     phase_class: type = None  # type: ignore[assignment]
 
     # -- phase decomposition ------------------------------------------------
@@ -149,114 +146,3 @@ class Workload:
             "construction_configs": len(plan.construction_configs),
             "evaluation_configs": len(plan.evaluation_configs),
         }
-
-
-# -- shared simulator helpers --------------------------------------------------
-
-
-def noise_rows(
-    label: str,
-    config: ClusterConfig,
-    sizes: Sequence[int],
-    trials: Sequence[int],
-    noise,
-    seed: int,
-):
-    """Per-run log-normal noise rows, one independent stream per row.
-
-    The exact draw order of :func:`repro.hpl.driver.run_hpl` with the
-    family's own stream ``label``: compute jitter, comm jitter, then the
-    outlier roll — so a batched run is bit-identical to per-run ones.
-    Returns ``(compute_rows, comm_rows)`` of shape ``(len(sizes), P)``, or
-    ``(None, None)`` when noise is disabled.
-    """
-    if noise is None or not noise.enabled:
-        return None, None
-    p = config.total_processes
-    compute_rows = np.empty((len(sizes), p))
-    comm_rows = np.empty((len(sizes), p))
-    for i, (n, trial) in enumerate(zip(sizes, trials)):
-        rng = stream(seed, label, config.key(), n, trial)
-        compute = np.exp(rng.normal(0.0, noise.sigma_compute, size=p))
-        comm = np.exp(rng.normal(0.0, noise.sigma_comm, size=p))
-        if noise.outlier_probability > 0 and rng.random() < noise.outlier_probability:
-            compute = compute * noise.outlier_factor
-            comm = comm * noise.outlier_factor
-        compute_rows[i] = compute
-        comm_rows[i] = comm
-    return compute_rows, comm_rows
-
-
-def normalize_trials(sizes: Sequence[int], trial) -> List[int]:
-    """Expand a batch's ``trial`` argument (int or per-entry sequence)."""
-    if isinstance(trial, (int, np.integer)):
-        return [int(trial)] * len(sizes)
-    trials = [int(t) for t in trial]
-    if len(trials) != len(sizes):
-        raise SimulationError(f"{len(sizes)} sizes but {len(trials)} trial indices")
-    return trials
-
-
-class WorkloadResult:
-    """One simulated measurement of a non-HPL workload family.
-
-    Carries per-process phase arrays plus the rank→kind map, and exposes
-    the duck interface the measurement layer consumes
-    (:meth:`~repro.measure.record.MeasurementRecord.from_result`):
-    ``config`` / ``n`` / ``total_processes`` / ``wall_time_s`` /
-    ``gflops`` / ``kind_phases`` / ``kind_names`` / ``bottleneck_kind``.
-    """
-
-    def __init__(
-        self,
-        spec_name: str,
-        config: ClusterConfig,
-        n: int,
-        wall_time_s: float,
-        phase_arrays: Dict[str, np.ndarray],
-        rank_kinds: Sequence[str],
-        phase_class: type,
-        benchmark_flops: float,
-    ) -> None:
-        self.spec_name = spec_name
-        self.config = config
-        self.n = int(n)
-        self.wall_time_s = float(wall_time_s)
-        self.phase_arrays = phase_arrays
-        self.rank_kinds = tuple(rank_kinds)
-        self.phase_class = phase_class
-        self.benchmark_flops = float(benchmark_flops)
-
-    @property
-    def total_processes(self) -> int:
-        return len(self.rank_kinds)
-
-    @property
-    def gflops(self) -> float:
-        from repro.units import gflops as to_gflops
-
-        return to_gflops(self.benchmark_flops, self.wall_time_s)
-
-    def kind_names(self) -> List[str]:
-        seen: List[str] = []
-        for name in self.rank_kinds:
-            if name not in seen:
-                seen.append(name)
-        return seen
-
-    def kind_phases(self, kind_name: str):
-        """Mean phase breakdown over the processes of one kind."""
-        mask = np.array([k == kind_name for k in self.rank_kinds])
-        if not mask.any():
-            raise SimulationError(
-                f"kind {kind_name!r} has no processes in config {self.config.label()}"
-            )
-        return self.phase_class(
-            **{
-                name: float(values[mask].mean())
-                for name, values in self.phase_arrays.items()
-            }
-        )
-
-    def bottleneck_kind(self) -> str:
-        return max(self.kind_names(), key=lambda k: self.kind_phases(k).total)

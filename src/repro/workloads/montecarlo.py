@@ -44,14 +44,14 @@ from repro.measure.grids import (
     construction_configs,
     evaluation_configs,
 )
-from repro.workloads.base import (
-    Workload,
+from repro.runs import (
+    PhaseVector,
     WorkloadResult,
     noise_rows,
     normalize_trials,
-    register_workload,
+    register_phases,
 )
-from repro.workloads.phases import PhaseVector, register_phases
+from repro.workloads.base import Workload, register_workload
 from repro.workloads.sorting import _placement_arrays, _rates
 
 #: Problem "order" N counts hundreds of lattice sites.

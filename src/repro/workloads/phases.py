@@ -1,26 +1,18 @@
-"""Workload-generic phase vectors and their wire-format dispatch.
+"""Phase vectors and their wire-format dispatch.
 
-The paper's method never looks inside an application — it only needs each
-measurement split into named *phases* and a grouping of those phases into
-computation (``Ta``) and communication (``Tc``).  For HPL that vector is
-:class:`repro.hpl.timing.PhaseTimes` (six fields, paper Figure 4); other
-workload families carry their own decomposition (sample-sort has
-partition/scatter/local_sort/merge, synchronous Monte Carlo has
-sweep/barrier/rebalance).
+Every workload family splits a measurement into named phases and groups
+them into computation (``Ta``) and communication (``Tc``).  For HPL that
+vector is :class:`repro.hpl.timing.PhaseTimes` (six fields, paper
+Figure 4); sample-sort has partition/scatter/local_sort/merge and
+synchronous Monte Carlo has sweep/barrier/rebalance.  Each one is a
+:class:`~repro.runs.PhaseVector` subclass registered with
+:func:`~repro.runs.register_phases`, so validation, the Ta/Tc grouping,
+the algebra and the dict round-trip are shared.
 
-:class:`PhaseVector` is the shared behavior: a frozen dataclass subclass
-lists its float fields, sets ``PHASE_NAMES`` / ``COMPUTE_PHASES`` /
-``COMM_PHASES`` as (unannotated) class attributes, and inherits the
-validation, the Ta/Tc grouping, the algebra and the dict round-trip that
-:class:`~repro.hpl.timing.PhaseTimes` defines for HPL — so every layer
-that consumes ``phases.ta`` / ``phases.tc`` / ``phases.as_dict()`` works
-unchanged on any family.
-
-:func:`phases_from_dict` is the deserialization dispatcher: each phase
-class registers its *exact* field-name set (:func:`register_phases`), and
-a serialized ``{"partition": ..., "scatter": ...}`` mapping routes to the
-class whose schema matches.  Key sets that match no registered schema but
-are a subset of HPL's phase names fall back to
+:func:`phases_from_dict` is the deserialization dispatcher: a serialized
+``{"partition": ..., "scatter": ...}`` mapping routes to the class whose
+registered field-name set matches exactly.  Key sets that match no
+registered schema but are a subset of HPL's phase names fall back to
 :class:`~repro.hpl.timing.PhaseTimes` (missing fields default to 0.0) —
 exactly the permissive read the pre-workload datasets relied on, so every
 old artifact keeps loading bit-identically.
@@ -28,126 +20,12 @@ old artifact keeps loading bit-identically.
 
 from __future__ import annotations
 
-from dataclasses import fields
-from typing import Dict, Mapping, Tuple, Type
+from typing import Mapping
 
-import numpy as np
-
-from repro.errors import MeasurementError, SimulationError
+from repro.errors import MeasurementError
 from repro.hpl.timing import PHASE_NAMES as HPL_PHASE_NAMES
 from repro.hpl.timing import PhaseTimes
-
-
-class PhaseVector:
-    """Base for per-workload phase breakdowns.
-
-    Subclasses are frozen dataclasses whose float fields *are* the phases;
-    they set three unannotated class attributes:
-
-    * ``PHASE_NAMES`` — the fields, in serialization order;
-    * ``COMPUTE_PHASES`` — the subset summed into ``ta``;
-    * ``COMM_PHASES`` — the subset summed into ``tc``.
-
-    The two subsets must partition ``PHASE_NAMES`` so the identity
-    ``total == ta + tc`` holds exactly, as it does for HPL.
-    """
-
-    PHASE_NAMES: Tuple[str, ...] = ()
-    COMPUTE_PHASES: Tuple[str, ...] = ()
-    COMM_PHASES: Tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not np.isfinite(value) or value < 0:
-                raise SimulationError(f"phase {f.name} has invalid time {value!r}")
-
-    # -- paper groupings ----------------------------------------------------
-
-    @property
-    def ta(self) -> float:
-        """Computation time (the workload's compute-phase sum)."""
-        return sum(getattr(self, name) for name in self.COMPUTE_PHASES)
-
-    @property
-    def tc(self) -> float:
-        """Communication time (the workload's comm-phase sum)."""
-        return sum(getattr(self, name) for name in self.COMM_PHASES)
-
-    @property
-    def total(self) -> float:
-        return self.ta + self.tc
-
-    # -- algebra ------------------------------------------------------------
-
-    def __add__(self, other: "PhaseVector") -> "PhaseVector":
-        return type(self)(
-            **{
-                name: getattr(self, name) + getattr(other, name)
-                for name in self.PHASE_NAMES
-            }
-        )
-
-    def scaled(self, factor: float) -> "PhaseVector":
-        if factor < 0:
-            raise SimulationError(f"negative scale factor {factor}")
-        return type(self)(
-            **{name: getattr(self, name) * factor for name in self.PHASE_NAMES}
-        )
-
-    def as_dict(self) -> Dict[str, float]:
-        return {name: getattr(self, name) for name in self.PHASE_NAMES}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, float]) -> "PhaseVector":
-        unknown = set(data) - set(cls.PHASE_NAMES)
-        if unknown:
-            raise SimulationError(f"unknown phases: {sorted(unknown)}")
-        return cls(**{name: float(data.get(name, 0.0)) for name in cls.PHASE_NAMES})
-
-    @classmethod
-    def from_arrays(cls, arrays: Mapping[str, np.ndarray], index: int) -> "PhaseVector":
-        """Extract process ``index`` from per-phase arrays (simulator output)."""
-        return cls(**{name: float(arrays[name][index]) for name in cls.PHASE_NAMES})
-
-
-# -- wire-format dispatch -----------------------------------------------------
-
-#: Exact field-name set -> phase class.  HPL's :class:`PhaseTimes` is
-#: registered below even though it predates (and does not subclass)
-#: :class:`PhaseVector` — it already satisfies the same duck interface.
-_PHASE_SCHEMAS: Dict[frozenset, Type] = {frozenset(HPL_PHASE_NAMES): PhaseTimes}
-
-
-def register_phases(cls):
-    """Class decorator: make a phase vector deserializable by schema.
-
-    The frozenset of ``PHASE_NAMES`` is the dispatch key — two workloads
-    may not share an identical field-name set (the serialized mapping
-    would be ambiguous).
-    """
-    key = frozenset(cls.PHASE_NAMES)
-    if not key:
-        raise MeasurementError(f"{cls.__name__} declares no PHASE_NAMES")
-    registered = _PHASE_SCHEMAS.get(key)
-    if registered is not None and registered is not cls:
-        raise MeasurementError(
-            f"phase schema {sorted(key)} already registered by "
-            f"{registered.__name__}"
-        )
-    compute, comm = set(cls.COMPUTE_PHASES), set(cls.COMM_PHASES)
-    if compute | comm != set(cls.PHASE_NAMES) or compute & comm:
-        raise MeasurementError(
-            f"{cls.__name__}: COMPUTE_PHASES and COMM_PHASES must "
-            f"partition PHASE_NAMES"
-        )
-    _PHASE_SCHEMAS[key] = cls
-    return cls
-
-
-def registered_phase_schemas() -> Tuple[Tuple[str, ...], ...]:
-    """The known schemas as sorted name tuples (for error messages)."""
-    return tuple(sorted(tuple(sorted(key)) for key in _PHASE_SCHEMAS))
+from repro.runs import _PHASE_SCHEMAS, registered_phase_schemas
 
 
 def phases_from_dict(data: Mapping[str, float]):

@@ -45,14 +45,15 @@ from repro.measure.grids import (
     evaluation_configs,
 )
 from repro.units import GFLOPS
-from repro.workloads.base import (
-    Workload,
+from repro.runs import (
+    PhaseVector,
     WorkloadResult,
+    left_fold,
     noise_rows,
     normalize_trials,
-    register_workload,
+    register_phases,
 )
-from repro.workloads.phases import PhaseVector, register_phases
+from repro.workloads.base import Workload, register_workload
 
 #: Problem "order" N counts kilo-keys; 64-bit keys.
 KEYS_PER_UNIT = 1000.0
@@ -163,18 +164,13 @@ def simulate_sorting_batch(
         msg_intra = np.asarray(spec.intranode.message_time(dest_bytes), dtype=float)
         same_node = node[:, None] == node[None, :]
         off_diag = ~np.eye(p, dtype=bool)
-        # Per-rank column sums (not a matmul): the reduction order must not
-        # depend on the batch size, or scalar and batched runs drift in the
-        # last ulp.
-        t_scatter = np.empty((len(ns), p))
-        for r in range(p):
-            net_mask = ~same_node[r]
-            intra_mask = same_node[r] & off_diag[r]
-            t_scatter[:, r] = (
-                msg_net[:, net_mask].sum(axis=1)
-                + msg_intra[:, intra_mask].sum(axis=1)
-            )
-        t_scatter *= f_comm
+        # Sender r pays each destination's link cost over (S, r, d) grids
+        # folded left to right over d (not a matmul or ``sum``, whose
+        # order depends on the batch's memory layout), so a run gets the
+        # same bits alone or in any batch.  Other links add exact zeros.
+        net = np.where(~same_node, msg_net[:, None, :], 0.0)
+        intra = np.where(same_node & off_diag, msg_intra[:, None, :], 0.0)
+        t_scatter = (left_fold(net) + left_fold(intra)) * f_comm
     else:
         t_scatter = np.zeros((len(ns), p))
 

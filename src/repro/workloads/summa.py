@@ -7,14 +7,18 @@ column-block-cyclic layout — each step broadcasts one ``N x nb`` panel of
 ``A`` along the process ring and every process multiplies it into its
 local columns of ``B``/``C``.
 
-SUMMA reuses everything HPL-shaped: the result type, the per-kind
-``Ta``/``Tc`` decomposition (``update`` + ``bcast``; SUMMA has no
-pivoting, swaps or back-substitution) and the paper's campaign plans, so
-:class:`SummaWorkload` subclasses :class:`~repro.workloads.hpl.HPLWorkload`
-and only swaps the simulator, the memory model and the flop count.  It is
-the one family whose runs page on the paper's cluster: three resident
-matrices overflow a single Pentium-II at N = 6400, which is what the
-memory guard (:mod:`repro.core.memory_guard`) exists to catch.
+SUMMA reuses everything HPL-shaped: the walker's
+:class:`~repro.hpl.schedule.ScheduleResult`, HPL's phase vector and so
+its per-kind ``Ta``/``Tc`` decomposition (``update`` + ``bcast``; SUMMA
+has no pivoting, swaps or back-substitution), and the paper's campaign
+plans.  :class:`SummaWorkload` subclasses
+:class:`~repro.workloads.hpl.HPLWorkload` and only swaps the simulator,
+the memory model and the flop count; a run is the shared
+:class:`~repro.runs.WorkloadResult` with Gflops charged against
+:func:`summa_flops`.  It is the one family whose runs page on the
+paper's cluster: three resident matrices overflow a single Pentium-II at
+N = 6400, which is what the memory guard
+(:mod:`repro.core.memory_guard`) exists to catch.
 
 Determinism matches HPL: one ``(seed, "summa-run", config, N, trial)``
 stream fully determines a measurement, and the scalar runner is the
@@ -31,14 +35,14 @@ from repro.cluster.config import ClusterConfig
 from repro.cluster.placement import place_processes
 from repro.cluster.spec import ClusterSpec
 from repro.errors import SimulationError
-from repro.hpl.driver import HPLResult, NoiseSpec
+from repro.hpl.driver import NoiseSpec
 from repro.hpl.memory import config_memory_ratio, node_slowdowns
 from repro.hpl.schedule import HPLParameters, ScheduleResult, _noise_or_ones
 from repro.hpl.timing import PHASE_NAMES
+from repro.runs import WorkloadResult, noise_rows, normalize_trials
 from repro.simnet.collectives import ring_delivery_times
 from repro.simnet.transport import LinkKind, Transport
-from repro.units import gflops as to_gflops
-from repro.workloads.base import noise_rows, normalize_trials, register_workload
+from repro.workloads.base import register_workload
 from repro.workloads.hpl import HPLWorkload
 
 
@@ -47,14 +51,6 @@ def summa_flops(n: int) -> float:
     if n < 0:
         raise SimulationError(f"negative order {n}")
     return 2.0 * float(n) ** 3
-
-
-class SummaResult(HPLResult):
-    """SUMMA measurement; differs from HPL only in the Gflops denominator."""
-
-    @property
-    def gflops(self) -> float:
-        return to_gflops(summa_flops(self.n), self.wall_time_s)
 
 
 def simulate_summa(
@@ -76,8 +72,8 @@ def simulate_summa(
     slots = place_processes(spec, config)
     p = len(slots)
     transport = Transport(spec, slots)
-    f_comp = _noise_or_ones(compute_noise, p, "compute_noise")
-    f_comm = _noise_or_ones(comm_noise, p, "comm_noise")
+    f_comp = _noise_or_ones(compute_noise, (p,), "compute_noise")
+    f_comm = _noise_or_ones(comm_noise, (p,), "comm_noise")
 
     # Three resident matrices: reuse the node paging model at 3x pressure
     # by simulating a 1.73x larger order (bytes scale with n^2).
@@ -146,23 +142,18 @@ def run_summa_batch(
     noise: Optional[NoiseSpec] = None,
     seed: int = 0,
     trial: Union[int, Sequence[int]] = 0,
-) -> List[SummaResult]:
+) -> List[WorkloadResult]:
     """Batched SUMMA runner (``run_hpl_batch``-shaped): one walk per entry,
     each with its own ``(seed, "summa-run", config, N, trial)`` noise row."""
     sizes = [int(n) for n in ns]
     trials = normalize_trials(sizes, trial)
     compute_rows, comm_rows = noise_rows("summa-run", config, sizes, trials, noise, seed)
     return [
-        SummaResult(
-            spec_name=spec.name,
-            config=config,
-            n=n,
-            schedule=simulate_summa(
-                spec, config, n, params=params,
-                compute_noise=None if compute_rows is None else compute_rows[i],
-                comm_noise=None if comm_rows is None else comm_rows[i],
-            ),
-        )
+        simulate_summa(
+            spec, config, n, params=params,
+            compute_noise=None if compute_rows is None else compute_rows[i],
+            comm_noise=None if comm_rows is None else comm_rows[i],
+        ).to_result(spec.name, config, summa_flops(n))
         for i, n in enumerate(sizes)
     ]
 
@@ -175,7 +166,7 @@ def run_summa(
     noise: Optional[NoiseSpec] = None,
     seed: int = 0,
     trial: int = 0,
-) -> SummaResult:
+) -> WorkloadResult:
     """Scalar SUMMA runner: the batch runner applied to one size."""
     return run_summa_batch(
         spec, config, [n], params=params, noise=noise, seed=seed, trial=trial

@@ -94,7 +94,7 @@ class TestRunHBC:
     def test_driver_shape(self, spec):
         result = run_hbc(spec, cfg(1, 1, 8, 1), 1600)
         assert result.gflops > 0
-        assert result.kind_ta("athlon") > 0
+        assert result.kind_phases("athlon").ta > 0
 
     def test_noise_reproducible(self, spec):
         a = run_hbc(spec, cfg(1, 1, 4, 1), 1600, noise=NoiseSpec(), seed=8)

@@ -9,7 +9,8 @@ from repro.errors import SimulationError
 from repro.exts.grid2d import GridShape, grid_shapes, near_square_shape, simulate_schedule_2d
 from repro.hpl.driver import NoiseSpec, run_hpl
 from repro.hpl.schedule import simulate_schedule
-from repro.workloads.summa import run_summa, simulate_summa, summa_flops, SummaResult
+from repro.runs import WorkloadResult
+from repro.workloads.summa import run_summa, simulate_summa, summa_flops
 
 KINDS = ("athlon", "pentium2")
 
@@ -131,9 +132,9 @@ class TestSumma:
         assert a.wall_time_s == b.wall_time_s
 
     def test_result_type(self, spec):
-        assert isinstance(run_summa(spec, cfg(1, 1, 0, 0), 400), SummaResult)
+        assert isinstance(run_summa(spec, cfg(1, 1, 0, 0), 400), WorkloadResult)
 
     def test_kind_breakdown_available(self, spec):
         result = run_summa(spec, cfg(1, 1, 8, 1), 1600)
-        assert result.kind_tc("pentium2") > 0
-        assert result.kind_ta("athlon") > 0
+        assert result.kind_phases("pentium2").tc > 0
+        assert result.kind_phases("athlon").ta > 0

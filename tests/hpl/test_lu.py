@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 
 from repro.errors import SimulationError
-from repro.hpl import workload
+from repro.hpl import flops
 from repro.hpl.lu import (
     FlopCounter,
     apply_pivots,
@@ -124,7 +124,7 @@ class TestFlopCounting:
     def test_counted_flops_match_closed_form(self, n, nb):
         counter = FlopCounter()
         blocked_lu(random_matrix(n, seed=n).copy(), nb=nb, counter=counter)
-        expected = workload.total_lu_flops(n)
+        expected = flops.total_lu_flops(n)
         assert counter.total == pytest.approx(expected, rel=1e-12)
 
     def test_phase_split_present(self):
@@ -139,4 +139,4 @@ class TestFlopCounting:
         counter = FlopCounter()
         lu, piv = blocked_lu(random_matrix(n, seed=0).copy(), nb=8)
         lu_solve(lu, piv, np.ones(n), counter=counter)
-        assert counter.phases["uptrsv"] == pytest.approx(workload.solve_flops(n))
+        assert counter.phases["uptrsv"] == pytest.approx(flops.solve_flops(n))

@@ -56,7 +56,21 @@ def assert_batch_matches_scalar(
         assert_bitwise_equal(scalar, batch[i])
 
 
+#: Sizes exercising every padding path of the batched walker at nb = 80: a
+#: single panel, a partial final panel and multi-panel problems of
+#: different block counts.
+PADDING_SIZES = [79, 400, 999, 1600, 2400]
+
+
 class TestGoldenEquality:
+    @pytest.mark.parametrize(
+        "values", [(1, 1, 0, 0), (1, 2, 4, 1), (1, 1, 8, 1), (0, 0, 8, 2)]
+    )
+    def test_padding_sizes_in_one_batch(self, spec, values):
+        assert_batch_matches_scalar(
+            spec, cfg(*values), PADDING_SIZES, HPLParameters(nb=80)
+        )
+
     def test_multi_size_heterogeneous(self, spec):
         assert_batch_matches_scalar(spec, cfg(1, 2, 4, 1), [1000, 2000, 3200])
 

@@ -14,16 +14,28 @@ from repro.hpl.memory import (
     paging_slowdown,
     process_bytes,
 )
-from repro.hpl.timing import (
-    PHASE_NAMES,
-    PhaseTimes,
-    ProcessTiming,
-    aggregate_max_total,
-    aggregate_mean,
-)
+from repro.hpl.timing import PHASE_NAMES, PhaseTimes
+from repro.runs import WorkloadResult
 from repro.units import DOUBLE, MB
 
 KINDS = ("athlon", "pentium2")
+
+
+def result_of(per_rank):
+    """A run whose ranks carry the given ``(kind, PhaseTimes)`` records."""
+    return WorkloadResult(
+        spec_name="test",
+        config=ClusterConfig.from_tuple(KINDS, (1, 1, 1, 1)),
+        n=100,
+        wall_time_s=1.0,
+        phase_arrays={
+            name: np.array([getattr(t, name) for _, t in per_rank])
+            for name in PHASE_NAMES
+        },
+        rank_kinds=[kind for kind, _ in per_rank],
+        phase_class=PhaseTimes,
+        benchmark_flops=1.0,
+    )
 
 
 class TestPhaseTimes:
@@ -68,26 +80,25 @@ class TestPhaseTimes:
 
 
 class TestAggregation:
+    """Per-kind aggregation of a run's per-process records."""
+
     def test_mean(self):
-        mean = aggregate_mean(
-            [PhaseTimes(update=2.0), PhaseTimes(update=4.0)]
+        result = result_of(
+            [("athlon", PhaseTimes(update=2.0)), ("athlon", PhaseTimes(update=4.0))]
         )
-        assert mean.update == pytest.approx(3.0)
+        assert result.kind_phases("athlon").update == pytest.approx(3.0)
 
     def test_max_total_selects_bottleneck(self):
         slow = PhaseTimes(update=10.0)
         fast = PhaseTimes(update=1.0, bcast=2.0)
-        assert aggregate_max_total([fast, slow]) == slow
+        result = result_of([("athlon", fast), ("pentium2", slow)])
+        assert result.bottleneck_kind() == "pentium2"
+        assert result.kind_phases("pentium2") == slow
 
     def test_empty_aggregation_rejected(self):
+        result = result_of([("athlon", PhaseTimes(update=1.0))])
         with pytest.raises(SimulationError):
-            aggregate_mean([])
-        with pytest.raises(SimulationError):
-            aggregate_max_total([])
-
-    def test_process_timing_properties(self):
-        pt = ProcessTiming(rank=3, kind_name="athlon", phases=PhaseTimes(update=2, bcast=1))
-        assert pt.ta == 2 and pt.tc == 1 and pt.total == 3
+            result.kind_phases("pentium2")
 
 
 class TestMemoryModel:

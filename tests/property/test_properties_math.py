@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import lsq
-from repro.hpl import workload
+from repro.hpl import flops
 from repro.hpl.blockcyclic import (
     column_owner,
     columns_after,
@@ -86,7 +86,7 @@ class TestLSQProperties:
 class TestWorkloadProperties:
     @given(n=st.integers(min_value=1, max_value=2000))
     def test_total_flops_positive_and_increasing(self, n):
-        assert workload.total_lu_flops(n + 1) > workload.total_lu_flops(n) >= 0
+        assert flops.total_lu_flops(n + 1) > flops.total_lu_flops(n) >= 0
 
     @given(
         n=st.integers(min_value=2, max_value=600),
@@ -97,14 +97,14 @@ class TestWorkloadProperties:
         total = 0.0
         for j0 in range(0, n, nb):
             jend = min(j0 + nb, n)
-            total += workload.pfact_flops(n - j0, jend - j0)
-            total += workload.update_flops(n - j0, jend - j0, n - jend)
-        assert total == pytest.approx(workload.total_lu_flops(n), rel=1e-9)
+            total += flops.pfact_flops(n - j0, jend - j0)
+            total += flops.update_flops(n - j0, jend - j0, n - jend)
+        assert total == pytest.approx(flops.total_lu_flops(n), rel=1e-9)
 
     @given(m=st.integers(min_value=0, max_value=5000), nb=st.integers(min_value=0, max_value=128))
     def test_panel_bytes_nonnegative_monotone(self, m, nb):
-        assert workload.panel_bytes(m, nb) >= 0
-        assert workload.panel_bytes(m + 1, nb) >= workload.panel_bytes(m, nb)
+        assert flops.panel_bytes(m, nb) >= 0
+        assert flops.panel_bytes(m + 1, nb) >= flops.panel_bytes(m, nb)
 
 
 class TestUnitsProperties:

@@ -72,11 +72,12 @@ class TestScheduleProperties:
             KINDS, (p1, m1 if p1 else 0, p2, m2 if p2 else 0)
         )
         result = run_hpl(SPEC, cc, n)
-        busy = result.schedule.busy_times()
+        busy = sum(result.phase_arrays[name] for name in PhaseTimes.PHASE_NAMES)
         assert np.all(busy > 0)
         assert result.wall_time_s >= busy.max() * (1 - 1e-9)
-        for timing in result.process_timings():
-            assert timing.phases.total == pytest.approx(timing.ta + timing.tc)
+        for rank in range(result.total_processes):
+            phases = PhaseTimes.from_arrays(result.phase_arrays, rank)
+            assert phases.total == pytest.approx(phases.ta + phases.tc)
 
     @given(config=config_strategy)
     @settings(max_examples=15, deadline=None)

@@ -10,7 +10,7 @@ import pytest
 from repro.cluster.config import ClusterConfig
 from repro.core.persistence import load_pipeline, read_pipeline_blobs
 from repro.errors import ModelError
-from repro.hpl.schedule import _build_panel_table
+from repro.hpl.schedule import _build_panel_table, clear_panel_tables
 from repro.serve.metrics import FLEET_COUNTER_FIELDS, LATENCY_BUCKETS_MS
 from repro.serve.shared import (
     ArtifactSegment,
@@ -144,9 +144,14 @@ class TestPipelineSegment:
         assert not sample.update_flops.flags.writeable
 
     def test_seed_from_segment_counts_tables(self, segment):
-        count = seed_from_segment(segment)
-        assert count == len(segment.meta["panel_tables"])
-        assert count > 0
+        try:
+            count = seed_from_segment(segment)
+            assert count == len(segment.meta["panel_tables"])
+            assert count > 0
+        finally:
+            # The seeded tables are views into the segment, which the
+            # fixture unmaps; a later walk must not read them.
+            clear_panel_tables()
 
 
 class TestFleetStatsBlock:

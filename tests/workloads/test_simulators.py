@@ -11,7 +11,7 @@ from repro.workloads import run_montecarlo, run_montecarlo_batch, run_sorting, r
 from repro.workloads.montecarlo import simulate_montecarlo_reference
 from repro.workloads.sorting import simulate_sorting_reference
 
-CONFIGS = [(1, 2, 4, 1), (1, 3, 0, 0), (0, 0, 8, 1), (1, 1, 1, 1)]
+CONFIGS = [(1, 2, 4, 1), (1, 3, 0, 0), (0, 0, 8, 1), (1, 1, 1, 1), (1, 5, 8, 1)]
 
 FAMILIES = {
     "sorting": (run_sorting, run_sorting_batch, simulate_sorting_reference, 4000),
