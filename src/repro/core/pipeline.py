@@ -53,7 +53,7 @@ from repro.hpl.schedule import HPLParameters
 from repro.measure.campaign import CampaignResult
 from repro.measure.dataset import Dataset
 from repro.measure.grids import CampaignPlan
-from repro.perf.cache import EstimateCache
+from repro.perf.cache import RowCache
 from repro.perf.report import PerfReport
 from repro.workloads import create_workload
 
@@ -287,7 +287,7 @@ class EstimationPipeline:
         return self._engine.grid_kernel
 
     @property
-    def estimate_cache(self) -> EstimateCache:
+    def estimate_cache(self) -> RowCache:
         """Memoized ``(config, N) -> adjusted total`` store, bound to the
         current models by fingerprint (see DESIGN.md for the invalidation
         rule).  Building it forces the model fit."""

@@ -4,8 +4,8 @@ The paper's Section 3.1 frames configuration selection as combinatorial
 optimization with the fitted model as the objective.  This module holds
 everything that is *not* specific to how a backend explores the space:
 
-* :class:`RankedEstimate` / :class:`SearchOutcome` — the result types
-  every backend returns;
+* :class:`RankedEstimate` / :class:`Ranking` / :class:`SearchOutcome` —
+  the result types every backend returns;
 * :class:`SearchStats` — per-run cost accounting (evaluations, prune
   counts, best-so-far trace, branch-and-bound counters);
 * :class:`SearchProblem` — one bundle of objective + space + options
@@ -31,7 +31,16 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -169,6 +178,110 @@ class RankedEstimate:
         return self.config.label(kinds)
 
 
+class Ranking(Sequence[RankedEstimate]):
+    """A read-only ranking: entry ``i`` is candidate ``order[i]`` of
+    ``configs`` with its estimate from ``values`` (indexed like
+    ``configs``), as a :class:`RankedEstimate` built only when read.
+
+    It behaves as the list of those entries would: ``len``, positive and
+    negative indices, slices (which return lists), iteration, ``==``
+    against a list or another ranking, and pickling.  ``configs`` is
+    shared, not copied (an exhaustive ranking holds its whole pool);
+    ``values`` and ``order`` are copied into read-only arrays.
+    """
+
+    def __init__(
+        self,
+        n: int,
+        configs: Sequence[ClusterConfig],
+        values: "np.ndarray",
+        order: "np.ndarray",
+    ):
+        self.n = n
+        self._configs = configs
+        self._values = np.array(values, dtype=float)
+        self._order = np.array(order, dtype=np.intp)
+        self._values.flags.writeable = False
+        self._order.flags.writeable = False
+        self._positions: Optional[Dict[Tuple, int]] = None
+
+    @classmethod
+    def of(cls, n: int, entries: Sequence[RankedEstimate]) -> "Ranking":
+        """The ranking of already ordered entries."""
+        return cls(
+            n,
+            [entry.config for entry in entries],
+            [entry.estimate_s for entry in entries],
+            np.arange(len(entries)),
+        )
+
+    @property
+    def order(self) -> "np.ndarray":
+        """Candidate index of each rank (read-only)."""
+        return self._order
+
+    def __len__(self) -> int:
+        return self._order.size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._entry(i) for i in self._order[index].tolist()]
+        return self._entry(int(self._order[index]))
+
+    def __iter__(self) -> Iterator[RankedEstimate]:
+        return (self._entry(i) for i in self._order.tolist())
+
+    def _entry(self, candidate: int) -> RankedEstimate:
+        return RankedEstimate(
+            config=self._configs[candidate],
+            n=self.n,
+            estimate_s=float(self._values[candidate]),
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (Ranking, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            a == b for a, b in zip(self, other)
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __reduce__(self):
+        return (Ranking, (self.n, self._configs, self._values, self._order))
+
+    def __repr__(self) -> str:
+        return f"Ranking(n={self.n}, {len(self)} entries)"
+
+    def estimate_for(self, config: ClusterConfig) -> float:
+        """Estimate of one ranked candidate, looked up by key (the index
+        is built on the first lookup, without building entries).
+
+        Raises :class:`SearchError` when the ranking holds the same
+        candidate twice — a duplicate key means two entries claim the
+        same configuration and a silent keep-last lookup could return
+        either one's estimate depending on ranking order — or when
+        ``config`` was not ranked.
+        """
+        if self._positions is None:
+            positions: Dict[Tuple, int] = {}
+            for candidate in self._order.tolist():
+                found = self._configs[candidate]
+                if positions.setdefault(found.key(), candidate) != candidate:
+                    raise SearchError(
+                        f"duplicate candidate {found.label()} in "
+                        f"ranking at N={self.n}; estimate_for() would be "
+                        "ambiguous"
+                    )
+            self._positions = positions
+        try:
+            return float(self._values[self._positions[config.key()]])
+        except KeyError:
+            raise SearchError(
+                f"configuration {config.label()} was not a candidate"
+            ) from None
+
+
 @dataclass
 class SearchOutcome:
     """Full result of one optimization: the winner, the ranking and the
@@ -176,19 +289,21 @@ class SearchOutcome:
 
     ``ranking`` holds every candidate the backend *evaluated* — the full
     space for exact backends (``complete=True``), the visited subset for
-    pruned or heuristic runs (``complete=False``).  ``stats`` carries the
+    pruned or heuristic runs (``complete=False``); a list of entries
+    given here becomes a :class:`Ranking`.  ``stats`` carries the
     producing backend's cost accounting (None for outcomes built before
     the Search protocol existed, e.g. unpickled from old artifacts).
     """
 
     n: int
-    ranking: List[RankedEstimate]
+    ranking: Ranking
     search_seconds: float
     stats: Optional[SearchStats] = field(default=None, repr=False, compare=False)
     complete: bool = True
-    _estimate_by_key: Optional[Dict[Tuple, float]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.ranking, Ranking):
+            self.ranking = Ranking.of(self.n, self.ranking)
 
     @property
     def best(self) -> RankedEstimate:
@@ -198,32 +313,8 @@ class SearchOutcome:
         return self.ranking[: max(count, 0)]
 
     def estimate_for(self, config: ClusterConfig) -> float:
-        """Estimate of one candidate (O(1) after the first lookup builds
-        the key index — repeated lookups used to re-scan the ranking).
-
-        Raises :class:`SearchError` when the ranking holds the same
-        candidate twice: a duplicate key means two entries claim the same
-        configuration and a silent keep-last lookup could return either
-        one's estimate depending on ranking order.
-        """
-        if self._estimate_by_key is None:
-            index: Dict[Tuple, float] = {}
-            for entry in self.ranking:
-                key = entry.config.key()
-                if key in index:
-                    raise SearchError(
-                        f"duplicate candidate {entry.config.label()} in "
-                        f"ranking at N={self.n}; estimate_for() would be "
-                        "ambiguous"
-                    )
-                index[key] = entry.estimate_s
-            self._estimate_by_key = index
-        try:
-            return self._estimate_by_key[config.key()]
-        except KeyError:
-            raise SearchError(
-                f"configuration {config.label()} was not a candidate"
-            ) from None
+        """Estimate of one candidate (see :meth:`Ranking.estimate_for`)."""
+        return self.ranking.estimate_for(config)
 
 
 # -- validation & ranking helpers --------------------------------------------
@@ -293,13 +384,54 @@ def key_ranks_of(configs: Sequence[ClusterConfig]) -> np.ndarray:
     Sorting by ``(estimate, key_rank)`` equals sorting by
     ``(estimate, key)``: the ranks are a strictly monotone relabeling of
     the keys (equal keys get distinct ranks in original-index order,
-    which is exactly the stable-sort tie-break of
-    :func:`rank_evaluations`)."""
+    which is exactly a stable sort's tie-break)."""
     keys = [config.key() for config in configs]
     order = sorted(range(len(keys)), key=keys.__getitem__)
     ranks = np.empty(len(order), dtype=np.int64)
     ranks[np.asarray(order, dtype=np.int64)] = np.arange(len(order), dtype=np.int64)
     return ranks
+
+
+def rank_block(
+    n: int,
+    configs: Sequence[ClusterConfig],
+    values: "np.ndarray",
+    key_ranks: "np.ndarray",
+    started: float,
+    stats: Optional[SearchStats] = None,
+    complete: bool = True,
+) -> SearchOutcome:
+    """Assemble a :class:`SearchOutcome` ranking ``configs`` by their
+    ``values`` — the one ranking rule of every backend.
+
+    Ordering is ``(estimate, config.key())`` — a ``np.lexsort`` on the
+    estimate and the :func:`key_ranks_of` — so ties break on the
+    canonical configuration key, which is what makes exact backends
+    bitwise-reproducible regardless of evaluation order.  Raises when the
+    best entry is not finite: for a complete run with the exhaustive
+    optimizer's error, and for a run that may have left candidates
+    unvisited with one that says only the evaluated candidates are out
+    of the models' domain.
+    """
+    order = np.lexsort((key_ranks, values))
+    if not math.isfinite(values[order[0]]):
+        if complete:
+            raise SearchError(
+                f"no candidate could be estimated at N={n} "
+                "(all models out of domain)"
+            )
+        raise SearchError(
+            f"no candidate could be estimated among the {len(configs)} "
+            f"evaluated at N={n} (each is outside the models' domain); "
+            "an exact backend searches every candidate"
+        )
+    return SearchOutcome(
+        n=n,
+        ranking=Ranking(n, configs, values, order),
+        search_seconds=time.perf_counter() - started,
+        stats=stats,
+        complete=complete,
+    )
 
 
 def rank_evaluations(
@@ -309,45 +441,13 @@ def rank_evaluations(
     stats: Optional[SearchStats] = None,
     complete: bool = True,
 ) -> SearchOutcome:
-    """Assemble a :class:`SearchOutcome` from ``(config, estimate)`` pairs.
-
-    Ordering is ``(estimate, config.key())`` — ties break on the
-    canonical configuration key, which is what makes exact backends
-    bitwise-reproducible regardless of evaluation order.  Raises when the
-    best entry is not finite: for a complete run with the exhaustive
-    optimizer's error, and for a run that may have left candidates
-    unvisited with one that says only the evaluated candidates are out
-    of the models' domain.
-    """
+    """:func:`rank_block` over ``(config, estimate)`` pairs."""
     if not entries:
         raise SearchError(f"no candidate was evaluated at N={n}")
-    # Precompute the tie-break keys once: recomputing config.key() inside
-    # the sort lambda costs O(n log n) key constructions per ranking.
-    keys = [config.key() for config, _ in entries]
-    order = sorted(
-        range(len(entries)), key=lambda i: (entries[i][1], keys[i])
-    )
-    ranking = [
-        RankedEstimate(config=entries[i][0], n=n, estimate_s=entries[i][1])
-        for i in order
-    ]
-    if not math.isfinite(ranking[0].estimate_s):
-        if complete:
-            raise SearchError(
-                f"no candidate could be estimated at N={n} "
-                "(all models out of domain)"
-            )
-        raise SearchError(
-            f"no candidate could be estimated among the {len(ranking)} "
-            f"evaluated at N={n} (each is outside the models' domain); "
-            "an exact backend searches every candidate"
-        )
-    return SearchOutcome(
-        n=n,
-        ranking=ranking,
-        search_seconds=time.perf_counter() - started,
-        stats=stats,
-        complete=complete,
+    configs = [config for config, _ in entries]
+    values = np.array([value for _, value in entries], dtype=float)
+    return rank_block(
+        n, configs, values, key_ranks_of(configs), started, stats, complete
     )
 
 
@@ -368,11 +468,12 @@ class SearchProblem:
 
     One problem may serve many runs (the pipeline's search engine hands
     one to every backend it builds over its default pool).  What the
-    backends derive from the candidates alone — the product space, the
-    exact-cover verdict, the key ranks — is derived on first use and
-    kept, so ``candidates``, ``space`` and ``kinds`` must not change once
-    the problem is in use.  A bound oracle memoizes per-size profiles, so
-    ``bounds`` builds one per backend (:meth:`resolved_bounds`).
+    backends derive from the candidates alone — the candidate tuple, the
+    product space, the exact-cover verdict, the key ranks — is derived on
+    first use and kept, so ``candidates``, ``space`` and ``kinds`` must
+    not change once the problem is in use.  A bound oracle memoizes
+    per-size profiles, so ``bounds`` builds one per backend
+    (:meth:`resolved_bounds`).
     """
 
     grid_estimator: GridEstimator
@@ -398,6 +499,9 @@ class SearchProblem:
         default=None, init=False, repr=False, compare=False
     )
     _key_ranks: Optional[np.ndarray] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _candidates: Optional[Tuple[ClusterConfig, ...]] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -434,12 +538,19 @@ class SearchProblem:
         """A fresh bound oracle over :meth:`resolved_space`, or None."""
         return None if self.bounds is None else self.bounds(self.resolved_space())
 
-    def resolved_candidates(self) -> List[ClusterConfig]:
-        if self.candidates is not None:
-            return list(self.candidates)
-        if self.space is None:
-            raise SearchError("search problem has neither candidates nor space")
-        return list(self.space.configs())
+    def resolved_candidates(self) -> Tuple[ClusterConfig, ...]:
+        """The candidates as one tuple (the space's configurations for a
+        problem given only a space), the same object on every call."""
+        if self._candidates is None:
+            if self.candidates is not None:
+                self._candidates = tuple(self.candidates)
+            elif self.space is not None:
+                self._candidates = tuple(self.space.configs())
+            else:
+                raise SearchError(
+                    "search problem has neither candidates nor space"
+                )
+        return self._candidates
 
     def resolved_kinds(self) -> List[str]:
         if self.kinds is not None:

@@ -21,14 +21,13 @@ import numpy as np
 from repro.cluster.config import ClusterConfig
 from repro.core.search.base import (
     GridEstimator,
-    RankedEstimate,
     SearchBackend,
     SearchOutcome,
     SearchProblem,
     SearchStats,
     grid_block,
-    key_ranks_of,
     problem_orders,
+    rank_block,
     rank_evaluations,
     validated_estimates,
 )
@@ -45,10 +44,10 @@ class ExhaustiveOptimizer(SearchBackend):
     grid_estimator:
         Objective ``(configs, sizes) -> (C, S) array``.  Both
         :meth:`optimize` and :meth:`optimize_many` evaluate the entire
-        candidate block in one call and rank each column with a
-        vectorized ``(estimate, key)`` lexsort — the precomputed key
-        ranks make its tie-break identical to sorting on the canonical
-        keys themselves.
+        candidate block in one call and rank each column with
+        :func:`~repro.core.search.base.rank_block`, whose
+        ``(estimate, key rank)`` lexsort breaks ties exactly as sorting
+        on the canonical keys themselves would.
     candidates:
         The configuration space (the paper's 62 evaluation configurations,
         or anything else).
@@ -71,11 +70,15 @@ class ExhaustiveOptimizer(SearchBackend):
     ):
         if not candidates:
             raise SearchError("empty candidate set")
+        #: Holds the key ranks; from_problem shares the caller's problem.
+        self.problem = SearchProblem(
+            grid_estimator, candidates=candidates, allow_unestimable=allow_unestimable
+        )
         self.grid_estimator = grid_estimator
-        self.candidates = list(candidates)
+        # The problem's tuple itself: an objective may recognize it (the
+        # search engine evaluates its own pool by row).
+        self.candidates = self.problem.resolved_candidates()
         self.allow_unestimable = allow_unestimable
-        # Derived on the first ranking, or taken from the problem.
-        self._key_rank_cache: Optional[np.ndarray] = None
         self.stats = None
 
     @classmethod
@@ -93,47 +96,13 @@ class ExhaustiveOptimizer(SearchBackend):
             problem.resolved_candidates(),
             allow_unestimable=problem.allow_unestimable,
         )
-        if problem.candidates is not None:
-            # A space-only problem would enumerate its space again to
-            # rank the keys; the instance ranks the list it already holds.
-            instance._key_rank_cache = problem.key_ranks()
+        instance.problem = problem
         return instance
 
     @property
     def _key_ranks(self) -> np.ndarray:
-        """The candidates' :func:`~repro.core.search.base.key_ranks_of`."""
-        if self._key_rank_cache is None:
-            self._key_rank_cache = key_ranks_of(self.candidates)
-        return self._key_rank_cache
-
-    def _rank(self, n: int, values: np.ndarray, started: float) -> SearchOutcome:
-        """Rank one column: ``np.lexsort`` on (estimate, key rank)."""
-        order = np.lexsort((self._key_ranks, values))
-        ranking: List[RankedEstimate] = [
-            RankedEstimate(
-                config=self.candidates[i], n=n, estimate_s=float(values[i])
-            )
-            for i in order
-        ]
-        if not np.isfinite(ranking[0].estimate_s):
-            raise SearchError(
-                f"no candidate could be estimated at N={n} "
-                "(all models out of domain)"
-            )
-        stats = SearchStats(
-            backend=self.backend_type,
-            evaluations=len(self.candidates),
-            best_config=ranking[0].config,
-            best_estimate=ranking[0].estimate_s,
-        )
-        self.stats = stats
-        return SearchOutcome(
-            n=n,
-            ranking=ranking,
-            search_seconds=time.perf_counter() - started,
-            stats=stats,
-            complete=True,
-        )
+        """The problem's key ranks of the candidates."""
+        return self.problem.key_ranks()
 
     def optimize(self, n: int) -> SearchOutcome:
         """Rank all candidates for problem order ``n`` (ascending time)."""
@@ -158,13 +127,22 @@ class ExhaustiveOptimizer(SearchBackend):
             values = validated_estimates(
                 grid[:, j], self.candidates, n, self.allow_unestimable
             )
-            outcome = self._rank(n, values, column_started)
+            stats = SearchStats(
+                backend=self.backend_type, evaluations=len(self.candidates)
+            )
+            outcome = rank_block(
+                n, self.candidates, values, self._key_ranks, column_started,
+                stats=stats,
+            )
+            stats.best_config = outcome.best.config
+            stats.best_estimate = outcome.best.estimate_s
+            self.stats = stats
             outcome.search_seconds += eval_share
             outcomes.append(outcome)
         return outcomes
 
 
-# rank_evaluations is the order-independent form of ``_rank`` the other
-# backends use; re-exported here so the two ranking paths are findable
-# side by side.
+# rank_evaluations is the (config, estimate)-pair form of rank_block the
+# other backends use; re-exported here so the two ranking entry points
+# are findable side by side.
 __all__ = ["ExhaustiveOptimizer", "rank_evaluations"]

@@ -21,7 +21,7 @@ first-class:
     (fit, compose, adjust) are flagged ``invalidates_estimates``;
     replacing or invalidating one drops every downstream artifact and
     fires the graph's invalidation hooks, which is how the
-    :class:`~repro.perf.cache.EstimateCache` stays bound to the current
+    :class:`~repro.perf.cache.RowCache` stays bound to the current
     model generation without the pipeline micro-managing it.
 
 Stage names match :data:`repro.perf.report.PIPELINE_STAGES`
@@ -60,12 +60,12 @@ from repro.core.search import (
     estimator_bounds,
 )
 from repro.core.search import actual_best as _actual_best
-from repro.core.grid_kernel import GridKernel
+from repro.core.grid_kernel import GridKernel, Routes
 from repro.errors import SearchError
 from repro.hpl.schedule import walker_stats
 from repro.measure.campaign import CampaignResult, run_campaign, run_evaluation
 from repro.measure.dataset import Dataset
-from repro.perf.cache import EstimateCache, model_fingerprint
+from repro.perf.cache import RowCache, model_fingerprint
 from repro.perf.report import GridKernelStats, PerfReport
 
 
@@ -505,7 +505,7 @@ def calibration_configs(spec: ClusterSpec, plan, config) -> List[ClusterConfig]:
 class SearchEngine:
     """The search stage's artifact: grid kernel + estimate cache + optimizer.
 
-    Owns the one :class:`~repro.perf.cache.EstimateCache` of a model
+    Owns the one :class:`~repro.perf.cache.RowCache` of a model
     generation — its fingerprint is built from the estimator facade's
     :meth:`~repro.core.estimator.Estimator.fingerprint` (which already
     covers every model and the memory bins) plus the adjustment and the
@@ -516,7 +516,9 @@ class SearchEngine:
 
     It also owns the one :attr:`problem` over the default candidate pool,
     which keeps what every search call would otherwise derive again from
-    that pool (see DESIGN.md §13).
+    that pool, and addresses that pool by row: the pool's keys take the
+    cache's first rows, and the kernel routes each pool row once into one
+    :class:`~repro.core.grid_kernel.Routes` table (see DESIGN.md §13).
     """
 
     def __init__(
@@ -541,12 +543,17 @@ class SearchEngine:
         self.seed = seed
         #: Duck-typed :class:`repro.cost.model.CostModel` (None = unpriced).
         self.cost_model = cost_model
-        self._cache: Optional[EstimateCache] = None
+        self._cache: Optional[RowCache] = None
         self._grid_kernel: Optional[GridKernel] = None
         self._problem: Optional[SearchProblem] = None
+        # The default pool, its rows in the cache, and the kernel's
+        # routing of those rows (set with the cache).
+        self._pool: Sequence[ClusterConfig] = ()
+        self._pool_rows = np.empty(0, dtype=np.intp)
+        self._pool_routes = Routes(())
 
     @property
-    def estimate_cache(self) -> EstimateCache:
+    def estimate_cache(self) -> RowCache:
         """Memoized ``(config, N) -> adjusted total`` store, bound to the
         current models by fingerprint (see DESIGN.md for the invalidation
         rule)."""
@@ -556,8 +563,15 @@ class SearchEngine:
                 self.adjustment.to_dict(),
                 self.workload,
             )
-            self._cache = EstimateCache(fingerprint)
-            self.perf.cache = self._cache
+            cache = RowCache(fingerprint)
+            # The pool's distinct keys take rows 0..D-1, so a row below D
+            # is a pool member and the routing table is indexed by row.
+            self._pool = self.problem.resolved_candidates()
+            self._pool_rows = cache.rows_of(self._pool)
+            first = np.unique(self._pool_rows, return_index=True)[1]
+            self._pool_routes = Routes([self._pool[i] for i in first.tolist()])
+            self._cache = cache
+            self.perf.cache = cache
         return self._cache
 
     @property
@@ -585,18 +599,33 @@ class SearchEngine:
         """Adjusted estimates of every ``(config, n)`` cell as a
         ``(C, S)`` array, bitwise the scalar estimates: the kernel's
         blocks served through :attr:`estimate_cache`.  This is the
-        objective every search backend takes."""
-        return self.estimate_cache.get_block(configs, ns, self.grid_kernel.evaluate)
+        objective every search backend takes.
+
+        The pool itself is addressed by its rows, other configurations
+        through the cache's key -> row map.  A block of pool rows goes
+        through the pool's routing table; any other block is routed for
+        this call."""
+        cache = self.estimate_cache
+        rows = self._pool_rows if configs is self._pool else cache.rows_of(configs)
+        kernel, routes = self.grid_kernel, self._pool_routes
+
+        def evaluate(positions: np.ndarray) -> np.ndarray:
+            block = rows[positions]
+            if block.max() < len(routes):
+                return kernel.evaluate_rows(routes, block, ns)
+            return kernel.evaluate([configs[i] for i in positions.tolist()], ns)
+
+        return cache.get_rows(rows, ns, evaluate)
 
     @property
     def problem(self) -> SearchProblem:
         """The :class:`SearchProblem` over the default candidate pool,
         built on first use and handed to every backend :meth:`optimizer`
         builds.  The pool (the plan's evaluation grid) and the cluster
-        spec are immutable, so the product space, exact-cover verdict
-        and key ranks it derives lazily hold for the engine's lifetime;
-        backends — which carry per-run stats and RNG state — and bound
-        oracles stay per call."""
+        spec are immutable, so the product space, exact-cover verdict,
+        key ranks, cache rows and routing derived from it hold for the
+        engine's lifetime; backends — which carry per-run stats and RNG
+        state — and bound oracles stay per call."""
         if self._problem is None:
             self._problem = self._problem_over(tuple(self._candidates()))
         return self._problem

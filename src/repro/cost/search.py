@@ -43,6 +43,7 @@ import numpy as np
 
 from repro.core.search.base import (
     GridEstimator,
+    Ranking,
     SearchOutcome,
     SearchProblem,
     SearchStats,
@@ -352,25 +353,23 @@ class BudgetFrontierSearch(BranchBoundSearch):
             complete=not stats.exhausted, max_cost=self.max_cost,
         )
         chosen = select_weighted(outcome.points, self.alpha)
-        rest = [p for p in outcome.points if p is not chosen]
+        points = [chosen] + [p for p in outcome.points if p is not chosen]
         ranked = rank_evaluations(
             n,
-            [(chosen.config, chosen.time_s)]
-            + [(p.config, p.time_s) for p in rest],
+            [(p.config, p.time_s) for p in points],
             started,
             stats=stats,
             complete=False,
         )
-        # rank_evaluations re-sorts by time; rebuild the ranking with the
-        # scalarization winner first, keeping the rest time-ordered.
-        head = next(
-            entry
-            for entry in ranked.ranking
-            if entry.config.key() == chosen.config.key()
+        # rank_evaluations sorts by time; the scalarization winner (point
+        # 0) goes first and the rest keep their time order.
+        order = ranked.ranking.order
+        ranked.ranking = Ranking(
+            n,
+            [p.config for p in points],
+            [p.time_s for p in points],
+            np.concatenate(([0], order[order != 0])),
         )
-        ranked.ranking = [head] + [
-            entry for entry in ranked.ranking if entry is not head
-        ]
         return ranked
 
     def frontier_many(self, ns: Sequence[int]) -> List[FrontierOutcome]:

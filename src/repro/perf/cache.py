@@ -16,13 +16,17 @@ and the pipeline builds a fresh cache with a fresh fingerprint.  Timing
 fields (e.g. ``ModelStore.build_seconds``) are deliberately excluded:
 two stores holding identical models fingerprint identically.
 
-**Bounding rule**: a long-lived cache (the serving layer keeps one per
-registry entry for the lifetime of the process) must not grow without
-limit.  Passing ``capacity`` turns the cache into an LRU: both hits and
-updates refresh an entry's recency, and inserting beyond capacity evicts
-the least-recently-used entry, counted in :attr:`CacheStats.evictions`.
-The default (``capacity=None``) keeps the historical unbounded behavior
-for the in-pipeline caches, whose working set is the candidate grid.
+**Two stores.**  A pipeline's search engine keeps a :class:`RowCache`:
+its working set is the candidate pool, so it is unbounded and addressed
+by row — one value array plus a filled mask per problem order, reached
+through a configuration-key -> row map.  The serving layer keeps one
+:class:`EstimateCache` per registry entry for the lifetime of the
+process, and that must not grow without limit: passing ``capacity``
+turns it into an LRU over a dict of ``(key, N, fingerprint)`` entries —
+both hits and updates refresh an entry's recency, and inserting beyond
+capacity evicts the least-recently-used entry, counted in
+:attr:`CacheStats.evictions`.  Both count a hit or a miss per looked-up
+cell, so their counters read alike.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -163,12 +167,10 @@ class EstimateCache:
         One pass with a local lookup per cell and the hit and miss
         counters added once, with the same outcome as a :meth:`get` per
         cell in block order followed by a :meth:`put` per missing cell in
-        block order.  An unbounded cache stores directly; a bounded one
-        stores through :meth:`put`, which owns the eviction policy."""
+        block order."""
         sizes = [int(n) for n in ns]
         width = len(sizes)
-        fingerprint, data = self.fingerprint, self._data
-        lookup = data.get if self.capacity is None else self._recall
+        fingerprint, lookup = self.fingerprint, self._recall
         keys = [self.key_of(config) for config in configs]
         # Row-major cells; None marks a miss until the evaluated block fills it.
         values: List[Optional[float]] = []
@@ -194,11 +196,8 @@ class EstimateCache:
                 base, config_key = i * width, keys[i]
                 for j, n in enumerate(sizes):
                     if values[base + j] is None:
-                        value = values[base + j] = fresh[j]
-                        if self.capacity is None:
-                            data[(config_key, n, fingerprint)] = value
-                        else:
-                            self.put(config_key, n, value)
+                        values[base + j] = fresh[j]
+                        self.put(config_key, n, fresh[j])
         return np.array(values, dtype=float).reshape(len(keys), width)
 
     def clear(self) -> None:
@@ -213,4 +212,97 @@ class EstimateCache:
         return (
             f"EstimateCache(fingerprint={self.fingerprint or '(none)'}, "
             f"{len(self._data)}{bound} entries, {self.stats.describe()})"
+        )
+
+
+class RowCache:
+    """Unbounded memo of ``(config, N)`` -> estimated seconds under one
+    fingerprint, addressed by row.
+
+    Each distinct configuration key gets a row, in order of first sight
+    (:meth:`rows_of`); each problem order ``N`` gets a value array and a
+    filled mask over those rows.  :meth:`get_rows` counts hits, misses
+    and entries exactly as :meth:`EstimateCache.get_block` does on an
+    unbounded cache (a hit or miss per cell, one entry per distinct
+    filled ``(key, N)``), without a Python step per cell.  Rows keep
+    their keys across :meth:`clear`, so row numbers a caller derived
+    once stay valid.
+    """
+
+    def __init__(self, fingerprint: str = ""):
+        self.fingerprint = fingerprint
+        self.stats = CacheStats()
+        self._rows: Dict[Hashable, int] = {}
+        self._columns: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        self._entries = 0
+
+    def rows_of(self, configs: Sequence[object]) -> np.ndarray:
+        """The row of each configuration's key; unseen keys get the next
+        free rows in order."""
+        rows = self._rows
+        return np.fromiter(
+            (rows.setdefault(config.key(), len(rows)) for config in configs),
+            dtype=np.intp,
+            count=len(configs),
+        )
+
+    def _column(self, n: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The (values, filled) arrays of order ``n``, long enough for
+        every row."""
+        column = self._columns.get(n)
+        needed = len(self._rows)
+        if column is None or column[0].size < needed:
+            size = max(needed, 2 * column[0].size if column else 0)
+            values, filled = np.zeros(size), np.zeros(size, dtype=bool)
+            if column is not None:
+                values[: column[0].size] = column[0]
+                filled[: column[1].size] = column[1]
+            column = self._columns[n] = (values, filled)
+        return column
+
+    def get_rows(
+        self,
+        rows: np.ndarray,
+        ns: Sequence[int],
+        evaluate: Callable[[np.ndarray], np.ndarray],
+    ) -> np.ndarray:
+        """The ``(R, S)`` block of estimates for ``rows x ns``: the rows
+        with a missing cell go to ``evaluate(positions)`` — positions
+        into ``rows``, in block order — as one block, and only the
+        missing cells are stored (hit cells keep their cached values)."""
+        columns = [self._column(int(n)) for n in ns]
+        out = np.empty((rows.size, len(columns)))
+        hit = np.empty(out.shape, dtype=bool)
+        for j, (values, filled) in enumerate(columns):
+            hit[:, j] = filled[rows]
+            out[:, j] = values[rows]
+        hits = int(np.count_nonzero(hit))
+        self.stats.hits += hits
+        self.stats.misses += hit.size - hits
+        miss = ~hit
+        positions = np.flatnonzero(miss.any(axis=1))
+        if positions.size:
+            block = evaluate(positions)
+            for j, (values, filled) in enumerate(columns):
+                fresh = miss[positions, j]
+                cells = positions[fresh]
+                out[cells, j] = block[fresh, j]
+                before = np.count_nonzero(filled)
+                values[rows[cells]] = block[fresh, j]
+                filled[rows[cells]] = True
+                self._entries += np.count_nonzero(filled) - before
+        return out
+
+    def clear(self) -> None:
+        """Drop all values (rows and counters survive)."""
+        self._columns.clear()
+        self._entries = 0
+
+    def __len__(self) -> int:
+        return self._entries
+
+    def describe(self) -> str:
+        return (
+            f"RowCache(fingerprint={self.fingerprint or '(none)'}, "
+            f"{self._entries} entries, {self.stats.describe()})"
         )

@@ -17,7 +17,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional
 
-from repro.perf.cache import EstimateCache
+from repro.perf.cache import RowCache
 
 #: Canonical stage order for rendering (unknown stages append after).
 PIPELINE_STAGES = ("campaign", "evaluation", "fit", "compose", "adjust", "search")
@@ -130,7 +130,7 @@ class PerfReport:
 
     def __init__(self) -> None:
         self._stages: Dict[str, StageTiming] = {}
-        self.cache: Optional[EstimateCache] = None
+        self.cache: Optional[RowCache] = None
         #: Schedule-walker counters (duck-typed
         #: :class:`repro.hpl.schedule.WalkerStats` — kept loose so the perf
         #: layer stays below ``hpl`` in the import graph).

@@ -10,11 +10,11 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster.config import ClusterConfig
-from repro.cluster.presets import kishimoto_cluster
+from repro.cluster.presets import kishimoto_cluster, synthetic_cluster
 from repro.core.pipeline import EstimationPipeline, PipelineConfig
 from repro.hpl.driver import NoiseSpec
 from repro.measure.campaign import run_campaign
-from repro.measure.grids import PAPER_KINDS, basic_plan
+from repro.measure.grids import PAPER_KINDS, basic_plan, custom_plan
 
 
 @pytest.fixture(scope="session")
@@ -55,3 +55,13 @@ def nl_pipeline(spec):
 @pytest.fixture(scope="session")
 def ns_pipeline(spec):
     return EstimationPipeline(spec, PipelineConfig(protocol="ns", seed=11))
+
+
+@pytest.fixture(scope="session")
+def wide_pipeline():
+    """The benchmark's ``search-wide`` instance: four synthetic kinds,
+    4 nodes x 2 CPUs each, up to 3 processes per PE — 28,560 candidates."""
+    spec = synthetic_cluster((0.3, 0.6, 1.2, 2.4), nodes_per_kind=4, cpus_per_node=2)
+    plan = custom_plan(spec, (400, 800, 1600, 3200), (1600, 3200, 6400),
+                       max_procs=3, multiproc_kinds=spec.kind_names)
+    return EstimationPipeline(spec, PipelineConfig(seed=5, adjust=False), plan=plan)

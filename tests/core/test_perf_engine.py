@@ -6,10 +6,13 @@ import pytest
 
 from repro.cluster.config import ClusterConfig
 from repro.core.binning import MemoryBin
+from repro.core.grid_kernel import GridKernel
 from repro.core.search import ExhaustiveOptimizer, pointwise
 from repro.core.pipeline import EstimationPipeline, PipelineConfig
 from repro.errors import SearchError
 from repro.measure.grids import PAPER_KINDS
+from repro.perf.cache import EstimateCache
+from repro.perf.report import GridKernelStats
 
 
 def cfg(p1, m1, p2, m2):
@@ -123,6 +126,51 @@ class TestEstimateCache:
         other = EstimationPipeline(spec, PipelineConfig(protocol="ns", seed=12))
         assert same_a.estimate_cache.fingerprint == same_b.estimate_cache.fingerprint
         assert same_a.estimate_cache.fingerprint != other.estimate_cache.fingerprint
+
+
+class TestEngineCacheReplay:
+    def test_counters_match_a_per_cell_dict(self, spec):
+        """The engine's row-addressed cache and kernel counters equal what
+        a per-cell dict cache in front of a fresh kernel gives on the same
+        calls: the pool itself, pool subsets, equal configurations built
+        anew, configurations outside the pool, duplicate sizes and
+        configurations, partly filled columns, and a clear."""
+        pipeline = EstimationPipeline(spec, PipelineConfig(protocol="ns", seed=11))
+        engine = pipeline.graph.get("search")
+        pool = engine.problem.resolved_candidates()
+        outside = [cfg(1, 2, 8, 2), cfg(0, 0, 4, 2)]
+        rebuilt = [ClusterConfig.from_tuple(PAPER_KINDS, c.as_flat_tuple(PAPER_KINDS))
+                   for c in pool[5:9]]
+        calls = [
+            (pool, [1600, 3200]),
+            (pool[:10], [3200, 4800, 3200]),
+            (rebuilt + [pool[6]], [4800, 6400]),
+            (outside + list(pool[:2]) + outside[:1], [1600, 1600]),
+            "clear",
+            (pool, [4800]),
+            (list(pool[::7]) + outside, [4800, 8000]),
+            (pool, [4800, 8000, 9600]),
+        ]
+        stats = GridKernelStats()
+        kernel = GridKernel(
+            pipeline.models, pipeline.adjustment,
+            validate=lambda c: c.validate_against(spec), stats=stats,
+        )
+        reference = EstimateCache(engine.estimate_cache.fingerprint)
+        cache = engine.estimate_cache
+        assert cache.stats.as_tuple() == (0, 0, 0) and engine.grid_kernel.stats.blocks == 0
+        for call in calls:
+            if call == "clear":
+                cache.clear()
+                reference.clear()
+                continue
+            configs, sizes = call
+            got = engine.estimate_grid(configs, sizes)
+            expected = reference.get_block(configs, sizes, kernel.evaluate)
+            assert got.tobytes() == expected.tobytes()
+            assert cache.stats.as_tuple() == reference.stats.as_tuple()
+            assert len(cache) == len(reference)
+            assert pipeline.perf.grid.to_dict() == stats.to_dict()
 
 
 class TestEstimateForIndex:

@@ -8,7 +8,7 @@ import pytest
 from repro.cluster.config import ClusterConfig
 from repro.errors import ReproError
 from repro.measure.grids import PAPER_KINDS
-from repro.perf.cache import CacheStats, EstimateCache, model_fingerprint
+from repro.perf.cache import CacheStats, EstimateCache, RowCache, model_fingerprint
 from repro.perf.report import PerfReport
 
 
@@ -184,6 +184,64 @@ class TestLRUBound:
         a = CacheStats(hits=2, misses=3, evictions=1)
         a.merge(CacheStats(hits=1, misses=1, evictions=0))
         assert (a.hits, a.misses, a.evictions) == (3, 4, 1)
+
+
+class TestRowCache:
+    #: (configs, sizes) calls, with clear() between groups: duplicate
+    #: sizes, a configuration listed twice, equal configurations written
+    #: differently, and columns filled for some rows only.
+    CALLS = [
+        [([cfg(1, 1, 0, 0), cfg(0, 0, 2, 1)], [100, 200])],
+        [([cfg(1, 1, 0, 0), cfg(1, 2, 8, 1)], [200, 300, 200])],
+        [([cfg(1, 2, 8, 1), cfg(1, 1, 0, 0), cfg(1, 2, 8, 1)], [300])],
+        [([ClusterConfig.of(athlon=(1, 1)), cfg(1, 3, 4, 1)], [100, 300])],
+        "clear",
+        [([cfg(1, 3, 4, 1), cfg(0, 0, 2, 1)], [300, 100, 100])],
+        [([cfg(0, 0, 2, 1)], [100])],
+        [([], [100])],
+    ]
+
+    @staticmethod
+    def evaluate(configs, ns):
+        return np.array(
+            [[float(c.total_processes * n + len(c.active)) for n in ns] for c in configs]
+        )
+
+    def test_replay_matches_per_cell_dict(self):
+        """Hits, misses, entries, returned values and every evaluated
+        block equal an unbounded dict cache's on the same calls."""
+        reference, rows = EstimateCache("fp"), RowCache("fp")
+        ref_blocks, row_blocks = [], []
+        for step in self.CALLS:
+            if step == "clear":
+                reference.clear()
+                rows.clear()
+                continue
+            for configs, sizes in step:
+                def ref_eval(block, ns):
+                    ref_blocks.append(([c.key() for c in block], list(ns)))
+                    return self.evaluate(block, ns)
+
+                def row_eval(positions, configs=configs, sizes=sizes):
+                    block = [configs[i] for i in positions]
+                    row_blocks.append(([c.key() for c in block], list(sizes)))
+                    return self.evaluate(block, sizes)
+
+                expected = reference.get_block(configs, sizes, ref_eval)
+                got = rows.get_rows(rows.rows_of(configs), sizes, row_eval)
+                assert got.tolist() == expected.tolist()
+                assert rows.stats.as_tuple() == reference.stats.as_tuple()
+                assert len(rows) == len(reference)
+        assert row_blocks == ref_blocks
+        assert rows.stats.hits > 0 and rows.stats.misses > 0
+
+    def test_rows_survive_clear(self):
+        cache = RowCache("fp")
+        first = cache.rows_of([cfg(1, 1, 0, 0), cfg(0, 0, 2, 1), cfg(1, 1, 0, 0)])
+        assert first.tolist() == [0, 1, 0]
+        cache.clear()
+        assert cache.rows_of([cfg(0, 0, 2, 1), cfg(1, 3, 4, 1)]).tolist() == [1, 2]
+        assert len(cache) == 0 and "0 entries" in cache.describe()
 
 
 class TestModelFingerprint:

@@ -13,37 +13,57 @@ grid objective:
   strictly cheaper configuration replaces it (DESIGN §14);
 * every heuristic reports, for its winner, exactly the value exhaustive
   ranked that configuration at;
-* the scalar estimator equals the grid value on random ranking entries;
 * a second call on the same pipeline (the engine's shared search
   problem, warm estimate cache) repeats the first bitwise.
 
+Problem orders there stay at or above the construction range's scale:
+far below it most candidates are out of the models' domain, and a
+heuristic may visit none of the few that are not
+(``TestPinnedRegressions``).  The full-grid oracle (``TestGridPaths``)
+goes below it on purpose, with and without memory bins: the engine's
+pool path (exhaustive's values), the kernel's per-call path and the
+scalar estimator must agree on every cell, ``+inf`` included.  Errors
+keep the scalar loop's order: a candidate that cannot be routed or
+validated fails only in a call that evaluates it, at its place in that
+call's block.
+
 Examples are derandomized so a failure reproduces; failures found are
-pinned as regression tests below the suite.  Problem orders stay at or
-above the construction range's scale: far below it most candidates are
-out of the models' domain, and a heuristic may visit none of the few
-that are not (``TestPinnedRegressions``).
+pinned as regression tests below the suite.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.config import ClusterConfig
 from repro.cluster.presets import synthetic_cluster
+from repro.core.estimator import MemoryBin
+from repro.core.grid_kernel import GridKernel
 from repro.core.pipeline import EstimationPipeline, PipelineConfig
 from repro.cost.evaluate import config_dollar_rate
 from repro.cost.model import ZERO_COST, CostModel
-from repro.errors import SearchError
+from repro.errors import ConfigurationError, ModelError, SearchError
 from repro.measure.grids import custom_plan
 
 EXACT = ("branch-bound", "budget-frontier")
 HEURISTICS = ("beam", "greedy", "hill-climb", "anneal")
 BACKENDS = ("exhaustive",) + EXACT + HEURISTICS
 CONSTRUCTION = (400, 800, 1600, 3200)
-SCALAR_CHECKS = 8
+#: Pools up to this size are checked on every cell against the scalar
+#: estimator; larger ones on a seeded sample of SAMPLED_CELLS cells.
+FULL_GRID = 500
+SAMPLED_CELLS = 64
+#: Memory-pressure bins spanning the ratios the synthetic clusters reach.
+BINS = (
+    MemoryBin(0.05),
+    MemoryBin(0.3, ta_scale=1.3, tc_scale=1.1),
+    MemoryBin(1.0, ta_scale=2.5, tc_scale=1.7),
+)
 
 
 @st.composite
-def pipelines(draw):
+def pipelines(draw, binned=False):
     kinds = draw(st.integers(min_value=2, max_value=3))
     rates = draw(
         st.lists(
@@ -67,8 +87,11 @@ def pipelines(draw):
             kind: draw(st.sampled_from([0.02, 0.05, 0.1, 0.3]))
             for kind in spec.kind_names
         })
+    bins = BINS if binned and draw(st.booleans()) else ()
     return EstimationPipeline(
-        spec, PipelineConfig(seed=seed, adjust=False, cost=cost), plan=plan
+        spec,
+        PipelineConfig(seed=seed, adjust=False, cost=cost, memory_bins=bins),
+        plan=plan,
     )
 
 
@@ -85,7 +108,7 @@ def frontier_signature(frontier):
     return [(p.config.key(), p.time_s, p.dollars) for p in frontier.points]
 
 
-def check_oracles(pipeline, sizes, picks):
+def check_oracles(pipeline, sizes):
     searched = {
         tag: pipeline.optimizer(backend=tag).optimize_many(sizes)
         for tag in BACKENDS
@@ -109,9 +132,6 @@ def check_oracles(pipeline, sizes, picks):
         for tag in HEURISTICS:
             found = searched[tag][j].best
             assert exact.estimate_for(found.config) == found.estimate_s, tag
-        for pick in picks:
-            entry = exact.ranking[pick % len(exact.ranking)]
-            assert pipeline.estimate(entry.config, n).total == entry.estimate_s
     for tag in BACKENDS:
         again = pipeline.optimizer(backend=tag).optimize_many(sizes)
         assert [signature(o) for o in again] == [
@@ -122,17 +142,137 @@ def check_oracles(pipeline, sizes, picks):
     ]
 
 
+def check_grid_paths(pipeline, sizes, seed):
+    """Pool path == per-call path == scalar estimator, cell by cell."""
+    pool = pipeline.graph.get("search").problem.resolved_candidates()
+    pipeline.estimate_cache.clear()
+    pooled = pipeline.estimate_grid(pool, sizes)
+    per_call = GridKernel(pipeline.models, pipeline.adjustment).evaluate(
+        list(pool), sizes
+    )
+    assert pooled.tobytes() == per_call.tobytes()
+    for j, n in enumerate(sizes):
+        pipeline.estimate_cache.clear()
+        if np.isfinite(pooled[:, j]).any():
+            exact = pipeline.optimize(n)
+            assert [exact.estimate_for(c) for c in pool] == pooled[:, j].tolist()
+        else:
+            with pytest.raises(SearchError, match="all models out of domain"):
+                pipeline.optimize(n)
+    cells = [(i, j) for i in range(len(pool)) for j in range(len(sizes))]
+    if len(pool) > FULL_GRID:
+        picks = np.random.default_rng(seed).choice(
+            len(cells), SAMPLED_CELLS, replace=False
+        )
+        cells = [cells[k] for k in picks]
+    for i, j in cells:
+        assert pipeline.estimate(pool[i], sizes[j]).total == pooled[i, j]
+    return int(np.isinf(pooled).sum())
+
+
 class TestSearchOracles:
     @given(
         pipeline=pipelines(),
         sizes=st.lists(st.integers(min_value=500, max_value=9000),
                        min_size=1, max_size=2, unique=True),
-        picks=st.lists(st.integers(min_value=0, max_value=10**6),
-                       min_size=SCALAR_CHECKS, max_size=SCALAR_CHECKS),
     )
     @settings(max_examples=50, deadline=None, derandomize=True)
-    def test_backends_agree_with_exhaustive(self, pipeline, sizes, picks):
-        check_oracles(pipeline, sizes, picks)
+    def test_backends_agree_with_exhaustive(self, pipeline, sizes):
+        check_oracles(pipeline, sizes)
+
+
+class TestGridPaths:
+    @given(
+        pipeline=pipelines(binned=True),
+        small=st.integers(min_value=1, max_value=150),
+        sizes=st.lists(st.integers(min_value=150, max_value=12000),
+                       max_size=2, unique=True),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_pool_per_call_and_scalar_agree(self, pipeline, small, sizes, seed):
+        check_grid_paths(pipeline, [small] + sizes, seed)
+
+    def test_orders_below_the_construction_range_give_inf_cells(self):
+        spec = synthetic_cluster([0.5, 1.0], nodes_per_kind=3)
+        plan = custom_plan(spec, CONSTRUCTION, (1600,), max_procs=2,
+                           multiproc_kinds=spec.kind_names)
+        pipeline = EstimationPipeline(
+            spec, PipelineConfig(seed=1, adjust=False, memory_bins=BINS), plan=plan
+        )
+        assert check_grid_paths(pipeline, [20, 4000], seed=0) > 0
+
+
+def routing_pipeline():
+    """124 candidates, some with no P-T model: 2 nodes per kind leave
+    Mi = 1 with a single measured P."""
+    spec = synthetic_cluster([0.5, 1.0, 2.0], nodes_per_kind=2, cpus_per_node=1)
+    plan = custom_plan(spec, CONSTRUCTION, (1600,), max_procs=2,
+                       multiproc_kinds=spec.kind_names)
+    return EstimationPipeline(spec, PipelineConfig(seed=1, adjust=False), plan=plan)
+
+
+class TestErrorOrder:
+    #: The ModelError each backend meets first at N = 4000: the first
+    #: unroutable pool member in the order that backend evaluates.
+    FIRST_FAILURE = {
+        "exhaustive": "(kind2, Mi=1)",
+        "branch-bound": "(kind2, Mi=1)",
+        "beam": "(kind0, Mi=1)",
+        "greedy": "(kind0, Mi=1)",
+        "anneal": "(kind0, Mi=1)",
+        "hill-climb": "(kind1, Mi=1)",
+    }
+
+    @pytest.mark.parametrize("tag", sorted(FIRST_FAILURE))
+    def test_routing_error_per_backend(self, tag):
+        pipeline = routing_pipeline()
+        assert len(pipeline.plan.evaluation_configs) == 124
+        expected = f"no P-T model for {self.FIRST_FAILURE[tag]}"
+        for _ in range(2):  # a failed row stays unrouted and fails again
+            with pytest.raises(ModelError) as raised:
+                pipeline.optimize(4000, backend=tag)
+            assert str(raised.value) == expected
+
+    def test_failure_only_where_evaluated_in_block_order(self):
+        pipeline = routing_pipeline()
+        pool = pipeline.graph.get("search").problem.resolved_candidates()
+        routable, failing = [], []
+        for config in pool:
+            try:
+                pipeline.estimate(config, 4000)
+                routable.append(config)
+            except ModelError as error:
+                failing.append((config, str(error)))
+        assert routable and len({message for _, message in failing}) > 1
+        first, second = next(
+            (a, b) for a in failing for b in failing if a[1] != b[1]
+        )
+        # Routable members alone never meet the unroutable ones.
+        pipeline.estimate_grid(routable, [4000])
+        for block in ([first, second], [second, first]):
+            configs = routable[:3] + [c for c, _ in block]
+            with pytest.raises(ModelError) as raised:
+                pipeline.estimate_grid(configs, [4000])
+            assert str(raised.value) == block[0][1]
+        assert pipeline.estimate_grid(routable, [4000]).shape == (len(routable), 1)
+
+    def test_validation_error_at_the_scalar_loops_first_candidate(self):
+        pipeline = routing_pipeline()
+        pool = list(pipeline.plan.evaluation_configs[:5])
+        bad = [ClusterConfig.of(kind0=(3, 1)), ClusterConfig.of(kind9=(1, 1))]
+        candidates = pool[:2] + bad + pool[2:]
+        with pytest.raises(ConfigurationError) as scalar:
+            for config in candidates:
+                pipeline.estimate(config, 4000)
+        for run in (
+            lambda: pipeline.optimizer(candidates=candidates).optimize(4000),
+            lambda: pipeline.grid_kernel.evaluate(candidates, [4000]),
+            lambda: pipeline.estimate_grid(candidates, [4000]),
+        ):
+            with pytest.raises(ConfigurationError) as raised:
+                run()
+            assert str(raised.value) == str(scalar.value)
 
 
 class TestPinnedRegressions:
