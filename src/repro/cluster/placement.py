@@ -13,12 +13,15 @@ network).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
+
+import numpy as np
 
 from repro.cluster.config import ClusterConfig
 from repro.cluster.pe import PEKind
 from repro.cluster.spec import ClusterSpec
 from repro.errors import ConfigurationError
+from repro.units import GFLOPS
 
 
 @dataclass(frozen=True)
@@ -100,6 +103,25 @@ def place_processes(spec: ClusterSpec, config: ClusterConfig) -> List[ProcessSlo
             f"placement produced {rank} ranks for P={config.total_processes}"
         )
     return slots
+
+
+def rank_rates(
+    slots: Sequence[ProcessSlot], sizes: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-(size, rank) process rates in flops/s and per-rank step overheads.
+
+    This is the production walkers' rate model.  The rates take
+    :meth:`PEKind.process_rate`'s operations in its order (efficiency
+    ramp, oversubscription factor, per-process share) over a
+    ``(len(sizes), P)`` grid, so every entry equals the scalar method's.
+    """
+    peak, ramp, floor, procs, oversub, overhead = np.array([
+        (s.kind.peak_gflops, s.kind.ramp_n, s.kind.efficiency_floor, s.co_resident,
+         s.kind.oversub_factor(s.co_resident), s.kind.step_overhead(s.co_resident))
+        for s in slots
+    ], dtype=float).T
+    eff = np.clip(np.asarray(sizes, dtype=float)[:, None] / ramp, floor, 1.0)
+    return peak * GFLOPS * eff * oversub / procs, overhead
 
 
 def ring_neighbors(slots: List[ProcessSlot]) -> List[Tuple[ProcessSlot, ProcessSlot]]:

@@ -147,7 +147,7 @@ class ModelStore:
             kind = next(km.kind_name for km in first.per_kind if km.pe_count > 0)
             if len(subset.sizes()) < 4:
                 continue
-            model = NTModel.fit_dataset(dataset, kind, config_tuple, weighting=weighting)
+            model = NTModel.fit_dataset(subset, kind, config_tuple, weighting=weighting)
             store.nt[(kind, model.p, model.mi)] = model
 
         for kind in store.kinds():

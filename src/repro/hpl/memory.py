@@ -15,7 +15,8 @@ exactly that purpose.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from collections import Counter
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -116,24 +117,29 @@ def config_memory_ratio(
 def node_slowdowns(
     spec: ClusterSpec,
     slots: Sequence[ProcessSlot],
-    n: int,
+    n: Union[int, Sequence[int]],
     nb: int = 80,
     slope: float = 12.0,
 ) -> np.ndarray:
     """Per-*process* paging slowdown factors for a placement.
 
-    Processes on the same node share its memory pressure; the returned
-    array is indexed by rank.
+    Processes on the same node share its memory pressure.  ``n`` is one
+    order (the result is indexed by rank) or an array of orders (one row
+    per order); every entry takes :func:`memory_ratio`'s and
+    :func:`paging_slowdown`'s operations in their order.
     """
     total = len(slots)
     if total == 0:
         raise SimulationError("empty placement")
-    per_node: Dict[int, int] = {}
-    for slot in slots:
-        per_node[slot.node_index] = per_node.get(slot.node_index, 0) + 1
-    node_factor: Dict[int, float] = {}
-    for node_index, count in per_node.items():
-        node = spec.nodes[node_index]
-        ratio = memory_ratio(n, total, count, node.usable_memory_bytes, nb)
-        node_factor[node_index] = paging_slowdown(ratio, slope)
-    return np.array([node_factor[s.node_index] for s in slots], dtype=float)
+    if slope < 0:
+        raise SimulationError(f"negative paging slope {slope}")
+    per_node = Counter(slot.node_index for slot in slots)
+    procs = np.array([per_node[slot.node_index] for slot in slots], dtype=float)
+    usable = np.array(
+        [spec.nodes[slot.node_index].usable_memory_bytes for slot in slots], dtype=float
+    )
+    if np.any(usable <= 0):
+        raise SimulationError("usable_bytes must be positive")
+    order = np.asarray(n, dtype=float)[..., None]
+    ratio = (order * order * DOUBLE / total + order * nb * DOUBLE * 2.0) * procs / usable
+    return np.where(ratio <= 1.0, 1.0, 1.0 + slope * (ratio - 1.0))

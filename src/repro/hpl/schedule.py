@@ -56,7 +56,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.cluster.config import ClusterConfig
-from repro.cluster.placement import ProcessSlot, place_processes
+from repro.cluster.placement import ProcessSlot, place_processes, rank_rates
 from repro.cluster.spec import ClusterSpec
 from repro.errors import SimulationError
 from repro.hpl import flops
@@ -597,50 +597,54 @@ def simulate_schedule_batch(
     forward_slow, hop_handoff = _ring_factors(params, slots, transport)
 
     # -- per-unique-size tables, rates and (noise-free) broadcast chains ------
+    # One pass over every unique size: row u of a ``(U, K)`` grid holds
+    # size u's steps, padded to the largest panel count K; ``valid_u``
+    # marks the real steps, in the order the tables are concatenated.
     unique_sizes = list(dict.fromkeys(sizes))
     position = {n: i for i, n in enumerate(unique_sizes)}
     row_of = np.array([position[n] for n in sizes])
     tables = [panel_table(n, params.nb, p) for n in unique_sizes]
-    steps = max(table.nblocks for table in tables)  # padded panel count K
+    nblocks = np.array([table.nblocks for table in tables])
+    steps = int(nblocks.max())  # padded panel count K
+    valid_u = np.arange(steps) < nblocks[:, None]  # (U, K)
 
-    def padded(stack_shape, per_table):
-        out = np.zeros((len(tables),) + stack_shape)
-        for i, table in enumerate(tables):
-            value = per_table(table)
-            out[i, : table.nblocks] = value
+    def joined(field: str) -> np.ndarray:
+        return np.concatenate([getattr(table, field) for table in tables])
+
+    def padded(values: np.ndarray) -> np.ndarray:
+        out = np.zeros(valid_u.shape + values.shape[1:])
+        out[valid_u] = values
         return out
 
-    pfact_flops_u = padded((steps,), lambda t: t.pfact_flops)
-    width_u = padded((steps,), lambda t: t.width)
-    update_flops_u = padded((steps, p), lambda t: t.update_flops)
-    laswp_bytes_u = padded((steps, p), lambda t: t.laswp_bytes)
-    valid_u = padded((steps,), lambda t: np.ones(t.nblocks))
-    rates_u = np.empty((len(tables), 4, p))
-    for i, table in enumerate(tables):
-        rates_u[i] = _rank_rates(spec, slots, table.n, params)
+    pfact_flops_u = padded(joined("pfact_flops"))
+    width_u = padded(joined("width"))
+    update_flops_u = padded(joined("update_flops"))
+    laswp_bytes_u = padded(joined("laswp_bytes"))
+    rate_u, step_overhead = rank_rates(slots, unique_sizes)  # (U, P), (P,)
+    paging_u = node_slowdowns(
+        spec, slots, unique_sizes, nb=params.nb, slope=params.paging_slope
+    )
+    mem_rate = np.array([slot.kind.mem_copy_rate() / slot.co_resident for slot in slots])
     if p > 1:
-        hops_own_u = np.zeros((len(tables), steps))
-        delivery_u = np.zeros((len(tables), steps, p))
-        for i, table in enumerate(tables):
-            hops = (
-                transport.ring_hop_times_batch(table.panel_nbytes) * forward_slow
-                + hop_handoff
-            )
-            delivery_u[i, : table.nblocks] = ring_delivery_times_batch(
-                hops, table.owner, pipeline_factor=params.ring_pipeline_factor
-            )
-            hops_own_u[i, : table.nblocks] = hops[
-                np.arange(table.nblocks), table.owner
-            ]
+        owners = joined("owner")
+        hops = (
+            transport.ring_hop_times_batch(joined("panel_nbytes")) * forward_slow
+            + hop_handoff
+        )
+        delivery_u = padded(ring_delivery_times_batch(
+            hops, owners, pipeline_factor=params.ring_pipeline_factor
+        ))
+        hops_own_u = padded(hops[np.arange(len(owners)), owners])
 
     # -- expand to batch rows (one row per (size, noise) entry) ---------------
     owner = np.arange(steps) % p  # owners do not depend on n
     kidx = np.arange(steps)
-    update_rate = rates_u[row_of, 0]  # (S, P)
-    pfact_rate = rates_u[row_of, 1]
-    laswp_rate = rates_u[row_of, 2]
-    step_overhead = rates_u[row_of, 3]
-    valid = valid_u[row_of, :, None].astype(bool)  # (S, K, 1)
+    # PEKind.process_rate's rates, degraded by paging (``_rank_rates``'
+    # operations, in their order).
+    update_rate = (rate_u / paging_u)[row_of]  # (S, P)
+    pfact_rate = (rate_u * params.pfact_efficiency / paging_u)[row_of]
+    laswp_rate = (mem_rate / paging_u)[row_of]
+    valid = valid_u[row_of, :, None]  # (S, K, 1)
 
     # -- pfact / mxswp (owner-only phases) ------------------------------------
     t_pfact = (
@@ -705,21 +709,13 @@ def simulate_schedule_batch(
     phase_totals["uptrsv"] = t_uptrsv
     walls = wall_body + t_uptrsv.max(axis=1)
 
-    results = []
-    for s, n in enumerate(sizes):
-        arrays = {
-            name: np.ascontiguousarray(phase_totals[name][s])
-            for name in PHASE_NAMES
-        }
-        results.append(
-            ScheduleResult(
-                n=n,
-                params=params,
-                slots=slots,
-                phase_arrays=arrays,
-                wall_time_s=float(walls[s]),
-            )
-        )
+    # Each run's phase arrays are views of its row of one (S, F, P) block.
+    block = np.stack([phase_totals[name] for name in PHASE_NAMES], axis=1)
+    results = [
+        ScheduleResult(n=n, params=params, slots=slots,
+                       phase_arrays=dict(zip(PHASE_NAMES, block[s])), wall_time_s=wall)
+        for s, (n, wall) in enumerate(zip(sizes, walls.tolist()))
+    ]
 
     _WALKER_STATS.batch_calls += 1
     _WALKER_STATS.batch_seconds += time.perf_counter() - started

@@ -76,17 +76,16 @@ def _measure_config_batch(
     seed: int,
     batch_runner: BatchRunner,
 ) -> List[Tuple[int, MeasurementRecord]]:
-    """All sizes of one configuration in a single batched simulation —
-    module-level so process-pool workers can unpickle it.  Returns records
-    tagged with their original plan positions."""
+    """All sizes of one configuration in a single batched simulation, and
+    their records from its phase block — module-level so process-pool
+    workers can unpickle it.  Returns records tagged with their original
+    plan positions."""
     config, indexed = group
     results = batch_runner(
         spec, config, [n for _, n in indexed], params=params, noise=noise, seed=seed
     )
-    return [
-        (index, MeasurementRecord.from_result(result, kinds, seed=seed, trial=0))
-        for (index, _), result in zip(indexed, results)
-    ]
+    records = MeasurementRecord.from_results(results, kinds, seed=seed)
+    return [(index, record) for (index, _), record in zip(indexed, records)]
 
 
 def _measure_entries(

@@ -13,7 +13,7 @@ import csv
 import io
 import json
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.errors import MeasurementError
 from repro.hpl.timing import PHASE_NAMES
@@ -23,11 +23,16 @@ _FORMAT_VERSION = 1
 
 
 class Dataset:
-    """An ordered, key-unique collection of measurements."""
+    """An ordered, key-unique collection of measurements.
+
+    Indexed by key and by configuration, so :meth:`lookup` and
+    :meth:`for_config` never scan the records.
+    """
 
     def __init__(self, records: Iterable[MeasurementRecord] = ()):
         self._records: List[MeasurementRecord] = []
-        self._keys: set = set()
+        self._position: Dict[Tuple, int] = {}  # key -> position
+        self._by_config: Dict[Tuple[int, ...], List[int]] = {}  # in record order
         for record in records:
             self.add(record)
 
@@ -35,9 +40,10 @@ class Dataset:
 
     def add(self, record: MeasurementRecord) -> None:
         key = record.key()
-        if key in self._keys:
+        if key in self._position:
             raise MeasurementError(f"duplicate measurement {key}")
-        self._keys.add(key)
+        self._position[key] = len(self._records)
+        self._by_config.setdefault(record.config_tuple, []).append(len(self._records))
         self._records.append(record)
 
     def merge(self, other: "Dataset") -> "Dataset":
@@ -64,8 +70,8 @@ class Dataset:
         return Dataset(r for r in self._records if predicate(r))
 
     def for_config(self, config_tuple: Sequence[int]) -> "Dataset":
-        wanted = tuple(config_tuple)
-        return self.filter(lambda r: r.config_tuple == wanted)
+        positions = self._by_config.get(tuple(config_tuple), ())
+        return Dataset(self._records[i] for i in positions)
 
     def for_n(self, n: int) -> "Dataset":
         return self.filter(lambda r: r.n == n)
@@ -83,22 +89,16 @@ class Dataset:
         return sorted({r.total_processes for r in self._records})
 
     def config_tuples(self) -> List[Tuple[int, ...]]:
-        out: List[Tuple[int, ...]] = []
-        seen = set()
-        for r in self._records:
-            if r.config_tuple not in seen:
-                seen.add(r.config_tuple)
-                out.append(r.config_tuple)
-        return out
+        """Distinct configurations, in order of their first record."""
+        return list(self._by_config)
 
     def lookup(
         self, config_tuple: Sequence[int], n: int, trial: int = 0
     ) -> MeasurementRecord:
         wanted = (tuple(config_tuple), n, trial)
-        for r in self._records:
-            if r.key() == wanted:
-                return r
-        raise MeasurementError(f"no measurement for {wanted}")
+        if wanted not in self._position:
+            raise MeasurementError(f"no measurement for {wanted}")
+        return self._records[self._position[wanted]]
 
     def total_wall_time(self) -> float:
         """Total simulated measurement cost in seconds."""

@@ -10,11 +10,11 @@ else is kept for analysis and reporting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 from repro.cluster.config import ClusterConfig
 from repro.errors import MeasurementError
-from repro.runs import PhaseVector, WorkloadResult
+from repro.runs import PhaseVector, WorkloadResult, kind_means, normalize_trials
 
 
 @dataclass(frozen=True)
@@ -165,33 +165,49 @@ class MeasurementRecord:
         seed: int = 0,
         trial: int = 0,
     ) -> "MeasurementRecord":
-        """Turn a simulator result into a measurement record.
+        """Turn a simulator result into a measurement record (the one-run
+        case of :meth:`from_results`)."""
+        return cls.from_results([result], kinds, seed=seed, trials=trial)[0]
+
+    @classmethod
+    def from_results(
+        cls,
+        results: Sequence[WorkloadResult],
+        kinds: Sequence[str],
+        seed: int = 0,
+        trials: Union[int, Sequence[int]] = 0,
+    ) -> List["MeasurementRecord"]:
+        """Records of one configuration's runs, built from their phase
+        block in one pass (:func:`~repro.runs.kind_means`).
 
         ``kinds`` fixes the flat-tuple ordering (cluster kind order), so
-        records from different configurations align column-wise.
+        records from different configurations align column-wise;
+        ``trials`` is one trial index or one per run.
         """
-        config = result.config
-        per_kind = []
-        for name in kinds:
-            alloc = config.allocation(name)
-            if alloc.pe_count == 0:
-                continue
-            per_kind.append(
-                KindMeasurement(
-                    kind_name=name,
-                    pe_count=alloc.pe_count,
-                    procs_per_pe=alloc.procs_per_pe,
-                    phases=result.kind_phases(name),
-                )
+        if not results:
+            return []
+        kinds = tuple(kinds)
+        config = results[0].config
+        config_tuple = config.as_flat_tuple(kinds)
+        allocations = [(name, config.allocation(name)) for name in kinds]
+        measured = [(name, a) for name, a in allocations if a.pe_count > 0]
+        means = kind_means(results, [name for name, _ in measured])
+        return [
+            cls(
+                kinds=kinds,
+                config_tuple=config_tuple,
+                n=result.n,
+                total_processes=result.total_processes,
+                wall_time_s=result.wall_time_s,
+                gflops=result.gflops,
+                per_kind=tuple(
+                    KindMeasurement(name, alloc.pe_count, alloc.procs_per_pe, phases)
+                    for (name, alloc), phases in zip(measured, kind_phases)
+                ),
+                seed=seed,
+                trial=trial,
             )
-        return cls(
-            kinds=tuple(kinds),
-            config_tuple=config.as_flat_tuple(kinds),
-            n=result.n,
-            total_processes=result.total_processes,
-            wall_time_s=result.wall_time_s,
-            gflops=result.gflops,
-            per_kind=tuple(per_kind),
-            seed=seed,
-            trial=trial,
-        )
+            for result, kind_phases, trial in zip(
+                results, means, normalize_trials(results, trials)
+            )
+        ]

@@ -118,17 +118,14 @@ def _measure_trials_config_batch(
     results = batch_runner(
         spec, config, ns, params=params, noise=noise, seed=seed, trial=ts
     )
+    records = MeasurementRecord.from_results(results, kinds, seed=seed, trials=ts)
     out: List[Tuple[int, MeasurementRecord, float]] = []
     for slot, (index, _) in enumerate(indexed):
-        records = []
+        repeats = records[slot * trials:(slot + 1) * trials]
         cost = 0.0
-        for t in range(trials):
-            record = MeasurementRecord.from_result(
-                results[slot * trials + t], kinds, seed=seed, trial=t
-            )
+        for record in repeats:
             cost += record.wall_time_s
-            records.append(record)
-        out.append((index, aggregate_records(records, how), cost))
+        out.append((index, aggregate_records(repeats, how), cost))
     return out
 
 

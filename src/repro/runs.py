@@ -11,7 +11,10 @@ kind and run — the mean phase times of that kind's processes
   Carlo's); :func:`register_phases` records its field-name schema so a
   serialized mapping can be routed back to its class;
 * :class:`WorkloadResult` — one run as per-process phase arrays plus the
-  rank-to-kind map, and the only per-kind mean (:meth:`kind_phases`);
+  rank-to-kind map; :meth:`WorkloadResult.rows` builds a batch's results
+  as views of a walker's ``(S, P)`` phase matrices;
+* :func:`kind_means` — the only per-kind mean, over a batch's
+  ``(S, F, P)`` phase block (runs x phases x ranks);
 * :func:`noise_rows` / :func:`normalize_trials` — the per-run noise draw
   and ``trial`` expansion every batch runner shares.
 
@@ -21,14 +24,15 @@ It imports nothing from :mod:`repro.hpl`, :mod:`repro.measure` or
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Type
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
 from repro.cluster.config import ClusterConfig
 from repro.errors import MeasurementError, SimulationError
-from repro.rng import stream
+from repro.rng import prefixed_streams
 from repro.units import gflops as to_gflops
 
 
@@ -51,10 +55,11 @@ class PhaseVector:
     COMM_PHASES: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not np.isfinite(value) or value < 0:
-                raise SimulationError(f"phase {f.name} has invalid time {value!r}")
+        # The fields are PHASE_NAMES, in order (checked by register_phases).
+        for name in self.PHASE_NAMES:
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise SimulationError(f"phase {name} has invalid time {value!r}")
 
     # -- paper groupings ----------------------------------------------------
 
@@ -131,6 +136,8 @@ def register_phases(cls):
             f"{cls.__name__}: COMPUTE_PHASES and COMM_PHASES must "
             f"partition PHASE_NAMES"
         )
+    if tuple(f.name for f in fields(cls)) != tuple(cls.PHASE_NAMES):
+        raise MeasurementError(f"{cls.__name__}: fields must be PHASE_NAMES, in order")
     _PHASE_SCHEMAS[key] = cls
     return cls
 
@@ -158,7 +165,7 @@ class WorkloadResult:
 
     Carries per-process phase arrays plus the rank→kind map, and exposes
     what the measurement layer consumes
-    (:meth:`~repro.measure.record.MeasurementRecord.from_result`):
+    (:meth:`~repro.measure.record.MeasurementRecord.from_results`):
     ``config`` / ``n`` / ``total_processes`` / ``wall_time_s`` /
     ``gflops`` / ``kind_phases`` / ``kind_names`` / ``bottleneck_kind``.
     """
@@ -184,6 +191,21 @@ class WorkloadResult:
         self.benchmark_flops = float(benchmark_flops)
         self._kind_ranks: Optional[Dict[str, np.ndarray]] = None
 
+    @classmethod
+    def rows(cls, spec_name: str, config: ClusterConfig, ns: Sequence[int],
+             walls: np.ndarray, phases: Mapping[str, np.ndarray],
+             rank_kinds: Sequence[str], phase_class: type,
+             benchmark_flops: Callable[[int], float]) -> List["WorkloadResult"]:
+        """A walker's batch as results: run ``i`` holds row ``i`` of
+        ``walls`` and of each ``(S, P)`` phase matrix — a view, not a copy."""
+        rank_kinds = tuple(rank_kinds)
+        return [
+            cls(spec_name, config, n, wall,
+                {name: phases[name][i] for name in phase_class.PHASE_NAMES},
+                rank_kinds, phase_class, benchmark_flops(n))
+            for i, (n, wall) in enumerate(zip(ns, walls.tolist()))
+        ]
+
     def _rank_index(self) -> Dict[str, np.ndarray]:
         """Each kind's ranks, kinds in order of their first rank; built on
         first use, once per result."""
@@ -207,32 +229,56 @@ class WorkloadResult:
         return list(self._rank_index())
 
     def kind_phases(self, kind_name: str):
-        """Mean phase breakdown over the processes of one kind.
-
-        Every rank's every phase must be finite and non-negative.  The
-        kind's ranks are folded left to right and the sum multiplied by
-        ``1/k`` — the order HPL's golden data pins — never ``np.mean``.
-        """
-        ranks = self._rank_index().get(kind_name)
-        if ranks is None:
-            raise SimulationError(
-                f"kind {kind_name!r} has no processes in config {self.config.label()}"
-            )
-        names = self.phase_class.PHASE_NAMES
-        values = np.stack([self.phase_arrays[name] for name in names])  # (F, P)
-        bad = ~np.isfinite(values) | (values < 0)
-        if bad.any():
-            rank, phase = np.argwhere(bad.T)[0]
-            raise SimulationError(
-                f"phase {names[phase]} has invalid time "
-                f"{float(values[phase, rank])!r} on rank {int(rank)}"
-            )
-        means = left_fold(values[:, ranks]) * (1.0 / len(ranks))
-        return self.phase_class(**dict(zip(names, means.tolist())))
+        """Mean phase breakdown over the processes of one kind: the one-run
+        case of :func:`kind_means`."""
+        return next(kind_means([self], [kind_name]))[0]
 
     def bottleneck_kind(self) -> str:
         """Kind whose mean busy time is largest (drives the wall time)."""
         return max(self.kind_names(), key=lambda k: self.kind_phases(k).total)
+
+
+def kind_means(
+    results: Sequence[WorkloadResult], kind_names: Sequence[str]
+) -> Iterator[Tuple[PhaseVector, ...]]:
+    """Per-kind mean phase vectors of runs of one configuration, run by run.
+
+    The runs' phase arrays form one ``(S, F, P)`` block (runs x phases x
+    ranks), checked in one pass: every value must be finite and
+    non-negative.  Each kind's ``(S, F, k)`` slice is folded left to right
+    over its ranks and the sum multiplied by ``1/k`` — the order HPL's
+    golden data pins — never ``np.mean``.  Yields one tuple per run, in
+    ``kind_names`` order; at the first run holding an invalid value it
+    raises instead, naming the phase and that run's lowest invalid rank,
+    so records built run by run fail where a run-by-run path would.
+    """
+    first = results[0]
+    phase_class = first.phase_class
+    names = phase_class.PHASE_NAMES
+    shared = (first.config, first.rank_kinds, phase_class)
+    if any((r.config, r.rank_kinds, r.phase_class) != shared for r in results):
+        raise SimulationError("kind means need runs of one configuration")
+    index = first._rank_index()
+    for kind_name in kind_names:
+        if kind_name not in index:
+            raise SimulationError(
+                f"kind {kind_name!r} has no processes in config {first.config.label()}"
+            )
+    block = np.array([[r.phase_arrays[name] for name in names] for r in results],
+                     dtype=float)
+    bad = ~np.isfinite(block) | (block < 0)
+    run, rank, phase = np.argwhere(bad.transpose(0, 2, 1))[0] if bad.any() else (-1, 0, 0)
+    means = [
+        (left_fold(block[..., index[k]]) * (1.0 / len(index[k]))).tolist()
+        for k in kind_names
+    ]
+    for s in range(len(results)):
+        if s == run:
+            raise SimulationError(
+                f"phase {names[phase]} has invalid time "
+                f"{float(block[s, phase, rank])!r} on rank {int(rank)}"
+            )
+        yield tuple(phase_class(*rows[s]) for rows in means)
 
 
 def noise_rows(
@@ -248,23 +294,28 @@ def noise_rows(
     Each row draws from ``stream(seed, label, config.key(), N, trial)``:
     compute jitter, comm jitter, then the outlier roll.  The draw depends
     only on its own ``(config, N, trial)``, so a run gets the same noise
-    alone or in any batch.  Returns ``(compute_rows, comm_rows)`` of shape
-    ``(len(sizes), P)``, or ``(None, None)`` when noise is disabled.
+    alone or in any batch.  The ``(label, config.key())`` prefix is hashed
+    once per batch, and the batch's rows are exponentiated together.
+    Returns ``(compute_rows, comm_rows)`` of shape ``(len(sizes), P)``, or
+    ``(None, None)`` when noise is disabled.
     """
     if noise is None or not noise.enabled:
         return None, None
     p = config.total_processes
     compute_rows = np.empty((len(sizes), p))
     comm_rows = np.empty((len(sizes), p))
-    for i, (n, trial) in enumerate(zip(sizes, trials)):
-        rng = stream(seed, label, config.key(), n, trial)
-        compute = np.exp(rng.normal(0.0, noise.sigma_compute, size=p))
-        comm = np.exp(rng.normal(0.0, noise.sigma_comm, size=p))
-        if noise.outlier_probability > 0 and rng.random() < noise.outlier_probability:
-            compute = compute * noise.outlier_factor
-            comm = comm * noise.outlier_factor
-        compute_rows[i] = compute
-        comm_rows[i] = comm
+    outliers = np.zeros(len(sizes), dtype=bool)
+    streams = prefixed_streams(seed, (label, config.key()), zip(sizes, trials))
+    for i, rng in enumerate(streams):
+        compute_rows[i] = rng.normal(0.0, noise.sigma_compute, size=p)
+        comm_rows[i] = rng.normal(0.0, noise.sigma_comm, size=p)
+        outliers[i] = (
+            noise.outlier_probability > 0 and rng.random() < noise.outlier_probability
+        )
+    np.exp(compute_rows, out=compute_rows)
+    np.exp(comm_rows, out=comm_rows)
+    compute_rows[outliers] *= noise.outlier_factor
+    comm_rows[outliers] *= noise.outlier_factor
     return compute_rows, comm_rows
 
 

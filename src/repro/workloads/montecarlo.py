@@ -35,7 +35,7 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 
 from repro.cluster.config import ClusterConfig
-from repro.cluster.placement import place_processes
+from repro.cluster.placement import place_processes, rank_rates
 from repro.cluster.spec import ClusterSpec
 from repro.errors import SimulationError
 from repro.measure.grids import (
@@ -52,7 +52,6 @@ from repro.runs import (
     register_phases,
 )
 from repro.workloads.base import Workload, register_workload
-from repro.workloads.sorting import _placement_arrays, _rates
 
 #: Problem "order" N counts hundreds of lattice sites.
 SITES_PER_UNIT = 100.0
@@ -99,24 +98,26 @@ def simulate_montecarlo_batch(
 ) -> List[WorkloadResult]:
     """Vectorized synchronous-MC walk: all sizes of one config at once.
 
-    The iteration loop (a fixed, small ``MC_ITERATIONS``) stays in
-    Python; everything inside it is array arithmetic over the
-    ``(S, P)`` size x rank grid.
+    The balancer's chunk schedule does not depend on any timing, so it is
+    computed first (``MC_ITERATIONS`` small steps); every sweep, barrier
+    and rebalance time is then one array expression over the
+    ``(iterations, S, P)`` grid.  Per-rank totals are cumulative sums
+    along the iteration axis, and the wall time one cumulative sum over
+    the interleaved per-iteration terms — the reference loop's ``+=``
+    order, so the bits do not depend on the batch.
     """
     ns = [int(n) for n in sizes]
     if any(n < 1 for n in ns):
         raise SimulationError(f"problem orders must be >= 1, got {ns}")
-    slots, peak, ramp, floor, procs, oversub, overhead, node = _placement_arrays(
-        spec, config
-    )
+    slots = place_processes(spec, config)
     p = len(slots)
     s_arr = np.asarray(ns, dtype=float)
-    sites = s_arr * SITES_PER_UNIT  # (S,)
+    sites = s_arr[:, None] * SITES_PER_UNIT  # (S, 1)
 
     f_comp = np.ones((len(ns), p)) if compute_noise is None else np.asarray(compute_noise)
     f_comm = np.ones((len(ns), p)) if comm_noise is None else np.asarray(comm_noise)
 
-    rate = _rates(s_arr, peak, ramp, floor, procs, oversub)  # (S, P)
+    rate, overhead = rank_rates(slots, s_arr)  # (S, P), (P,)
     speed_share = rate / rate.sum(axis=1, keepdims=True)
 
     if p > 1:
@@ -126,55 +127,33 @@ def simulate_montecarlo_batch(
     else:
         barrier_latency = 0.0
 
-    chunk = np.full((len(ns), p), 1.0 / p)
-    t_sweep = np.zeros((len(ns), p))
-    t_barrier = np.zeros((len(ns), p))
-    t_rebalance = np.zeros((len(ns), p))
-    wall = np.zeros(len(ns))
+    # Dynamic balancing: each iteration moves a REBALANCE_GAIN fraction of
+    # the gap to the speed-proportional target.
+    chunk = np.empty((MC_ITERATIONS, len(ns), p))
+    chunk[0] = 1.0 / p
+    for i in range(1, MC_ITERATIONS):
+        chunk[i] = chunk[i - 1] + REBALANCE_GAIN * (speed_share - chunk[i - 1])
+    delta = REBALANCE_GAIN * (speed_share - chunk)
 
-    for _ in range(MC_ITERATIONS):
-        step = (
-            chunk * sites[:, None] * SWEEP_OPS / rate + overhead[None, :]
-        ) * f_comp
-        t_sweep += step
-        slowest = step.max(axis=1)  # (S,)
-        wait = (slowest[:, None] - step) + barrier_latency * f_comm
-        t_barrier += wait
-        wall += slowest + (barrier_latency * f_comm).max(axis=1)
+    step = (chunk * sites * SWEEP_OPS / rate + overhead) * f_comp  # (I, S, P)
+    slowest = step.max(axis=2)  # (I, S)
+    wait = (slowest[..., None] - step) + barrier_latency * f_comm
+    # Moved state crosses the network.
+    if p > 1:
+        moved_bytes = np.abs(delta) * sites * STATE_BYTES
+        reb = np.asarray(spec.network.message_time(moved_bytes), dtype=float) * f_comm
+    else:
+        reb = np.zeros_like(step)
+    terms = np.empty((2 * MC_ITERATIONS, len(ns)))
+    terms[0::2] = slowest + (barrier_latency * f_comm).max(axis=1)
+    terms[1::2] = reb.max(axis=2)
 
-        # Dynamic balancing: move a REBALANCE_GAIN fraction of the gap to
-        # the speed-proportional target; moved state crosses the network.
-        delta = REBALANCE_GAIN * (speed_share - chunk)
-        moved_bytes = np.abs(delta) * sites[:, None] * STATE_BYTES
-        reb = (
-            np.asarray(spec.network.message_time(moved_bytes), dtype=float) * f_comm
-            if p > 1
-            else np.zeros((len(ns), p))
-        )
-        t_rebalance += reb
-        wall += reb.max(axis=1)
-        chunk = chunk + delta
-
-    rank_kinds = [slot.kind.name for slot in slots]
-    results = []
-    for i, n in enumerate(ns):
-        results.append(
-            WorkloadResult(
-                spec_name=spec.name,
-                config=config,
-                n=n,
-                wall_time_s=float(wall[i]),
-                phase_arrays={
-                    "sweep": t_sweep[i].copy(),
-                    "barrier": t_barrier[i].copy(),
-                    "rebalance": t_rebalance[i].copy(),
-                },
-                rank_kinds=rank_kinds,
-                phase_class=MonteCarloPhases,
-                benchmark_flops=montecarlo_benchmark_flops(n),
-            )
-        )
-    return results
+    phases = {name: values.cumsum(axis=0)[-1]
+              for name, values in (("sweep", step), ("barrier", wait), ("rebalance", reb))}
+    return WorkloadResult.rows(
+        spec.name, config, ns, terms.cumsum(axis=0)[-1], phases,
+        [slot.kind.name for slot in slots], MonteCarloPhases, montecarlo_benchmark_flops,
+    )
 
 
 def simulate_montecarlo_reference(

@@ -35,7 +35,7 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 
 from repro.cluster.config import ClusterConfig
-from repro.cluster.placement import place_processes
+from repro.cluster.placement import place_processes, rank_rates
 from repro.cluster.spec import ClusterSpec
 from repro.errors import SimulationError
 from repro.measure.grids import (
@@ -44,7 +44,6 @@ from repro.measure.grids import (
     construction_configs,
     evaluation_configs,
 )
-from repro.units import GFLOPS
 from repro.runs import (
     PhaseVector,
     WorkloadResult,
@@ -95,29 +94,6 @@ def sorting_benchmark_flops(n: int) -> float:
     return keys * np.log2(keys) * SORT_OPS
 
 
-def _placement_arrays(spec: ClusterSpec, config: ClusterConfig):
-    """Per-rank static properties of a placement (vectorized inputs)."""
-    slots = place_processes(spec, config)
-    peak = np.array([s.kind.peak_gflops for s in slots])
-    ramp = np.array([s.kind.ramp_n for s in slots])
-    floor = np.array([s.kind.efficiency_floor for s in slots])
-    procs = np.array([float(s.co_resident) for s in slots])
-    oversub = np.array([s.kind.oversub_factor(s.co_resident) for s in slots])
-    overhead = np.array([s.kind.step_overhead(s.co_resident) for s in slots])
-    node = np.array([s.node_index for s in slots])
-    return slots, peak, ramp, floor, procs, oversub, overhead, node
-
-
-def _rates(sizes: np.ndarray, peak, ramp, floor, procs, oversub) -> np.ndarray:
-    """Per-(size, rank) sustained process rates in flops/s.
-
-    Element-wise replication of :meth:`repro.cluster.pe.PEKind.process_rate`
-    (efficiency ramp, oversubscription factor, per-process share).
-    """
-    eff = np.clip(sizes[:, None] / ramp[None, :], floor[None, :], 1.0)
-    return peak[None, :] * GFLOPS * eff * oversub[None, :] / procs[None, :]
-
-
 def simulate_sorting_batch(
     spec: ClusterSpec,
     config: ClusterConfig,
@@ -134,17 +110,16 @@ def simulate_sorting_batch(
     ns = [int(n) for n in sizes]
     if any(n < 1 for n in ns):
         raise SimulationError(f"problem orders must be >= 1, got {ns}")
-    slots, peak, ramp, floor, procs, oversub, overhead, node = _placement_arrays(
-        spec, config
-    )
+    slots = place_processes(spec, config)
     p = len(slots)
+    node = np.array([slot.node_index for slot in slots])
     s_arr = np.asarray(ns, dtype=float)
     keys_total = s_arr * KEYS_PER_UNIT  # (S,)
 
     f_comp = np.ones((len(ns), p)) if compute_noise is None else np.asarray(compute_noise)
     f_comm = np.ones((len(ns), p)) if comm_noise is None else np.asarray(comm_noise)
 
-    rate = _rates(s_arr, peak, ramp, floor, procs, oversub)  # (S, P)
+    rate, overhead = rank_rates(slots, s_arr)  # (S, P), (P,)
     share = rate / rate.sum(axis=1, keepdims=True)  # speed-proportional
     local0 = keys_total[:, None] / p  # even initial distribution
     recv = keys_total[:, None] * share  # keys owned after scatter
@@ -190,27 +165,12 @@ def simulate_sorting_batch(
         + t_merge.max(axis=1)
     )
 
-    rank_kinds = [slot.kind.name for slot in slots]
-    results = []
-    for i, n in enumerate(ns):
-        results.append(
-            WorkloadResult(
-                spec_name=spec.name,
-                config=config,
-                n=n,
-                wall_time_s=float(wall[i]),
-                phase_arrays={
-                    "partition": t_partition[i].copy(),
-                    "scatter": t_scatter[i].copy(),
-                    "local_sort": t_local_sort[i].copy(),
-                    "merge": t_merge[i].copy(),
-                },
-                rank_kinds=rank_kinds,
-                phase_class=SortingPhases,
-                benchmark_flops=sorting_benchmark_flops(n),
-            )
-        )
-    return results
+    phases = {"partition": t_partition, "scatter": t_scatter,
+              "local_sort": t_local_sort, "merge": t_merge}
+    return WorkloadResult.rows(
+        spec.name, config, ns, wall, phases, [slot.kind.name for slot in slots],
+        SortingPhases, sorting_benchmark_flops,
+    )
 
 
 def simulate_sorting_reference(

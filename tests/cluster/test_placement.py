@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster.config import ClusterConfig
-from repro.cluster.placement import place_processes, ring_neighbors
+from repro.cluster.placement import place_processes, rank_rates, ring_neighbors
 from repro.cluster.presets import kishimoto_cluster
 from repro.errors import ConfigurationError
 
@@ -77,3 +77,17 @@ class TestRingNeighbors:
 
     def test_empty_ring(self):
         assert ring_neighbors([]) == []
+
+
+class TestRankRates:
+    @pytest.mark.parametrize("values", [(1, 1, 0, 0), (1, 5, 8, 1), (0, 0, 8, 3)])
+    def test_rates_equal_process_rate_bitwise(self, spec, values):
+        """The production walkers' vectorized rate model is
+        ``PEKind.process_rate`` entry for entry, across the ramp's knee."""
+        slots = place_processes(spec, cfg(*values))
+        sizes = [1, 400, 999, 1400, 6400, 12000]
+        rates, overhead = rank_rates(slots, sizes)
+        assert rates.shape == (len(sizes), len(slots))
+        for n, row in zip(sizes, rates.tolist()):
+            assert row == [s.kind.process_rate(n, s.co_resident) for s in slots]
+        assert overhead.tolist() == [s.kind.step_overhead(s.co_resident) for s in slots]

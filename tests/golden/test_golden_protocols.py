@@ -78,3 +78,21 @@ class TestGoldenProtocols:
             assert _round_trip(got) == expected[str(n)], (
                 f"{protocol} ranking drifted at N={n}"
             )
+
+
+def test_default_pipeline_is_hpl_through_the_registry(golden, pipelines):
+    """A pipeline built without naming a workload runs HPL through the
+    workload registry and reproduces the golden NS artifact bitwise."""
+    pipeline = pipelines["ns"]
+    expected = golden["protocols"]["ns"]
+    assert pipeline.workload.tag == "hpl"
+    assert _round_trip(pipeline.adjustment.to_dict()) == expected["adjustment"]
+    for n_text, ranking in expected["sizes"].items():
+        got = [
+            {
+                "config": list(entry.config.as_flat_tuple(pipeline.plan.kinds)),
+                "estimate": entry.estimate_s,
+            }
+            for entry in pipeline.optimize(int(n_text)).ranking
+        ]
+        assert _round_trip(got) == ranking, f"HPL ranking drifted at N={n_text}"

@@ -150,3 +150,25 @@ class TestMemoryModel:
         config = ClusterConfig.from_tuple(KINDS, (0, 0, 5, 1))
         slots = place_processes(spec, config)
         assert np.all(node_slowdowns(spec, slots, 10000) == 1.0)
+
+    @pytest.mark.parametrize("values", [(1, 1, 0, 0), (1, 3, 8, 2), (0, 0, 2, 3)])
+    def test_array_orders_equal_the_scalar_model(self, values):
+        """An array of orders gives one row per order, each bitwise the
+        per-node ``memory_ratio`` -> ``paging_slowdown`` chain."""
+        spec = kishimoto_cluster()
+        slots = place_processes(spec, ClusterConfig.from_tuple(KINDS, values))
+        sizes = [400, 6400, 10000, 30000]
+        rows = node_slowdowns(spec, slots, sizes, nb=64, slope=9.0)
+        assert rows.shape == (len(sizes), len(slots))
+        for n, row in zip(sizes, rows):
+            expected = [
+                paging_slowdown(memory_ratio(
+                    n, len(slots), sum(s.node_index == slot.node_index for s in slots),
+                    spec.nodes[slot.node_index].usable_memory_bytes, 64), 9.0)
+                for slot in slots
+            ]
+            assert row.tolist() == expected
+            assert np.array_equal(node_slowdowns(spec, slots, n, nb=64, slope=9.0), row)
+        assert rows.max() > 1.0  # the paging branch is exercised
+        with pytest.raises(SimulationError, match="negative paging slope"):
+            node_slowdowns(spec, slots, sizes, slope=-1.0)

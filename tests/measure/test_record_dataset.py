@@ -155,3 +155,85 @@ class TestDataset:
     def test_summary(self, athlon_record):
         assert "1 records" in Dataset([athlon_record]).summary()
         assert Dataset().summary() == "Dataset(empty)"
+
+
+def scan_lookup(dataset, config_tuple, n, trial=0):
+    """The key search the index replaced: first record with that key."""
+    wanted = (tuple(config_tuple), n, trial)
+    matches = [r for r in dataset if r.key() == wanted]
+    return matches[0] if matches else None
+
+
+def scan_config_tuples(dataset):
+    out = []
+    for r in dataset:
+        if r.config_tuple not in out:
+            out.append(r.config_tuple)
+    return out
+
+
+def assert_index_matches_scan(dataset, probes):
+    """Every query the index answers equals a scan over the records."""
+    assert dataset.config_tuples() == scan_config_tuples(dataset)
+    for config_tuple in dataset.config_tuples() + [(9, 9, 9, 9)]:
+        got = dataset.for_config(config_tuple)
+        assert list(got) == [r for r in dataset if r.config_tuple == config_tuple]
+    for config_tuple, n, trial in probes:
+        expected = scan_lookup(dataset, config_tuple, n, trial)
+        if expected is None:
+            with pytest.raises(MeasurementError, match=r"no measurement for \(\(.*"):
+                dataset.lookup(config_tuple, n, trial)
+        else:
+            assert dataset.lookup(config_tuple, n, trial) is expected
+
+
+class TestDatasetIndex:
+    """The key and per-configuration index answers what a scan would,
+    after ``add``, ``merge`` and ``filter``, in record order."""
+
+    @pytest.fixture(scope="class")
+    def records(self):
+        return [
+            record_for(1, 1, 0, 0, 400, trial=0),
+            record_for(0, 0, 2, 1, 400, trial=0),
+            record_for(1, 1, 0, 0, 800, trial=0),
+            record_for(1, 1, 0, 0, 400, trial=1),
+            record_for(0, 0, 2, 1, 800, trial=2),
+        ]
+
+    @pytest.fixture(scope="class")
+    def probes(self, records):
+        keys = [r.key() for r in records]
+        return keys + [((1, 1, 0, 0), 400, 2), ((0, 0, 2, 1), 1600, 0),
+                       ((1, 1, 0, 0), 800.0, 0), ((3, 1, 0, 0), 400, 0)]
+
+    def test_after_add(self, records, probes):
+        ds = Dataset()
+        for record in records:
+            ds.add(record)
+            assert_index_matches_scan(ds, probes)
+
+    def test_rejected_duplicate_leaves_the_index_unchanged(self, records, probes):
+        ds = Dataset(records)
+        with pytest.raises(MeasurementError, match="duplicate measurement"):
+            ds.add(records[2])
+        assert len(ds) == len(records)
+        assert_index_matches_scan(ds, probes)
+
+    def test_after_merge(self, records, probes):
+        merged = Dataset(records[:2]).merge(Dataset(records[2:]))
+        assert list(merged) == records
+        assert_index_matches_scan(merged, probes)
+
+    def test_after_filter(self, records, probes):
+        ds = Dataset(records)
+        for predicate in (lambda r: r.n == 400, lambda r: r.trial > 0,
+                          lambda r: r.config_tuple == (0, 0, 2, 1), lambda r: False):
+            filtered = ds.filter(predicate)
+            assert list(filtered) == [r for r in records if predicate(r)]
+            assert_index_matches_scan(filtered, probes)
+
+    def test_missing_lookup_message(self, records):
+        with pytest.raises(MeasurementError) as info:
+            Dataset(records).lookup([1, 1, 0, 0], 3200, 1)
+        assert str(info.value) == "no measurement for ((1, 1, 0, 0), 3200, 1)"

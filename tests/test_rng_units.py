@@ -1,5 +1,7 @@
 """Tests for deterministic RNG streams and unit helpers."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,26 @@ class TestStreams:
         value = rng_mod.stream(123, "golden").random()
         again = rng_mod.stream(123, "golden").random()
         assert value == again
+
+    def test_prefix_folded_seed_equals_full_fold(self):
+        """Folding a shared prefix once and continuing a copy of its hash
+        state gives the full tuple's fold, for every suffix."""
+        prefix = ("hpl-run", ((1, 2), (8, 1)))
+        state = rng_mod._fold(hashlib.sha256(), prefix)
+        for suffix in [(1600, 0), (1600, 3), (6400, 0), ()]:
+            assert rng_mod._fold_keys(suffix, state) == rng_mod._fold_keys(
+                prefix + suffix
+            )
+        # the prefix state is copied, never advanced
+        assert rng_mod._fold_keys((), state) == rng_mod._fold_keys(prefix)
+
+    def test_prefixed_streams_equal_stream(self):
+        prefix = ("sorting-run", ("athlon", 1, 5))
+        suffixes = [(2000, 0), (2000, 1), (12000, 4)]
+        got = [g.random(8) for g in rng_mod.prefixed_streams(7, prefix, suffixes)]
+        want = [rng_mod.stream(7, *prefix, *suffix).random(8) for suffix in suffixes]
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
 
     def test_spawn_seed_deterministic(self):
         assert rng_mod.spawn_seed(5, "a") == rng_mod.spawn_seed(5, "a")

@@ -1,7 +1,8 @@
 """The acceptance loop per family: campaign -> fit -> compose -> adjust
--> search (all backends) -> persist -> calibrate, with no
+-> search (all backends) -> persist -> serve -> calibrate, with no
 workload-specific branches outside ``repro.workloads``."""
 
+import asyncio
 import json
 import math
 
@@ -12,6 +13,31 @@ from repro.cli import main as cli_main
 from repro.cluster.config import ClusterConfig
 from repro.core.persistence import load_pipeline, save_pipeline
 from repro.core.search import registered_search_backends
+from repro.serve import EstimationServer, ModelRegistry
+
+
+SERVED_CONFIG = (1, 2, 8, 1)
+
+
+async def serve_two(registry, family, n):
+    """Ask a fresh server for one estimate under the right ``workload``
+    and one under a wrong one; return both replies."""
+    server = EstimationServer(registry, port=0, refresh_interval_s=None)
+    host, port = await server.start()
+    try:
+        reader, writer = await asyncio.open_connection(host, port)
+        replies = []
+        for i, workload in enumerate((family, "hpl" if family != "hpl" else "sorting")):
+            writer.write((json.dumps({
+                "id": i, "op": "estimate", "pipeline": family,
+                "config": list(SERVED_CONFIG), "n": n, "workload": workload,
+            }) + "\n").encode())
+            await writer.drain()
+            replies.append(json.loads(await reader.readline()))
+        writer.close()
+        return replies
+    finally:
+        await server.shutdown()
 
 
 def pipelines(request):
@@ -42,6 +68,32 @@ class TestFullLoop:
         config = ClusterConfig.from_tuple(pipeline.plan.kinds, (1, 2, 8, 1))
         total = float(pipeline.estimate_totals(config, [n])[0])
         assert math.isfinite(total) and total > 0
+
+    def test_optimize_winner_is_finite_and_positive(self, request, family):
+        pipeline = pipelines(request)[family]
+        n = pipeline.plan.evaluation_sizes[0]
+        winner = pipeline.optimize(n).ranking[0]
+        assert math.isfinite(winner.estimate_s) and winner.estimate_s > 0
+
+    def test_served_estimate_is_the_direct_one(self, request, family, tmp_path):
+        """A saved family pipeline served over a socket answers an estimate
+        carrying the ``workload`` field bitwise equal to the direct call,
+        and refuses a mismatched ``workload`` with a typed reply."""
+        pipeline = pipelines(request)[family]
+        n = pipeline.plan.evaluation_sizes[0]
+        config = ClusterConfig.from_tuple(pipeline.plan.kinds, SERVED_CONFIG)
+        want = float(pipeline.estimate_totals(config, [n])[0])
+        out = save_pipeline(pipeline, tmp_path / family, include_evaluation=False)
+        assert json.loads((out / "manifest.json").read_text())["workload"] == family
+        registry = ModelRegistry()
+        registry.add(family, out)
+        ok, refused = asyncio.run(serve_two(registry, family, n))
+        assert ok.get("ok"), ok
+        assert ok["result"]["totals"] == [want]  # bitwise
+        error = refused.get("error", {})
+        assert not refused.get("ok") and error.get("type") == "InvalidRequest"
+        assert error.get("pipeline_workload") == family
+        assert error.get("field") == "workload"
 
     def test_every_search_backend_runs(self, request, family):
         pipeline = pipelines(request)[family]
