@@ -9,8 +9,9 @@ median campaign with outliers.  The batch-composition oracle
 the scalar runner within one revision, so a change that moves both paths
 alike passes it; these digests catch that.
 
-The file was captured from the code before the batch record builder by
-running this module as a script from the repository root::
+The file was captured from the code before records were built from a
+batch's phase block, by running this module as a script from the
+repository root::
 
     PYTHONPATH=src python tests/golden/test_golden_datasets.py
 
