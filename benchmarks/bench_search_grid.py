@@ -126,7 +126,8 @@ def test_exhaustive_full_space_gate(benchmark, write_result):
 
 def _captured_frontiers(problem, tag: str):
     """The deduplicated neighbor frontiers a real run of ``tag`` block-
-    evaluates, as config lists (captured by instrumenting ``_prefetch``)."""
+    evaluates, as config lists (captured by instrumenting ``_prefetch``,
+    whose states are lattice indices)."""
     backend = create_search(tag, problem)
     frontiers = []
     original = backend._prefetch
@@ -138,7 +139,7 @@ def _captured_frontiers(problem, tag: str):
     backend._prefetch = capture
     backend.optimize(N)
     return [
-        [backend._to_config(state) for state in frontier]
+        [backend.lattice.config(state) for state in frontier]
         for frontier in frontiers
         if len(frontier) >= 4
     ]

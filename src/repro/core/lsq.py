@@ -161,6 +161,12 @@ def design_quadratic(x: Sequence[float]) -> np.ndarray:
 
 
 def polyval(coefficients: Sequence[float], x) -> np.ndarray | float:
-    """Evaluate a highest-power-first polynomial (shape-preserving)."""
+    """Evaluate a highest-power-first polynomial (shape-preserving); a Python
+    number runs ``np.polyval``'s steps ``y = y * x + c`` in floats, same bits."""
+    if isinstance(x, (int, float)):
+        y, x = 0.0, float(x)
+        for c in coefficients:
+            y = y * x + c
+        return float(y)
     result = np.polyval(np.asarray(coefficients, dtype=float), np.asarray(x, dtype=float))
     return result if np.ndim(result) else float(result)

@@ -141,7 +141,7 @@ class TimeModelMixin:
                 f"{type(self).__name__} ({self.kind_name}, Mi={self.mi}) "
                 "needs the total process count P"
             )
-        if np.any(np.asarray(p) < self.mi):
+        if (p < self.mi) if isinstance(p, int) else np.any(np.asarray(p) < self.mi):
             raise ModelError(
                 f"{type(self).__name__} ({self.kind_name}, Mi={self.mi}) "
                 f"queried with P < Mi — that case does not exist (paper Fig. 5)"

@@ -84,10 +84,12 @@ class PTModel(TimeModelMixin):
     def predict_tc(self, n, p=None):
         """Communication time of this kind's processes at ``(N, P)``."""
         self._check_p(p)
-        ref = np.asarray(lsq.polyval(self.tc_ref, n), dtype=float)
-        p_arr = np.asarray(p, dtype=float)
-        result = self.k9 * p_arr * ref + self.k10 * ref / p_arr + self.k11
-        return result if result.ndim else float(result)
+        ref = lsq.polyval(self.tc_ref, n)
+        if not (np.ndim(ref) or np.ndim(p)):
+            p = float(p)
+            return self.k9 * p * ref + self.k10 * ref / p + self.k11
+        ref, p_arr = np.asarray(ref, dtype=float), np.asarray(p, dtype=float)
+        return self.k9 * p_arr * ref + self.k10 * ref / p_arr + self.k11
 
     @property
     def domain(self) -> ModelDomain:

@@ -28,6 +28,7 @@ importing this package registers every built-in backend.
 """
 
 from repro.core.search.base import (
+    CandidateBlock,
     GridEstimator,
     RankedEstimate,
     SearchBackend,
@@ -72,6 +73,7 @@ from repro.core.search.synthetic import (
 __all__ = [
     "BeamSearch",
     "BranchBoundSearch",
+    "CandidateBlock",
     "DEFAULT_BACKEND",
     "ExhaustiveOptimizer",
     "GreedyGrowth",

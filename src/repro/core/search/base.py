@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import (
     Callable,
     Dict,
@@ -75,6 +76,21 @@ def pointwise(fn: Callable[[ClusterConfig, int], float]) -> GridEstimator:
         return out
 
     return grid
+
+
+class CandidateBlock(Sequence[ClusterConfig]):
+    """Pool members ``pool[positions[i]]`` as a read-only sequence of
+    configurations; the search engine reads ``positions`` as rows."""
+
+    def __init__(self, pool: Sequence[ClusterConfig], positions: "np.ndarray"):
+        self.pool = pool
+        self.positions = positions
+
+    def __len__(self) -> int:
+        return len(self.positions)
+
+    def __getitem__(self, index: int) -> ClusterConfig:
+        return self.pool[self.positions[index]]
 
 
 def grid_block(
@@ -469,9 +485,9 @@ class SearchProblem:
     One problem may serve many runs (the pipeline's search engine hands
     one to every backend it builds over its default pool).  What the
     backends derive from the candidates alone — the candidate tuple, the
-    product space, the exact-cover verdict, the key ranks — is derived on
-    first use and kept, so ``candidates``, ``space`` and ``kinds`` must
-    not change once the problem is in use.  A bound oracle memoizes
+    product space, the exact-cover verdict, the key ranks, the lattice
+    states — is derived on first use and kept, so ``candidates``, ``space``
+    and ``kinds`` must not change once the problem is in use.  A bound oracle memoizes
     per-size profiles, so ``bounds`` builds one per backend
     (:meth:`resolved_bounds`).
     """
@@ -504,6 +520,9 @@ class SearchProblem:
     _candidates: Optional[Tuple[ClusterConfig, ...]] = field(
         default=None, init=False, repr=False, compare=False
     )
+    _states: Optional[Tuple[np.ndarray, np.ndarray]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def resolved_space(self) -> SearchSpace:
         if self.space is not None:
@@ -533,6 +552,30 @@ class SearchProblem:
             ranks.flags.writeable = False
             self._key_ranks = ranks
         return self._key_ranks
+
+    def pool_positions(self, states: Sequence[int]) -> Optional[np.ndarray]:
+        """The position in :meth:`resolved_candidates` of the first
+        candidate at each :class:`~repro.core.search.space.Lattice` state
+        (``-1`` where none is), or None for a problem given only a space;
+        the candidates' states are derived on first use."""
+        if self.candidates is None:
+            return None
+        if self._states is None:
+            lattice = self.resolved_space().lattice
+            pool = self.resolved_candidates()
+            # Off-lattice candidates and one extra key sort last as lattice.size.
+            keys = np.fromiter(
+                chain((lattice.size if (i := lattice.index(c)) is None else i for c in pool),
+                      [lattice.size]),
+                dtype=np.min_scalar_type(lattice.size),
+                count=len(pool) + 1,
+            )
+            order = np.argsort(keys, kind="stable")
+            self._states = (keys[order], order.astype(np.min_scalar_type(-1 - len(pool))))
+        keys, positions = self._states
+        query = np.array(states, dtype=keys.dtype)
+        at = np.searchsorted(keys, query)
+        return np.where(keys[at] == query, positions[at], -1)
 
     def resolved_bounds(self) -> Optional[object]:
         """A fresh bound oracle over :meth:`resolved_space`, or None."""

@@ -337,6 +337,9 @@ class BranchBoundSearch(SearchBackend):
             return True
 
         walk(0, 0, 0, None)
+        # walk refers to itself; deleting it frees the search's state (and
+        # bound oracle) now, not at the next cyclic garbage collection.
+        del walk
         complete = stats.pruned_candidates == 0 and not stats.exhausted
         return rank_evaluations(
             n, evaluated, started, stats=stats, complete=complete

@@ -27,22 +27,23 @@ from __future__ import annotations
 import inspect
 import math
 import time
-from bisect import bisect_left, bisect_right
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.cluster.config import ClusterConfig, KindAllocation
+from repro.cluster.config import ClusterConfig
 from repro.cluster.spec import ClusterSpec
 from repro.core.search.base import (
+    CandidateBlock,
     GridEstimator,
     SearchBackend,
     SearchOutcome,
     SearchProblem,
     SearchStats,
     grid_block,
+    key_ranks_of,
     problem_orders,
-    rank_evaluations,
+    rank_block,
     validated_estimate,
 )
 from repro.core.search.registry import register_search
@@ -50,7 +51,8 @@ from repro.core.search.space import SearchSpace
 from repro.errors import SearchError
 from repro.rng import stream
 
-State = Tuple[Tuple[str, int, int], ...]  # ((kind, pe_count, procs), ...)
+#: A state is its index on the space's :class:`~repro.core.search.space.Lattice`.
+State = int
 
 
 class _BudgetExhausted(Exception):
@@ -66,16 +68,6 @@ def full_candidate_space(
     return list(SearchSpace.from_spec(spec, max_procs).configs())
 
 
-def _successor(values: List[int], current: int) -> Optional[int]:
-    index = bisect_right(values, current)
-    return values[index] if index < len(values) else None
-
-
-def _predecessor(values: List[int], current: int) -> Optional[int]:
-    index = bisect_left(values, current)
-    return values[index - 1] if index > 0 else None
-
-
 class LocalSearchBase(SearchBackend):
     """Shared state/move machinery of the local searchers.
 
@@ -85,11 +77,15 @@ class LocalSearchBase(SearchBackend):
     which is how :meth:`from_problem` builds instances for candidate
     grids and synthetic spaces.
 
-    The objective is only ever called on blocks: each neighbor frontier
+    A state is an index on the space's
+    :class:`~repro.core.search.space.Lattice`.  The objective is only
+    ever called on blocks: each neighbor frontier
     is *prefetched* as one block, then the search consumes the values in
     its original order, so stats, trace and budget exhaustion count the
     evaluations actually taken.  A state outside every prefetched
-    frontier (a random restart) is evaluated as a 1x1 block.
+    frontier (a random restart) is evaluated as a 1x1 block.  A block of
+    pool members goes as a :class:`CandidateBlock`, any other block
+    through the lattice.
     """
 
     def __init__(
@@ -110,8 +106,9 @@ class LocalSearchBase(SearchBackend):
             self.max_procs = max_procs
         self.grid_estimator = grid_estimator
         self.kinds = list(self.space.kinds)
-        self._pe_values = {k: self.space.pe_values(k) for k in self.kinds}
-        self._m_values = {k: self.space.m_values(k) for k in self.kinds}
+        self.lattice = self.space.lattice
+        # The problem whose candidate pool blocks are addressed in.
+        self._problem: Optional[SearchProblem] = None
         # Per-run state, emptied by _new_run: values taken so far, and
         # block-evaluated values not taken yet.
         self._cache: Dict[State, float] = {}
@@ -129,23 +126,31 @@ class LocalSearchBase(SearchBackend):
         if budget is not None and budget < 1:
             raise SearchError(f"budget must be >= 1, got {budget}")
         instance = cls(problem.resolved_space(), problem.grid_estimator)
+        instance._problem = problem
         instance._allow_unestimable = problem.allow_unestimable
         instance._budget = budget
         instance._seed = problem.seed
         instance._search_options = dict(options)
         return instance
 
-    # -- state <-> config -----------------------------------------------------
+    # -- states and their configurations ---------------------------------------
 
-    def _to_config(self, state: State) -> ClusterConfig:
-        return ClusterConfig(
-            tuple(KindAllocation(k, pe, m) for k, pe, m in state)
-        )
-
-    def _from_config(self, config: ClusterConfig) -> State:
-        return tuple(
-            (k, config.pe_count(k), config.procs_per_pe(k)) for k in self.kinds
-        )
+    def _configs(self, states: Sequence[State]) -> Sequence[ClusterConfig]:
+        """The configurations of ``states``, in order: the pool's own for
+        pool members (a :class:`CandidateBlock` when every state is one),
+        the lattice's for the rest."""
+        problem = self._problem
+        positions = None if problem is None else problem.pool_positions(states)
+        if positions is not None and positions.min() >= 0:
+            return CandidateBlock(problem.resolved_candidates(), positions)
+        config = self.lattice.config
+        if positions is None:
+            return [config(state) for state in states]
+        pool = problem.resolved_candidates()
+        return [
+            pool[p] if p >= 0 else config(state)
+            for state, p in zip(states, positions.tolist())
+        ]
 
     def _new_run(self) -> SearchStats:
         """Fresh stats for one search run; nothing taken or prefetched by
@@ -182,8 +187,7 @@ class LocalSearchBase(SearchBackend):
             self._fetch(fresh, n)
 
     def _fetch(self, states: Sequence[State], n: int) -> None:
-        configs = [self._to_config(state) for state in states]
-        column = grid_block(self.grid_estimator, configs, [n])[:, 0]
+        column = grid_block(self.grid_estimator, self._configs(states), [n])[:, 0]
         self._prefetched.update(zip(states, column.tolist()))
 
     def _evaluate(self, state: State, n: int, stats: SearchStats) -> float:
@@ -192,94 +196,27 @@ class LocalSearchBase(SearchBackend):
                 raise _BudgetExhausted()
             if state not in self._prefetched:
                 self._fetch([state], n)
-            config = self._to_config(state)
-            value = validated_estimate(
-                self._prefetched.pop(state), config, n, self._allow_unestimable
-            )
+            value = self._prefetched.pop(state)
+            # A configuration is built only for an error's text or a new best.
+            if not (0 <= value < math.inf or (value == math.inf and self._allow_unestimable)):
+                validated_estimate(value, self._configs([state])[0], n, self._allow_unestimable)
             self._cache[state] = value
-            stats.record(config, value)
+            stats.record(
+                self._configs([state])[0] if value < stats.best_estimate else None, value
+            )
         return self._cache[state]
-
-    # -- neighborhood ------------------------------------------------------------
-
-    def _neighbors(self, state: State) -> List[State]:
-        out: List[State] = []
-        for index, (kind, pe, m) in enumerate(state):
-            pe_values = self._pe_values[kind]
-            m_values = self._m_values[kind]
-            candidates = set()
-            pe_up = _successor(pe_values, pe)
-            if pe_up is not None:
-                candidates.add((pe_up, m if m >= 1 else m_values[0]))
-            pe_down = _predecessor(pe_values, pe)
-            if pe_down is not None:
-                candidates.add((pe_down, m if pe_down > 0 else 0))
-            if pe > 0:
-                m_up = _successor(m_values, m)
-                if m_up is not None:
-                    candidates.add((pe, m_up))
-                m_down = _predecessor(m_values, m)
-                if m_down is not None:
-                    candidates.add((pe, m_down))
-            for new_pe, new_m in candidates:
-                new_state = list(state)
-                new_state[index] = (kind, new_pe, new_m if new_pe > 0 else 0)
-                candidate = tuple(new_state)
-                if sum(pe_ * m_ for _, pe_, m_ in candidate) >= 1:
-                    out.append(candidate)
-        return out
-
-    def _jump_moves(self, state: State) -> List[State]:
-        """Kind-level jumps: activate an idle kind at its full PE count,
-        or deactivate an active kind entirely.
-
-        The objective is a max over active kinds, so activating a kind
-        with *few* PEs usually makes it the new bottleneck — a valley the
-        ±1 moves cannot cross (every intermediate state is worse).  The
-        jump lands on the far side in one move: all the kind's PEs join
-        at once (one jump per process count), which raises the total
-        process count enough for the activation to pay off immediately
-        when it ever will."""
-        out: List[State] = []
-        for index, (kind, pe, _) in enumerate(state):
-            pe_values = self._pe_values[kind]
-            if not pe_values or pe_values[-1] == 0:
-                continue
-            if pe == 0:
-                jumps = [(pe_values[-1], m) for m in self._m_values[kind]]
-            else:
-                jumps = [(0, 0)]
-            for new_pe, new_m in jumps:
-                new_state = list(state)
-                new_state[index] = (kind, new_pe, new_m)
-                candidate = tuple(new_state)
-                if sum(pe_ * m_ for _, pe_, m_ in candidate) >= 1:
-                    out.append(candidate)
-        return out
-
-    def _moves(self, state: State) -> List[State]:
-        """The full move set the searchers explore: single-coordinate
-        neighbors plus kind activation/deactivation jumps."""
-        return self._neighbors(state) + self._jump_moves(state)
 
     def _single_pe_starts(self) -> List[State]:
         """Start states: for every kind, the smallest active configuration
         and the all-PEs-minimum-processes configuration.  Starting from
         both sides of the 'one fast PE vs many slow PEs' valley keeps
         greedy growth from being trapped on the wrong side of it."""
+        lattice = self.lattice
         starts = []
-        for index, kind in enumerate(self.kinds):
-            active_pes = [pe for pe in self._pe_values[kind] if pe > 0]
-            if not active_pes:
-                continue
-            lowest_m = self._m_values[kind][0]
-            single = [(k, 0, 0) for k in self.kinds]
-            single[index] = (kind, active_pes[0], lowest_m)
-            starts.append(tuple(single))
-            if len(active_pes) > 1:
-                full = [(k, 0, 0) for k in self.kinds]
-                full[index] = (kind, active_pes[-1], lowest_m)
-                starts.append(tuple(full))
+        for k, pe_values in enumerate(lattice.pe_values):
+            active_pes = [pe for pe in pe_values if pe > 0]
+            for pe in dict.fromkeys(active_pes[:1] + active_pes[-1:]):  # fewest, most
+                starts.append(lattice.place(k, pe, lattice.m_values[k][0]))
         return starts
 
     # -- the Search protocol -----------------------------------------------------
@@ -302,13 +239,16 @@ class LocalSearchBase(SearchBackend):
         stats.backend = self.backend_type
         stats.budget = self._budget
         self.stats = stats
-        entries = [
-            (self._to_config(state), value)
-            for state, value in self._cache.items()
-        ]
-        return rank_evaluations(
-            n, entries, started, stats=stats, complete=False
-        )
+        if not self._cache:
+            raise SearchError(f"no candidate was evaluated at N={n}")
+        configs = self._configs(list(self._cache))
+        values = np.fromiter(self._cache.values(), dtype=float, count=len(configs))
+        if isinstance(configs, CandidateBlock):
+            ranks = self._problem.key_ranks()[configs.positions]
+            configs = [configs.pool[p] for p in configs.positions.tolist()]
+        else:
+            ranks = key_ranks_of(configs)
+        return rank_block(n, configs, values, ranks, started, stats=stats, complete=False)
 
     def _accepts_seed(self) -> bool:
         return "seed" in inspect.signature(self.search).parameters
@@ -328,7 +268,7 @@ class GreedyGrowth(LocalSearchBase):
             current = min(starts, key=lambda s: self._evaluate(s, n, stats))
             for _ in range(max_steps):
                 current_value = self._evaluate(current, n, stats)
-                moves = self._moves(current)
+                moves = self.lattice.moves(current)
                 if not moves:
                     break
                 self._prefetch(moves, n, stats)
@@ -360,7 +300,7 @@ class HillClimber(LocalSearchBase):
                 current = self._random_state(rng)
                 for _ in range(max_steps):
                     current_value = self._evaluate(current, n, stats)
-                    moves = self._moves(current)
+                    moves = self.lattice.moves(current)
                     rng.shuffle(moves)
                     self._prefetch(moves, n, stats)
                     improved = False
@@ -376,20 +316,18 @@ class HillClimber(LocalSearchBase):
         return stats
 
     def _random_state(self, rng: np.random.Generator) -> State:
+        lattice = self.lattice
         while True:
-            state = []
-            for kind in self.kinds:
-                pe_values = self._pe_values[kind]
-                m_values = self._m_values[kind]
+            state = 0
+            for k, (pe_values, m_values) in enumerate(
+                zip(lattice.pe_values, lattice.m_values)
+            ):
                 pe = pe_values[int(rng.integers(0, len(pe_values)))]
-                m = (
-                    m_values[int(rng.integers(0, len(m_values)))]
-                    if pe > 0
-                    else 0
-                )
-                state.append((kind, pe, m))
-            if sum(pe * m for _, pe, m in state) >= 1:
-                return tuple(state)
+                if pe > 0:
+                    m = m_values[int(rng.integers(0, len(m_values)))]
+                    state += lattice.place(k, pe, m)
+            if state:
+                return state
 
 
 @register_search("anneal")
@@ -423,8 +361,10 @@ class SimulatedAnnealing(LocalSearchBase):
             # from the already-prefetched frontier.
             prefetched_for: Optional[State] = None
             for _ in range(steps):
-                moves = self._moves(current)
                 if prefetched_for != current:
+                    moves = self.lattice.moves(current)
+                    if not moves:
+                        break
                     self._prefetch(moves, n, stats)
                     prefetched_for = current
                 move = moves[int(rng.integers(0, len(moves)))]
@@ -448,7 +388,7 @@ class BeamSearch(LocalSearchBase):
     keeps the best ``width`` of the union; after ``patience`` rounds
     without improvement the winner is polished by best-improvement
     descent to a local optimum.  No randomness anywhere — ties break on
-    the state tuple — so two runs over the same problem are identical.
+    the state — so two runs over the same problem are identical.
     """
 
     def search(
@@ -478,7 +418,7 @@ class BeamSearch(LocalSearchBase):
                 # Collect the round's whole frontier first so the grid
                 # kernel sees one deduplicated block; the pool below then
                 # consumes the values in the original expansion order.
-                expansions = [(state, self._moves(state)) for state in beam]
+                expansions = [(state, self.lattice.moves(state)) for state in beam]
                 frontier: List[State] = []
                 for state, moves in expansions:
                     frontier.append(state)
@@ -503,7 +443,7 @@ class BeamSearch(LocalSearchBase):
             current = beam[0]
             while True:
                 current_value = self._evaluate(current, n, stats)
-                moves = self._moves(current)
+                moves = self.lattice.moves(current)
                 if not moves:
                     break
                 self._prefetch(moves, n, stats)

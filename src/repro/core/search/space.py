@@ -21,7 +21,9 @@ before relying on it.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.cluster.config import ClusterConfig, KindAllocation
@@ -146,24 +148,6 @@ class SearchSpace:
             (m for options in self.choices for _, m in options), default=0
         )
 
-    def kind_index(self, kind: str) -> int:
-        try:
-            return self.kinds.index(kind)
-        except ValueError:
-            raise SearchError(
-                f"kind {kind!r} not in search space {self.kinds}"
-            ) from None
-
-    def pe_values(self, kind: str) -> List[int]:
-        """Sorted distinct PE counts available for one kind (may include 0)."""
-        return sorted({pe for pe, _ in self.choices[self.kind_index(kind)]})
-
-    def m_values(self, kind: str) -> List[int]:
-        """Sorted distinct active process counts for one kind."""
-        return sorted(
-            {m for pe, m in self.choices[self.kind_index(kind)] if pe > 0}
-        )
-
     # -- enumeration --------------------------------------------------------
 
     def config_of(self, assignment: Sequence[Choice]) -> ClusterConfig:
@@ -200,3 +184,93 @@ class SearchSpace:
         return len(keys) == self.size and all(
             config.key() in keys for config in self.configs()
         )
+
+    @cached_property
+    def lattice(self) -> "Lattice":
+        """The local searchers' :class:`Lattice` over this space, built on
+        first use."""
+        return Lattice(self)
+
+
+class Lattice:
+    """The states the local searchers walk, one integer per state.
+
+    A kind's points are idle ``(0, 0)``, then each ``(pe, m)`` of its
+    positive PE counts x active process counts, sorted; an index has one
+    digit per kind, the first most significant, so index order is the
+    per-kind tuples' order and 0 is all-idle.  ``steps[k][d]`` holds the
+    index deltas of kind ``k``'s moves from digit ``d`` (a PE more or
+    less, the next or previous process count), in the order the
+    stochastic searchers' draws index into; ``jumps[k][d]`` its jumps (all
+    its PEs join, once per process count, or all leave), which cross the
+    valley of a kind joining with too few PEs to stop being the
+    bottleneck of the max over kinds."""
+
+    def __init__(self, space: SearchSpace):
+        self.space = space
+        self.pe_values = [sorted({pe for pe, _ in c}) for c in space.choices]
+        self.m_values = [sorted({m for pe, m in c if pe > 0}) for c in space.choices]
+        self.points = [
+            [(0, 0)] + [(pe, m) for pe in pes if pe > 0 for m in ms]
+            for pes, ms in zip(self.pe_values, self.m_values)
+        ]
+        kinds = range(len(self.points))
+        self.weights = [math.prod(map(len, self.points[k + 1:])) for k in kinds]
+        self.size = self.weights[0] * len(self.points[0])
+        self._slot = {kind: k for k, kind in enumerate(space.kinds)}
+        self._digit = [{point: d for d, point in enumerate(p)} for p in self.points]
+        self.steps = [self._deltas(k, self._steps_from) for k in kinds]
+        self.jumps = [self._deltas(k, self._jumps_from) for k in kinds]
+        self._tables = self.steps + self.jumps
+
+    def _deltas(self, k: int, moves) -> List[Tuple[int, ...]]:
+        return [
+            tuple((self._digit[k][to] - d) * self.weights[k] for to in moves(k, pe, m))
+            for d, (pe, m) in enumerate(self.points[k])
+        ]
+
+    def _steps_from(self, k: int, pe: int, m: int) -> List[Choice]:
+        pes, ms = self.pe_values[k], self.m_values[k]
+        up, down = bisect_right(pes, pe), bisect_left(pes, pe) - 1
+        candidates = set()
+        if up < len(pes):
+            candidates.add((pes[up], m if m >= 1 else ms[0]))
+        if down >= 0:
+            candidates.add((pes[down], m if pes[down] > 0 else 0))
+        if pe > 0:
+            at = ms.index(m)
+            candidates.update((pe, ms[to]) for to in (at + 1, at - 1) if 0 <= to < len(ms))
+        return [(to_pe, to_m if to_pe > 0 else 0) for to_pe, to_m in candidates]
+
+    def _jumps_from(self, k: int, pe: int, m: int) -> List[Choice]:
+        if self.pe_values[k][-1] == 0:
+            return []
+        if pe == 0:
+            return [(self.pe_values[k][-1], m_) for m_ in self.m_values[k]]
+        return [(0, 0)]
+
+    def digits(self, index: int) -> List[int]:
+        out = [0] * len(self.points)
+        for k in range(len(self.points) - 1, -1, -1):
+            index, out[k] = divmod(index, len(self.points[k]))
+        return out
+
+    def place(self, k: int, pe: int, m: int) -> int:
+        """The state with only kind ``k`` active, at ``(pe, m)``."""
+        return self._digit[k][pe, m] * self.weights[k]
+
+    def moves(self, index: int) -> List[int]:
+        """Every step, then every jump, from ``index`` that keeps a
+        process running."""
+        return [new for table, d in zip(self._tables, self.digits(index) * 2)
+                for delta in table[d] if (new := index + delta)]
+
+    def config(self, index: int) -> ClusterConfig:
+        return self.space.config_of([p[d] for p, d in zip(self.points, self.digits(index))])
+
+    def index(self, config: ClusterConfig) -> Optional[int]:
+        """The state of ``config``, or None when it is off the lattice."""
+        try:
+            return sum(self.place(self._slot[kind], pe, m) for kind, pe, m in config.key())
+        except KeyError:
+            return None

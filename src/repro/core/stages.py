@@ -53,6 +53,7 @@ from repro.core.memory_guard import MemoryGuard, split_dataset
 from repro.core.model_store import ModelStore
 from repro.core.search import (
     DEFAULT_BACKEND,
+    CandidateBlock,
     SearchBackend,
     SearchOutcome,
     SearchProblem,
@@ -601,12 +602,15 @@ class SearchEngine:
         blocks served through :attr:`estimate_cache`.  This is the
         objective every search backend takes.
 
-        The pool itself is addressed by its rows, other configurations
-        through the cache's key -> row map.  A block of pool rows goes
-        through the pool's routing table; any other block is routed for
-        this call."""
+        The pool itself (or a :class:`CandidateBlock` of it) is addressed
+        by its rows, other configurations through the cache's key -> row
+        map.  A block of pool rows goes through the pool's routing table;
+        any other block is routed for this call."""
         cache = self.estimate_cache
-        rows = self._pool_rows if configs is self._pool else cache.rows_of(configs)
+        if isinstance(configs, CandidateBlock) and configs.pool is self._pool:
+            rows = self._pool_rows[configs.positions]
+        else:
+            rows = self._pool_rows if configs is self._pool else cache.rows_of(configs)
         kernel, routes = self.grid_kernel, self._pool_routes
 
         def evaluate(positions: np.ndarray) -> np.ndarray:

@@ -18,6 +18,7 @@ from typing import Dict, List, Optional, Sequence, Union
 from repro.cluster.config import ClusterConfig
 from repro.cluster.spec import ClusterSpec
 from repro.errors import SimulationError
+from repro.hpl import flops
 from repro.hpl.schedule import (
     HPLParameters,
     simulate_schedule,
@@ -129,7 +130,9 @@ def run_hpl_batch(
         compute_noise=compute_rows,
         comm_noise=comm_rows,
     )
-    return [schedule.to_result(spec.name, config) for schedule in schedules]
+    kinds = tuple(slot.kind.name for slot in schedules[0].slots)
+    counts = {n: flops.hpl_benchmark_flops(n) for n in set(sizes)}
+    return [s.to_result(spec.name, config, counts[s.n], kinds) for s in schedules]
 
 
 def sweep_sizes(

@@ -31,9 +31,10 @@ from repro.errors import SimulationError
 
 
 def _check_nonneg(value, message: str) -> None:
-    """Validation that works for scalars and arrays alike."""
+    """Validation that works for scalars and arrays alike; ``message`` is
+    formatted with ``value`` only when raising (an array's text is costly)."""
     if np.any(np.asarray(value) < 0):
-        raise SimulationError(message)
+        raise SimulationError(message.format(value))
 
 
 def total_lu_flops(n) -> float:
@@ -42,7 +43,7 @@ def total_lu_flops(n) -> float:
     ``2/3 n^3 - 1/2 n^2 - 1/6 n`` — the classic Gaussian-elimination count
     with one multiply and one add per inner element and division row scaling.
     """
-    _check_nonneg(n, f"negative order {n}")
+    _check_nonneg(n, "negative order {}")
     n_arr = np.asarray(n, dtype=float)
     # exact value is 0 at n in {0, 1}; clamp the float round-off
     out = np.maximum((2.0 / 3.0) * n_arr**3 - 0.5 * n_arr**2 - (1.0 / 6.0) * n_arr, 0.0)
@@ -51,7 +52,7 @@ def total_lu_flops(n) -> float:
 
 def solve_flops(n) -> float:
     """Flops of the two triangular solves for one right-hand side."""
-    _check_nonneg(n, f"negative order {n}")
+    _check_nonneg(n, "negative order {}")
     n_arr = np.asarray(n, dtype=float)
     out = 2.0 * n_arr**2
     return out if out.ndim else float(out)
@@ -60,7 +61,7 @@ def solve_flops(n) -> float:
 def hpl_benchmark_flops(n) -> float:
     """The flop count HPL divides by to report Gflops
     (``2/3 n^3 + 3/2 n^2``, matrix generation excluded)."""
-    _check_nonneg(n, f"negative order {n}")
+    _check_nonneg(n, "negative order {}")
     n_arr = np.asarray(n, dtype=float)
     out = (2.0 / 3.0) * n_arr**3 + 1.5 * n_arr**2
     return out if out.ndim else float(out)

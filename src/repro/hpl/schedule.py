@@ -166,17 +166,19 @@ class ScheduleResult:
         spec_name: str,
         config: ClusterConfig,
         benchmark_flops: Optional[float] = None,
+        rank_kinds: Optional[Sequence[str]] = None,
     ) -> WorkloadResult:
         """This run as the shared measurement result.  Gflops are charged
         against HPL's flop count unless the caller's application supplies
-        its own (``benchmark_flops``)."""
+        its own (``benchmark_flops``); a batch passes its ranks' kinds once
+        for all its runs (``rank_kinds``)."""
         return WorkloadResult(
             spec_name=spec_name,
             config=config,
             n=self.n,
             wall_time_s=self.wall_time_s,
             phase_arrays=self.phase_arrays,
-            rank_kinds=[slot.kind.name for slot in self.slots],
+            rank_kinds=rank_kinds or [slot.kind.name for slot in self.slots],
             phase_class=PhaseTimes,
             benchmark_flops=(
                 flops.hpl_benchmark_flops(self.n)

@@ -129,3 +129,16 @@ class TestDesigns:
         assert lsq.polyval([1.0, 0.0, -1.0], 2.0) == pytest.approx(3.0)
         out = lsq.polyval([1.0, 0.0], np.array([1.0, 2.0]))
         assert out.tolist() == [1.0, 2.0]
+
+    def test_python_scalar_orders_match_np_polyval_bitwise(self):
+        """Python ``int``/``float`` orders take a Python-float Horner path;
+        it must give ``np.polyval``'s bits, for tuple and array coefficients."""
+        rng = np.random.default_rng(19)
+        for _ in range(200):
+            coeffs = rng.normal(size=int(rng.integers(1, 5))) * 10.0 ** rng.integers(-12, 3)
+            for x in (int(rng.integers(1, 20000)), float(rng.uniform(-5e4, 5e4)), 0, True):
+                expected = float(np.polyval(coeffs, np.asarray(x, dtype=float)))
+                for given in (tuple(coeffs.tolist()), coeffs):
+                    got = lsq.polyval(given, x)
+                    assert type(got) is float
+                    assert got.hex() == expected.hex(), (coeffs, x)

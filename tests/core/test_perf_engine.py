@@ -1,5 +1,8 @@
 """Batched/cached estimation engine: ``optimize_many``, the estimate
-cache, the ``estimate_for`` index and the pipeline perf report."""
+cache, the ``estimate_for`` index and the pipeline perf report, plus a
+24-size sweep's batched-vs-looped time gate."""
+
+import time
 
 import numpy as np
 import pytest
@@ -103,6 +106,39 @@ class TestEstimateTotals:
         totals = pipeline.estimate_totals(config, SIZES)
         expected = [pipeline.estimate(config, n).total for n in SIZES]
         assert totals.tolist() == expected
+
+
+class TestSweepGate:
+    """A 24-size sweep on the NS pipeline at seed 42, looped cold through
+    one backend, then batched."""
+
+    SIZES = tuple(1600 + 100 * i for i in range(24))
+
+    def test_batched_sweep_is_looped_bitwise_faster_and_then_cached(self, spec):
+        pipeline = EstimationPipeline(spec, PipelineConfig(protocol="ns", seed=42))
+        _ = pipeline.store, pipeline.adjustment
+        optimizer = pipeline.optimizer()
+        started = time.perf_counter()
+        looped = [optimizer.optimize(n) for n in self.SIZES]
+        looped_s = time.perf_counter() - started
+        started = time.perf_counter()
+        batched = pipeline.optimize_many(self.SIZES)
+        batched_s = time.perf_counter() - started
+        for a, b in zip(looped, batched):
+            assert [e.config.key() for e in a.ranking] == [e.config.key() for e in b.ranking]
+            assert [e.estimate_s for e in a.ranking] == [e.estimate_s for e in b.ranking]
+        # A deliberately loose gate, so it holds on slow or noisy runners:
+        # the batched sweep beats half the looped time.
+        assert batched_s <= looped_s / 2, (
+            f"batched sweep ({batched_s:.3f}s) failed to beat half the looped "
+            f"time ({looped_s:.3f}s)"
+        )
+        stats = pipeline.estimate_cache.stats
+        hits_before = stats.hits
+        pipeline.optimize_many(self.SIZES)
+        assert stats.hits - hits_before == len(pipeline.plan.evaluation_configs) * len(
+            self.SIZES
+        )
 
 
 class TestEstimateCache:

@@ -85,6 +85,19 @@ class TestFit:
         model = PTModel.fit_from_nt_family(family, sizes)
         assert model.predict_tc(3200, 12) > model.predict_tc(3200, 4)
 
+    def test_scalar_prediction_is_the_array_cell_bitwise(self):
+        """Python int P and order take the scalar path; each phase equals
+        the array path's cell, bit for bit, and is a Python float."""
+        family, sizes = synthetic_nt_family(mi=2)
+        model = PTModel.fit_from_nt_family(family, sizes)
+        ns = np.array([700, 1600, 5000, 12000])
+        for p in (2, 3, 8, 40):
+            for phase in (model.predict_ta, model.predict_tc):
+                cells = phase(ns, np.full(ns.size, p))
+                for n, cell in zip(ns.tolist(), cells.tolist()):
+                    got = phase(n, p)
+                    assert type(got) is float and got.hex() == cell.hex(), (phase, n, p)
+
     def test_vectorized_prediction(self):
         family, sizes = synthetic_nt_family()
         model = PTModel.fit_from_nt_family(family, sizes)

@@ -183,6 +183,20 @@ class TestLocalBackends:
         beam = create_search("beam", small_problem).optimize(3000)
         assert len(beam.best.config.active) > 1
 
+    @pytest.mark.parametrize("tag", ["greedy", "hill-climb", "anneal", "beam"])
+    def test_unestimable_values(self, tag):
+        """+inf ranks last, and under allow_unestimable=False taking it
+        raises the exhaustive optimizer's error (the pool is not a product,
+        so some states are built through the lattice)."""
+        pool = [cfg(1, 1, 0, 0), cfg(1, 2, 0, 0), cfg(0, 0, 1, 1), cfg(1, 1, 1, 1)]
+        objective = pointwise(lambda c, n: 5.0 if c.total_processes == 1 else math.inf)
+        outcome = create_search(tag, SearchProblem(objective, candidates=pool)).optimize(100)
+        assert outcome.best.estimate_s == 5.0
+        assert math.isinf(outcome.ranking[-1].estimate_s)
+        strict = SearchProblem(objective, candidates=pool, allow_unestimable=False)
+        with pytest.raises(SearchError, match="invalid time inf for"):
+            create_search(tag, strict).optimize(100)
+
     def test_budget_enforced(self, small_problem):
         for tag in ("beam", "greedy", "hill-climb", "anneal"):
             outcome = create_search(tag, small_problem, budget=25).optimize(3000)

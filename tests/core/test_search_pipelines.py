@@ -4,7 +4,8 @@
   evaluation grid, every evaluation size: exact backends agree bitwise,
   branch-and-bound prunes with exact accounting, heuristics return a
   finite answer within an evaluation budget, and a second call repeats
-  the first bitwise, ``SearchStats`` and trace included.
+  the first bitwise, ``SearchStats`` and trace included; a one-candidate
+  pool gives each local searcher that candidate.
 * ``TestWideRatios`` — the benchmark's 28,560-candidate ``search-wide``
   instance: branch-and-bound's winner is exhaustive's bitwise, and each
   heuristic's winner is within the benchmark's ratio limit of the
@@ -16,6 +17,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.cluster.config import ClusterConfig
 from repro.core.pipeline import EstimationPipeline, PipelineConfig
 from repro.core.search import registered_search_backends
 from repro.errors import SearchError
@@ -82,6 +84,15 @@ class TestPaperGrid:
             assert len(reference.ranking) == grid
             assert stats.evaluations + stats.pruned_candidates == len(reference.ranking)
             assert stats.evaluations < len(reference.ranking)
+
+    @pytest.mark.parametrize("tag", sorted(HEURISTIC_RATIO))
+    def test_one_candidate_pool(self, paper_ns, tag):
+        """A lone candidate has no moves; every local searcher returns it
+        (anneal used to draw a move from the empty list)."""
+        lone = ClusterConfig.from_tuple(paper_ns.plan.kinds, (1, 2, 0, 0))
+        outcome = paper_ns.optimizer(candidates=[lone], backend=tag).optimize(3200)
+        assert [entry.config for entry in outcome.ranking] == [lone]
+        assert outcome.stats.evaluations == 1
 
     @pytest.mark.parametrize("tag", registered_search_backends())
     def test_budget_is_honored(self, paper_ns, tag):

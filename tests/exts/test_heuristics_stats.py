@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.cluster.config import ClusterConfig
 from repro.cluster.presets import kishimoto_cluster
 from repro.core.search import GreedyGrowth, SearchStats, pointwise
 
@@ -26,19 +27,38 @@ class TestSearchStats:
 
 
 class TestGreedyInternals:
+    """The state machinery, on lattice indices (see ``Lattice``)."""
+
+    KINDS = ("athlon", "pentium2")
+
     @pytest.fixture(scope="class")
     def searcher(self):
         return GreedyGrowth(kishimoto_cluster(), pointwise(lambda c, n: 1.0))
 
+    def state(self, searcher, flat):
+        return searcher.lattice.index(ClusterConfig.from_tuple(self.KINDS, flat))
+
     def test_state_config_roundtrip(self, searcher):
-        state = (("athlon", 1, 2), ("pentium2", 4, 1))
-        config = searcher._to_config(state)
-        assert searcher._from_config(config) == state
+        config = ClusterConfig.from_tuple(self.KINDS, (1, 2, 4, 1))
+        state = searcher.lattice.index(config)
+        assert searcher.lattice.config(state) == config
+        assert searcher.lattice.index(searcher.lattice.config(state)) == state
+
+    def test_index_order_is_choice_order(self, searcher):
+        """Ties break on the state, so index order must be the order of
+        the per-kind ``(pe, m)`` choices."""
+        flats = [
+            searcher.lattice.config(state).as_flat_tuple(self.KINDS)
+            for state in range(1, searcher.lattice.size)
+        ]
+        assert flats == sorted(flats)
+        assert len(set(flats)) == len(flats)
 
     def test_neighbors_respect_bounds(self, searcher):
-        state = (("athlon", 1, 6), ("pentium2", 8, 1))
-        for neighbor in searcher._neighbors(state):
-            for kind, pe, procs in neighbor:
+        state = self.state(searcher, (1, 6, 8, 1))
+        for neighbor in searcher.lattice.moves(state):
+            for alloc in searcher.lattice.config(neighbor).allocations:
+                kind, pe, procs = alloc.kind_name, alloc.pe_count, alloc.procs_per_pe
                 available = searcher.spec.pe_count(kind)
                 assert 0 <= pe <= available
                 assert procs <= searcher.max_procs
@@ -46,19 +66,22 @@ class TestGreedyInternals:
                     assert procs == 0
 
     def test_neighbors_never_empty_config(self, searcher):
-        state = (("athlon", 1, 1), ("pentium2", 0, 0))
-        for neighbor in searcher._neighbors(state):
-            assert sum(pe * procs for _, pe, procs in neighbor) >= 1
+        state = self.state(searcher, (1, 1, 0, 0))
+        moves = searcher.lattice.moves(state)
+        assert moves
+        for neighbor in moves:
+            assert neighbor != 0
+            assert searcher.lattice.config(neighbor).total_processes >= 1
 
     def test_starts_include_both_sides_of_the_valley(self, searcher):
         starts = searcher._single_pe_starts()
-        labels = {searcher._to_config(s).label(("athlon", "pentium2")) for s in starts}
+        labels = {searcher.lattice.config(s).label(self.KINDS) for s in starts}
         assert "1,1,0,0" in labels  # single fast PE
         assert "0,0,8,1" in labels  # the whole slow pool
 
     def test_evaluation_cache(self, searcher):
         stats = SearchStats()
-        state = (("athlon", 1, 1), ("pentium2", 0, 0))
+        state = self.state(searcher, (1, 1, 0, 0))
         a = searcher._evaluate(state, 100, stats)
         b = searcher._evaluate(state, 100, stats)
         assert a == b

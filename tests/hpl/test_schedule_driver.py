@@ -172,6 +172,19 @@ class TestDriverBatch:
         walls = {r.wall_time_s for r in batch}
         assert len(walls) == 3  # each trial gets its own stream
 
+    def test_runs_share_rank_kinds_and_flop_counts(self, spec):
+        """A batch builds its rank kinds once and one flop count per size;
+        each run still equals its own ``to_result``."""
+        config = cfg(1, 2, 4, 1)
+        ns = [800, 1600, 800]
+        batch = run_hpl_batch(spec, config, ns)
+        for result, n in zip(batch, ns):
+            alone = run_hpl(spec, config, n)
+            assert result.rank_kinds == alone.rank_kinds
+            assert result.benchmark_flops == alone.benchmark_flops
+            assert result.kind_names() == alone.kind_names()
+        assert batch[0].rank_kinds is batch[1].rank_kinds
+
     def test_trial_length_mismatch_rejected(self, spec):
         with pytest.raises(SimulationError, match="trial"):
             run_hpl_batch(spec, cfg(1, 1, 0, 0), [400, 800], trial=[0])

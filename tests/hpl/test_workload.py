@@ -37,6 +37,15 @@ class TestTotals:
             with pytest.raises(SimulationError):
                 fn(-1)
 
+    def test_negative_order_message_names_the_order(self):
+        """The text is built only when raising, and still names the order
+        (an array's as its repr)."""
+        for fn in (flops.total_lu_flops, flops.solve_flops, flops.hpl_benchmark_flops):
+            with pytest.raises(SimulationError, match=r"^negative order -3$"):
+                fn(-3)
+            with pytest.raises(SimulationError, match=r"^negative order \[ 4 -2\]$"):
+                fn(np.array([4, -2]))
+
 
 class TestPhaseCounts:
     def test_blocked_phases_telescope_to_total(self):
