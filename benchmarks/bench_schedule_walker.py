@@ -1,15 +1,15 @@
-"""Schedule-walker bench: the vectorized multi-size panel sweep.
+"""Schedule-walker bench: the vectorized grid walker.
 
 The evaluation grid of the basic protocol — 62 configurations x 5 problem
 sizes — simulated two ways:
 
 * **scalar** — the reference per-panel Python loop, one
   :func:`simulate_schedule` call per (config, N) cell;
-* **batched** — one :func:`simulate_schedule_batch` call per
-  configuration, walking all five sizes as a padded ``(sizes, panels,
-  ranks)`` grid of NumPy array ops.
+* **grid** — one :func:`simulate_schedule_grid` call over the whole grid,
+  walking it once per process count as padded ``(runs, ranks, panels)``
+  NumPy array programs.
 
-The batched walker promises *bitwise* equality with the reference loop
+The grid walker promises *bitwise* equality with the reference loop
 (same IEEE operations in the same order), so the bench asserts exact
 wall-clock and per-phase agreement before it asserts the >= 10x speedup.
 Results land in ``benchmarks/results/schedule_walker.txt``.
@@ -24,7 +24,7 @@ from repro.hpl.schedule import (
     clear_panel_tables,
     reset_walker_stats,
     simulate_schedule,
-    simulate_schedule_batch,
+    simulate_schedule_grid,
     walker_stats,
 )
 from repro.hpl.timing import PHASE_NAMES
@@ -49,17 +49,15 @@ def test_schedule_walker(benchmark, spec, write_result):
     }
     scalar_s = time.perf_counter() - started
 
-    # Cold batched pass: panel tables are built, not reused.
+    # Cold grid pass: panel tables are built, not reused.
+    groups = [(config, sizes) for config in configs]
     clear_panel_tables()
     started = time.perf_counter()
-    batched = {
-        config.key(): simulate_schedule_batch(spec, config, sizes)
-        for config in configs
-    }
-    batched_s = time.perf_counter() - started
+    walked = simulate_schedule_grid(spec, groups)
+    grid_s = time.perf_counter() - started
 
-    for config in configs:
-        for ref, got in zip(scalar[config.key()], batched[config.key()]):
+    for config, results in zip(configs, walked):
+        for ref, got in zip(scalar[config.key()], results):
             assert got.wall_time_s == ref.wall_time_s
             for name in PHASE_NAMES:
                 assert np.array_equal(
@@ -68,24 +66,24 @@ def test_schedule_walker(benchmark, spec, write_result):
 
     # Warm pass: every (n, nb, p) panel table is memoized now.
     started = time.perf_counter()
-    for config in configs:
-        simulate_schedule_batch(spec, config, sizes)
+    simulate_schedule_grid(spec, groups)
     warm_s = time.perf_counter() - started
 
-    speedup = scalar_s / batched_s if batched_s > 0 else float("inf")
+    speedup = scalar_s / grid_s if grid_s > 0 else float("inf")
     warm_speedup = scalar_s / warm_s if warm_s > 0 else float("inf")
     stats = walker_stats()
+    passes = len({config.total_processes for config in configs})
 
     table = render_table(
         ["walker", "seconds", "speedup"],
         [
             [f"scalar loop ({cells} cells)", f"{scalar_s:.3f}", "1.0x"],
             [
-                f"batched ({len(configs)} calls x {len(sizes)} sizes)",
-                f"{batched_s:.3f}",
+                f"grid (1 call, {passes} process-count passes)",
+                f"{grid_s:.3f}",
                 f"{speedup:.1f}x",
             ],
-            ["batched, warm panel tables", f"{warm_s:.3f}", f"{warm_speedup:.1f}x"],
+            ["grid, warm panel tables", f"{warm_s:.3f}", f"{warm_speedup:.1f}x"],
         ],
         title=(
             f"Schedule walker: {len(configs)} configs x {len(sizes)} sizes "
@@ -95,12 +93,12 @@ def test_schedule_walker(benchmark, spec, write_result):
     write_result("schedule_walker", table + "\n\nWalker counters: " + stats.describe())
 
     assert speedup >= MIN_SPEEDUP, (
-        f"batched walker speedup {speedup:.2f}x < {MIN_SPEEDUP:.0f}x over "
+        f"grid walker speedup {speedup:.2f}x < {MIN_SPEEDUP:.0f}x over "
         f"{cells} cells"
     )
 
     benchmark.pedantic(
-        lambda: simulate_schedule_batch(spec, configs[0], sizes),
+        lambda: simulate_schedule_grid(spec, groups),
         rounds=3,
         iterations=1,
     )

@@ -20,6 +20,7 @@ before relying on it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -163,19 +164,11 @@ class SearchSpace:
     def configs(self) -> Iterator[ClusterConfig]:
         """Every runnable configuration, in lexicographic choice order
         (the order :func:`repro.cluster.config.enumerate_configs` uses)."""
-        assignment: List[Choice] = []
-
-        def rec(depth: int) -> Iterator[ClusterConfig]:
-            if depth == len(self.kinds):
-                if sum(pe * m for pe, m in assignment) >= 1:
-                    yield self.config_of(assignment)
-                return
-            for choice in self.choices[depth]:
-                assignment.append(choice)
-                yield from rec(depth + 1)
-                assignment.pop()
-
-        return rec(0)
+        return (
+            self.config_of(assignment)
+            for assignment in itertools.product(*self.choices)
+            if sum(pe * m for pe, m in assignment) >= 1
+        )
 
     def is_exact_cover_of(self, candidates: Sequence[ClusterConfig]) -> bool:
         """True when the candidates and this product space contain exactly

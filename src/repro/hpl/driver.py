@@ -22,9 +22,9 @@ from repro.hpl import flops
 from repro.hpl.schedule import (
     HPLParameters,
     simulate_schedule,
-    simulate_schedule_batch,
+    simulate_schedule_grid,
 )
-from repro.runs import WorkloadResult, noise_rows, normalize_trials
+from repro.runs import RunGroup, WorkloadResult, noise_grid, noise_rows, normalize_groups
 
 
 @dataclass(frozen=True)
@@ -99,6 +99,39 @@ def run_hpl(
     return schedule.to_result(spec.name, config)
 
 
+def run_hpl_grid(
+    spec: ClusterSpec,
+    groups: Sequence[RunGroup],
+    params: Optional[HPLParameters] = None,
+    noise: Optional[NoiseSpec] = None,
+    seed: int = 0,
+) -> List[List[WorkloadResult]]:
+    """HPL's grid runner: every run of a measurement grid in one call.
+
+    ``groups`` are ``(config, sizes, trials)`` — ``trials`` one index per
+    size or one shared index.  The whole grid's noise is seeded in one
+    pass (:func:`~repro.runs.noise_grid`) and walked once per process
+    count (:func:`~repro.hpl.schedule.simulate_schedule_grid`).  Each run
+    draws from the same ``(seed, config, N, trial)`` stream as
+    :func:`run_hpl`, and the grid walker is bitwise equal to the scalar
+    one, so every run is bit-identical to its :func:`run_hpl` call.
+    Returns one result list per group, in group order.
+    """
+    groups = normalize_groups(groups)
+    rows = noise_grid("hpl-run", groups, noise, seed)
+    walked = simulate_schedule_grid(
+        spec, [(config, sizes) for config, sizes, _ in groups], params, rows
+    )
+    counts = {
+        n: flops.hpl_benchmark_flops(n) for n in {n for _, sizes, _ in groups for n in sizes}
+    }
+    out = []
+    for (config, _, _), schedules in zip(groups, walked):
+        kinds = tuple(slot.kind.name for slot in schedules[0].slots)
+        out.append([s.to_result(spec.name, config, counts[s.n], kinds) for s in schedules])
+    return out
+
+
 def run_hpl_batch(
     spec: ClusterSpec,
     config: ClusterConfig,
@@ -108,31 +141,15 @@ def run_hpl_batch(
     seed: int = 0,
     trial: Union[int, Sequence[int]] = 0,
 ) -> List[WorkloadResult]:
-    """Run one configuration at many problem orders in a single batched
-    simulation (:func:`~repro.hpl.schedule.simulate_schedule_batch`).
+    """Run one configuration at many problem orders (one-group :func:`run_hpl_grid`).
 
     ``ns`` may repeat sizes; ``trial`` is either one trial index shared by
-    every entry or a per-entry sequence (a campaign batches a config's full
-    ``sizes x trials`` grid in one call).  Each entry's noise comes from
-    the same ``(seed, config, N, trial)`` stream :func:`run_hpl` would use,
-    and the batched walker is bitwise-equal to the scalar one, so entry
-    ``i`` of the result is bit-identical to
-    ``run_hpl(spec, config, ns[i], ..., trial=trial[i])``.
+    every entry or a per-entry sequence.  Entry ``i`` of the result is
+    bit-identical to ``run_hpl(spec, config, ns[i], ..., trial=trial[i])``.
     """
-    sizes = [int(n) for n in ns]
-    trials = normalize_trials(sizes, trial)
-    compute_rows, comm_rows = noise_rows("hpl-run", config, sizes, trials, noise, seed)
-    schedules = simulate_schedule_batch(
-        spec,
-        config,
-        sizes,
-        params=params,
-        compute_noise=compute_rows,
-        comm_noise=comm_rows,
-    )
-    kinds = tuple(slot.kind.name for slot in schedules[0].slots)
-    counts = {n: flops.hpl_benchmark_flops(n) for n in set(sizes)}
-    return [s.to_result(spec.name, config, counts[s.n], kinds) for s in schedules]
+    return run_hpl_grid(
+        spec, [(config, ns, trial)], params=params, noise=noise, seed=seed
+    )[0]
 
 
 def sweep_sizes(

@@ -29,21 +29,23 @@ Two walkers share those models:
 
 * :func:`simulate_schedule` — the **reference implementation**: a Python
   loop over the O(N/nb) panel steps, vectorized only over processes.
-* :func:`simulate_schedule_batch` — the **production walker**: the whole
-  panel sweep is evaluated as one NumPy array program over a
-  ``(sizes, num_panels, P)`` grid, batching *several problem orders of one
-  configuration* in a single call by padding every size to the largest
-  panel count.  Padded steps contribute exact zeros, and every array
+* :func:`simulate_schedule_grid` — the **production walker**: a whole
+  grid of ``(configuration, sizes)`` groups in one call, walked once per
+  process count P as NumPy array programs over a ``(runs, ranks,
+  panels)`` grid, every size padded to a shared panel count that is a
+  multiple of P.  Padded steps contribute exact zeros, and every array
   expression applies the same IEEE operations in the same order as the
   reference loop, so for identical inputs the two walkers agree **bitwise**
-  (golden-tested per phase, per rank).
+  (golden-tested per phase, per rank).  :func:`simulate_schedule_batch`
+  is its one-group call.
 
 The per-``(n, nb, P)`` step geometry (panel widths, owners, trailing-column
 counts and the derived workload tables — all analytic in ``(n, nb, k)``) is
-memoized in a :class:`PanelTable` cache so repeated trials of one
-configuration/size skip the recomputation entirely.  :func:`walker_stats`
-exposes walker timings, batch sizes and table hit counts; the measurement
-layer folds them into :class:`~repro.perf.report.PerfReport`.
+memoized in a byte-bounded :class:`PanelTable` cache, so every
+configuration, size and trial sharing it skips the recomputation.
+:func:`walker_stats` exposes walker timings, pass and run counts and
+table hit counts; the measurement layer folds them into
+:class:`~repro.perf.report.PerfReport`.
 """
 
 from __future__ import annotations
@@ -62,8 +64,8 @@ from repro.errors import SimulationError
 from repro.hpl import flops
 from repro.hpl.memory import node_slowdowns
 from repro.hpl.timing import PHASE_NAMES, PhaseTimes
-from repro.runs import WorkloadResult
-from repro.simnet.collectives import ring_delivery_times, ring_delivery_times_batch
+from repro.runs import WorkloadResult, left_fold
+from repro.simnet.collectives import ring_delivery_times, ring_delivery_times_cyclic
 from repro.simnet.transport import LinkKind, Transport
 
 
@@ -196,12 +198,13 @@ class WalkerStats:
     """Counters of both schedule walkers (per process; see note below).
 
     ``scalar_*`` track the reference per-step loop, ``batch_*`` the
-    vectorized multi-size walker (``batch_sizes`` = total problem orders
-    simulated across batched calls, ``batch_max`` = largest single batch),
-    and ``table_*`` the :class:`PanelTable` memo.  Counters live in module
-    state: campaigns fanned out over a process pool accumulate them in the
-    workers, so a parallel campaign's main-process report only covers work
-    done in the main process.
+    vectorized grid walker (``batch_calls`` = walker passes, one per
+    process count of each grid call; ``batch_sizes`` = runs simulated
+    across them; ``batch_max`` = the largest pass's runs; ``batch_seconds``
+    = time inside grid calls), and ``table_*`` the :class:`PanelTable`
+    memo.  Counters live in module state: campaigns fanned out over a
+    process pool accumulate them in the workers, so a parallel campaign's
+    main-process report only covers work done in the main process.
     """
 
     scalar_calls: int = 0
@@ -290,6 +293,13 @@ class PanelTable:
     laswp_bytes: np.ndarray  #: (K, P) float
     panel_nbytes: np.ndarray  #: (K,) float — broadcast payload per step
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the table's arrays."""
+        return sum(
+            value.nbytes for value in vars(self).values() if isinstance(value, np.ndarray)
+        )
+
 
 def _build_panel_table(n: int, nb: int, p: int) -> PanelTable:
     nblocks = (n + nb - 1) // nb
@@ -334,14 +344,31 @@ def _build_panel_table(n: int, nb: int, p: int) -> PanelTable:
     )
 
 
-#: Bounded LRU of panel tables; a campaign touches ``sizes x process
-#: counts`` keys (tens), trials and repeated configurations hit.
-_PANEL_TABLE_CAP = 256
+#: Byte bound of the panel-table LRU.  The paper's Basic, NL and NS HPL
+#: grids touch 279 ``(n, nb, P)`` keys holding 4.4 MB together; the bound
+#: keeps that working set (and trials and repeated configurations) in
+#: memory, so a second pass over the grids builds no table.
+_PANEL_TABLE_BYTES = 16 * 2**20
 _panel_tables: "OrderedDict[Tuple[int, int, int], PanelTable]" = OrderedDict()
+_panel_table_bytes = 0
+
+
+def _remember(table: PanelTable) -> None:
+    """Insert ``table`` as the most recent entry, then evict the least
+    recently used tables while the memo holds more than the byte bound."""
+    global _panel_table_bytes
+    key = (table.n, table.nb, table.p)
+    replaced = _panel_tables.pop(key, None)
+    if replaced is not None:
+        _panel_table_bytes -= replaced.nbytes
+    _panel_tables[key] = table
+    _panel_table_bytes += table.nbytes
+    while _panel_table_bytes > _PANEL_TABLE_BYTES and len(_panel_tables) > 1:
+        _panel_table_bytes -= _panel_tables.popitem(last=False)[1].nbytes
 
 
 def panel_table(n: int, nb: int, p: int) -> PanelTable:
-    """The memoized :class:`PanelTable` for ``(n, nb, p)`` (LRU-bounded)."""
+    """The memoized :class:`PanelTable` for ``(n, nb, p)`` (LRU, byte-bounded)."""
     if n < 1 or nb < 1 or p < 1:
         raise SimulationError(f"panel_table needs positive (n, nb, p), got {(n, nb, p)}")
     key = (int(n), int(nb), int(p))
@@ -352,15 +379,15 @@ def panel_table(n: int, nb: int, p: int) -> PanelTable:
         return table
     _WALKER_STATS.table_misses += 1
     table = _build_panel_table(*key)
-    _panel_tables[key] = table
-    while len(_panel_tables) > _PANEL_TABLE_CAP:
-        _panel_tables.popitem(last=False)
+    _remember(table)
     return table
 
 
 def clear_panel_tables() -> None:
     """Drop every memoized panel table (tests)."""
+    global _panel_table_bytes
     _panel_tables.clear()
+    _panel_table_bytes = 0
 
 
 def seed_panel_tables(tables: Iterable[PanelTable]) -> int:
@@ -374,10 +401,8 @@ def seed_panel_tables(tables: Iterable[PanelTable]) -> int:
     """
     count = 0
     for table in tables:
-        _panel_tables[(table.n, table.nb, table.p)] = table
+        _remember(table)
         count += 1
-    while len(_panel_tables) > _PANEL_TABLE_CAP:
-        _panel_tables.popitem(last=False)
     return count
 
 
@@ -414,14 +439,14 @@ def _rank_rates(
 def _ring_factors(
     params: HPLParameters,
     slots: Sequence[ProcessSlot],
-    transport: Transport,
+    ring_kinds: Sequence[LinkKind],
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Ring-forwarding slowdown of each sender (CPU time-sharing; see
     ``HPLParameters.forward_interference``) and the fixed scheduler-handoff
-    cost on hops whose endpoints time-share a CPU.  Network hops take the
-    full interference; shared-memory hops a calibrated fraction of it."""
+    cost on hops whose endpoints time-share a CPU, from the link class of
+    each ring edge.  Network hops take the full interference; shared-memory
+    hops a calibrated fraction of it."""
     co_res = np.array([slot.co_resident for slot in slots], dtype=float)
-    ring_kinds = transport.ring_link_kinds()
     edge_weight = np.array(
         [
             1.0 if kind is LinkKind.NETWORK else params.intranode_interference_weight
@@ -473,7 +498,9 @@ def simulate_schedule(
     update_rate, pfact_rate, laswp_rate, step_overhead = _rank_rates(
         spec, slots, n, params
     )
-    forward_slow, hop_handoff = _ring_factors(params, slots, transport)
+    forward_slow, hop_handoff = _ring_factors(
+        params, slots, transport.ring_link_kinds()
+    )
 
     phase = {name: np.zeros(p) for name in PHASE_NAMES}
     wall = 0.0
@@ -559,7 +586,7 @@ def simulate_schedule(
     )
 
 
-# -- vectorized multi-size walker ----------------------------------------------
+# -- vectorized grid walker ----------------------------------------------------
 
 
 def simulate_schedule_batch(
@@ -572,157 +599,259 @@ def simulate_schedule_batch(
 ) -> List[ScheduleResult]:
     """Simulate one configuration at *many* problem orders in one call.
 
+    It is the one-group case of :func:`simulate_schedule_grid`.
+
     ``ns`` may repeat sizes (e.g. one entry per trial); noise arrays, when
-    given, carry one row per entry (shape ``(len(ns), P)``).  Every size is
-    padded to the largest panel count and the whole ``(sizes, panels, P)``
-    grid is evaluated as a handful of NumPy array programs; padded steps
-    contribute exact zeros.  Results are bitwise identical to calling
-    :func:`simulate_schedule` per entry with the matching noise row —
-    the golden tests assert per-phase, per-rank equality.
+    given, carry one row per entry (shape ``(len(ns), P)``).  Results are
+    bitwise identical to calling :func:`simulate_schedule` per entry with
+    the matching noise row — the golden tests assert per-phase, per-rank
+    equality.
     """
-    sizes = [int(n) for n in ns]
-    if not sizes:
-        raise SimulationError("simulate_schedule_batch needs at least one size")
-    for n in sizes:
-        if n < 1:
-            raise SimulationError(f"matrix order must be >= 1, got {n}")
+    return simulate_schedule_grid(
+        spec, [(config, ns)], params, [(compute_noise, comm_noise)]
+    )[0]
+
+
+@dataclass
+class _Group:
+    """One configuration's runs, validated and placed."""
+
+    config: ClusterConfig
+    slots: List[ProcessSlot]
+    sizes: List[int]
+    f_comp: np.ndarray  #: (S, P) compute noise factors
+    f_comm: np.ndarray  #: (S, P) communication noise factors
+
+
+def simulate_schedule_grid(
+    spec: ClusterSpec,
+    groups: Sequence[Tuple[ClusterConfig, Sequence[int]]],
+    params: Optional[HPLParameters] = None,
+    noise: Optional[Sequence[Tuple[Optional[np.ndarray], Optional[np.ndarray]]]] = None,
+) -> List[List[ScheduleResult]]:
+    """Simulate a whole grid: every ``(config, sizes)`` group, every size.
+
+    ``noise``, when given, holds one ``(compute_noise, comm_noise)`` pair
+    per group, each ``None`` or of shape ``(len(sizes), P)``.  The walker
+    runs once per process count P over every ``(configuration, size)``
+    row with that P (:func:`_walk_process_count`); returns one list of
+    results per group, in group order.  Every run is bitwise identical to
+    :func:`simulate_schedule` with its noise row, whatever else shares
+    its pass.
+    """
     started = time.perf_counter()
     params = params if params is not None else HPLParameters()
-    slots = place_processes(spec, config)
-    p = len(slots)
-    transport = Transport(spec, slots)
-    rows = len(sizes)
+    noise = [(None, None)] * len(groups) if noise is None else list(noise)
+    if len(noise) != len(groups):
+        raise SimulationError(f"{len(groups)} groups but {len(noise)} noise pairs")
+    prepared: List[_Group] = []
+    for (config, ns), (compute_noise, comm_noise) in zip(groups, noise):
+        sizes = [int(n) for n in ns]
+        if not sizes:
+            raise SimulationError("every group needs at least one size")
+        for n in sizes:
+            if n < 1:
+                raise SimulationError(f"matrix order must be >= 1, got {n}")
+        slots = place_processes(spec, config)
+        shape = (len(sizes), len(slots))
+        prepared.append(_Group(
+            config, slots, sizes,
+            _noise_or_ones(compute_noise, shape, "compute_noise"),
+            _noise_or_ones(comm_noise, shape, "comm_noise"),
+        ))
+    by_count: Dict[int, List[int]] = {}
+    for index, group in enumerate(prepared):
+        by_count.setdefault(len(group.slots), []).append(index)
+    results: List[List[ScheduleResult]] = [[] for _ in prepared]
+    for p, members in by_count.items():
+        walked = _walk_process_count(spec, params, p, [prepared[i] for i in members])
+        for index, group_results in zip(members, walked):
+            results[index] = group_results
+    _WALKER_STATS.batch_seconds += time.perf_counter() - started
+    return results
 
-    f_comp = _noise_or_ones(compute_noise, (rows, p), "compute_noise")
-    f_comm = _noise_or_ones(comm_noise, (rows, p), "comm_noise")
 
-    forward_slow, hop_handoff = _ring_factors(params, slots, transport)
+def _owner_entries(values: np.ndarray) -> np.ndarray:
+    """Writable ``(S, J, P)`` view of an ``(S, P, J*P)`` array's owner
+    entries: rank ``r`` at step ``j*P + r``, whose panel it factors."""
+    runs, p, steps = values.shape
+    s_run, s_rank, s_step = values.strides
+    return np.lib.stride_tricks.as_strided(
+        values, (runs, steps // p, p), (s_run, p * s_step, s_rank + s_step)
+    )
 
-    # -- per-unique-size tables, rates and (noise-free) broadcast chains ------
-    # One pass over every unique size: row u of a ``(U, K)`` grid holds
-    # size u's steps, padded to the largest panel count K; ``valid_u``
-    # marks the real steps, in the order the tables are concatenated.
-    unique_sizes = list(dict.fromkeys(sizes))
-    position = {n: i for i, n in enumerate(unique_sizes)}
-    row_of = np.array([position[n] for n in sizes])
-    tables = [panel_table(n, params.nb, p) for n in unique_sizes]
+
+def _walk_process_count(
+    spec: ClusterSpec, params: HPLParameters, p: int, groups: Sequence[_Group]
+) -> List[List[ScheduleResult]]:
+    """One walker pass over every run of ``groups`` (all with ``p`` ranks).
+
+    Layout: ``(runs, ranks, steps)``, the steps padded with exact zeros to
+    ``K = J*P``, a multiple of P, so step ``j*P + r`` is owned by rank
+    ``r`` and the owner-only phases are ``(runs, J, P)`` arrays folded
+    over ``J``.  Set-up rows are the unique ``(group, size)`` pairs:
+    their tables, rates and (noise-free) broadcast chains are computed
+    once and gathered to the runs.  Every array expression applies the
+    reference loop's IEEE operations in its order, and per-step sums
+    are left folds (cumulative sums), so no bit depends on the pass.
+    """
+    nb = params.nb
+    # -- set-up rows: one per (group, unique size) -----------------------------
+    unique = [list(dict.fromkeys(group.sizes)) for group in groups]
+    setup_sizes = [n for sizes in unique for n in sizes]
+    table_sizes = list(dict.fromkeys(setup_sizes))
+    table_of = {n: t for t, n in enumerate(table_sizes)}
+    tables = [panel_table(n, nb, p) for n in table_sizes]
+    run_setup = []  # setup row of every run, in run order
+    offset = 0
+    for group, sizes in zip(groups, unique):
+        position = {n: offset + i for i, n in enumerate(sizes)}
+        run_setup += [position[n] for n in group.sizes]
+        offset += len(sizes)
+    run_setup = np.array(run_setup)
+    setup_table = np.array([table_of[n] for n in setup_sizes])
+    run_table = setup_table[run_setup]
+    runs = len(run_setup)
+
     nblocks = np.array([table.nblocks for table in tables])
-    steps = int(nblocks.max())  # padded panel count K
-    valid_u = np.arange(steps) < nblocks[:, None]  # (U, K)
+    blocks = -(-int(nblocks.max()) // p)  # J
+    steps = blocks * p  # padded panel count K
+    valid_t = np.arange(steps) < nblocks[:, None]  # (T, K)
 
-    def joined(field: str) -> np.ndarray:
-        return np.concatenate([getattr(table, field) for table in tables])
-
-    def padded(values: np.ndarray) -> np.ndarray:
-        out = np.zeros(valid_u.shape + values.shape[1:])
-        out[valid_u] = values
+    def padded(field: str) -> np.ndarray:
+        """A per-step table field as ``(T, K)``."""
+        out = np.zeros(valid_t.shape)
+        out[valid_t] = np.concatenate([getattr(table, field) for table in tables])
         return out
 
-    pfact_flops_u = padded(joined("pfact_flops"))
-    width_u = padded(joined("width"))
-    update_flops_u = padded(joined("update_flops"))
-    laswp_bytes_u = padded(joined("laswp_bytes"))
-    rate_u, step_overhead = rank_rates(slots, unique_sizes)  # (U, P), (P,)
-    paging_u = node_slowdowns(
-        spec, slots, unique_sizes, nb=params.nb, slope=params.paging_slope
-    )
-    mem_rate = np.array([slot.kind.mem_copy_rate() / slot.co_resident for slot in slots])
-    if p > 1:
-        owners = joined("owner")
-        hops = (
-            transport.ring_hop_times_batch(joined("panel_nbytes")) * forward_slow
-            + hop_handoff
+    def padded_ranks(field: str) -> np.ndarray:
+        """A per-step, per-rank table field as ``(T, P, K)``."""
+        out = np.zeros((len(tables), p, steps))
+        out.transpose(0, 2, 1)[valid_t] = np.concatenate(
+            [getattr(table, field) for table in tables]
         )
-        delivery_u = padded(ring_delivery_times_batch(
-            hops, owners, pipeline_factor=params.ring_pipeline_factor
-        ))
-        hops_own_u = padded(hops[np.arange(len(owners)), owners])
+        return out
 
-    # -- expand to batch rows (one row per (size, noise) entry) ---------------
-    owner = np.arange(steps) % p  # owners do not depend on n
-    kidx = np.arange(steps)
+    # -- per-rank rates and ring factors (rows: set-up rows) ------------------
     # PEKind.process_rate's rates, degraded by paging (``_rank_rates``'
     # operations, in their order).
-    update_rate = (rate_u / paging_u)[row_of]  # (S, P)
-    pfact_rate = (rate_u * params.pfact_efficiency / paging_u)[row_of]
-    laswp_rate = (mem_rate / paging_u)[row_of]
-    valid = valid_u[row_of, :, None]  # (S, K, 1)
+    rates, pagings, mem_rates, overheads = [], [], [], []
+    network_edges, forward_slows, hop_handoffs = [], [], []  # per set-up row
+    for group, sizes in zip(groups, unique):
+        rate, overhead = rank_rates(group.slots, sizes)  # (U_g, P), (P,)
+        rates.append(rate)
+        pagings.append(node_slowdowns(
+            spec, group.slots, sizes, nb=nb, slope=params.paging_slope
+        ))
+        mem_rate = np.array(
+            [slot.kind.mem_copy_rate() / slot.co_resident for slot in group.slots]
+        )
+        mem_rates.append(np.broadcast_to(mem_rate, rate.shape))
+        overheads.append(np.broadcast_to(overhead, (len(group.sizes), p)))
+        if p > 1:
+            kinds = Transport(spec, group.slots).ring_link_kinds()
+            forward_slow, hop_handoff = _ring_factors(params, group.slots, kinds)
+            network_edges += [[kind is LinkKind.NETWORK for kind in kinds]] * len(sizes)
+            forward_slows += [forward_slow] * len(sizes)
+            hop_handoffs += [hop_handoff] * len(sizes)
+    rate_u = np.concatenate(rates)
+    paging_u = np.concatenate(pagings)
+    update_rate = (rate_u / paging_u)[run_setup]  # (S, P)
+    pfact_rate = (rate_u * params.pfact_efficiency / paging_u)[run_setup]
+    laswp_rate = (np.concatenate(mem_rates) / paging_u)[run_setup]
+    step_overhead = np.concatenate(overheads)
+    f_comp = np.concatenate([group.f_comp for group in groups])  # (S, P)
+    f_comm = np.concatenate([group.f_comm for group in groups])
 
-    # -- pfact / mxswp (owner-only phases) ------------------------------------
+    # -- pfact / mxswp: owner-only phases, (S, J, P) --------------------------
     t_pfact = (
-        pfact_flops_u[row_of] / pfact_rate[:, owner] * f_comp[:, owner]
-    )  # (S, K)
-    t_mxswp = width_u[row_of] * params.mxswp_per_column_s * f_comm[:, owner]
+        padded("pfact_flops")[run_table].reshape(runs, blocks, p)
+        / pfact_rate[:, None, :] * f_comp[:, None, :]
+    )
+    t_mxswp = (
+        padded("width")[run_table].reshape(runs, blocks, p)
+        * params.mxswp_per_column_s * f_comm[:, None, :]
+    )
     own_base = t_pfact + t_mxswp
 
-    phase_mats: Dict[str, np.ndarray] = {}
-    scatter = np.zeros((rows, steps, p))
-    scatter[:, kidx, owner] = t_pfact
-    phase_mats["pfact"] = scatter
-    scatter = np.zeros((rows, steps, p))
-    scatter[:, kidx, owner] = t_mxswp
-    phase_mats["mxswp"] = scatter
+    # -- laswp / update / overhead, (S, P, K) ----------------------------------
+    t_laswp = padded_ranks("laswp_bytes")[run_table]
+    t_laswp /= laswp_rate[:, :, None]
+    t_laswp *= f_comm[:, :, None]
+    t_update = padded_ranks("update_flops")[run_table]
+    t_update /= update_rate[:, :, None]
+    t_update *= f_comp[:, :, None]
+    valid = valid_t[run_table][:, None, :]  # (S, 1, K)
+    t_over = np.where(valid, (step_overhead * f_comp)[:, :, None], 0.0)
+    step = t_laswp + t_update
+    step += t_over
+    t_update += t_over  # the update phase: update + per-step overhead
+    del t_over
 
     # -- broadcast ------------------------------------------------------------
     if p > 1:
-        head_wait = own_base * params.pfact_wait_factor  # (S, K)
-        non_owner = np.arange(p)[None, :] != owner[:, None]  # (K, P)
-        wait = np.where(
-            non_owner[None, :, :],
-            head_wait[:, :, None] + delivery_u[row_of],
-            0.0,
+        # Edge costs per step, (U, P, K): each link model evaluated once
+        # per table, each edge taking its class's time, then the sender's
+        # slowdown and handoff (``Transport.ring_hop_times``' values).
+        panel_nbytes = padded("panel_nbytes")  # (T, K)
+        hops_u = np.where(
+            np.array(network_edges)[:, :, None],
+            spec.network.message_time(panel_nbytes)[setup_table, None, :],
+            spec.intranode.message_time(panel_nbytes)[setup_table, None, :],
         )
-        wait = wait * f_comm[:, None, :]
-        send_cost = hops_own_u[row_of] * f_comm[:, owner]  # (S, K)
-        bcast = wait.copy()
-        bcast[:, kidx, owner] = send_cost
-        phase_mats["bcast"] = bcast
-        step_base = wait.copy()
-        step_base[:, kidx, owner] = own_base + send_cost
+        hops_u *= np.array(forward_slows)[:, :, None]
+        hops_u += np.array(hop_handoffs)[:, :, None]
+        hops_u *= valid_t[setup_table][:, None, :]
+        delivery = ring_delivery_times_cyclic(
+            hops_u, pipeline_factor=params.ring_pipeline_factor
+        )  # (U, P, K)
+        head_wait = own_base * params.pfact_wait_factor  # (S, J, P)
+        bcast = delivery[run_setup]
+        bcast += head_wait.reshape(runs, 1, steps)
+        bcast *= f_comm[:, :, None]
+        send_cost = _owner_entries(hops_u)[run_setup] * f_comm[:, None, :]  # (S, J, P)
+        _owner_entries(bcast)[...] = send_cost
+        work = _owner_entries(step).copy()
+        step += bcast
+        _owner_entries(step)[...] = (own_base + send_cost) + work
+        bcast_total = left_fold(bcast)
     else:
-        phase_mats["bcast"] = np.zeros((rows, steps, p))
-        step_base = np.zeros((rows, steps, p))
-        step_base[:, kidx, owner] = own_base
-
-    # -- laswp / update / overhead --------------------------------------------
-    t_laswp = laswp_bytes_u[row_of] / laswp_rate[:, None, :] * f_comm[:, None, :]
-    t_update = (
-        update_flops_u[row_of] / update_rate[:, None, :] * f_comp[:, None, :]
-    )
-    t_over = (step_overhead * f_comp)[:, None, :]  # same every (real) step
-    phase_mats["laswp"] = t_laswp
-    phase_mats["update"] = np.where(valid, t_update + t_over, 0.0)
-
-    step = step_base + np.where(valid, (t_laswp + t_update) + t_over, 0.0)
-    wall_body = step.max(axis=2).cumsum(axis=1)[:, -1]  # (S,)
+        step += own_base.reshape(runs, 1, steps)
+        bcast_total = np.zeros((runs, p))
+    wall_body = left_fold(step.max(axis=1))  # (S,)
 
     # -- backward substitution ------------------------------------------------
-    solve = np.array([flops.solve_flops(n) for n in sizes])  # (S,)
+    solve = flops.solve_flops(np.array(table_sizes, dtype=float))[run_table]
     t_uptrsv = (
         solve[:, None] / p / update_rate + params.uptrsv_latency_s * p
     ) * f_comp  # (S, P)
+    walls = (wall_body + t_uptrsv.max(axis=1)).tolist()
 
-    # -- fold steps into per-rank phase totals --------------------------------
-    # cumsum accumulates left-to-right exactly like the reference loop's
-    # ``+=`` per step (padded steps add exact zeros), keeping bitwise parity.
-    phase_totals = {
-        name: mat.cumsum(axis=1)[:, -1, :] for name, mat in phase_mats.items()
+    # -- per-rank phase totals: left folds over the steps ----------------------
+    totals = {
+        "pfact": left_fold(t_pfact.transpose(0, 2, 1)),
+        "mxswp": left_fold(t_mxswp.transpose(0, 2, 1)),
+        "bcast": bcast_total,
+        "update": left_fold(t_update),
+        "laswp": left_fold(t_laswp),
+        "uptrsv": t_uptrsv,
     }
-    phase_totals["uptrsv"] = t_uptrsv
-    walls = wall_body + t_uptrsv.max(axis=1)
-
     # Each run's phase arrays are views of its row of one (S, F, P) block.
-    block = np.stack([phase_totals[name] for name in PHASE_NAMES], axis=1)
-    results = [
-        ScheduleResult(n=n, params=params, slots=slots,
-                       phase_arrays=dict(zip(PHASE_NAMES, block[s])), wall_time_s=wall)
-        for s, (n, wall) in enumerate(zip(sizes, walls.tolist()))
-    ]
+    block = np.stack([totals[name] for name in PHASE_NAMES], axis=1)
+    results: List[List[ScheduleResult]] = []
+    run = 0
+    for group in groups:
+        results.append([
+            ScheduleResult(n=n, params=params, slots=group.slots,
+                           phase_arrays=dict(zip(PHASE_NAMES, block[run + i])),
+                           wall_time_s=walls[run + i])
+            for i, n in enumerate(group.sizes)
+        ])
+        run += len(group.sizes)
 
     _WALKER_STATS.batch_calls += 1
-    _WALKER_STATS.batch_seconds += time.perf_counter() - started
-    _WALKER_STATS.batch_sizes += rows
-    _WALKER_STATS.batch_max = max(_WALKER_STATS.batch_max, rows)
+    _WALKER_STATS.batch_sizes += runs
+    _WALKER_STATS.batch_max = max(_WALKER_STATS.batch_max, runs)
     return results
 
 

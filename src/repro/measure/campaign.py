@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.cluster.config import ClusterConfig
 from repro.cluster.spec import ClusterSpec
 from repro.errors import MeasurementError
-from repro.hpl.driver import NoiseSpec, run_hpl_batch
+from repro.hpl.driver import NoiseSpec, run_hpl_grid
 from repro.hpl.schedule import HPLParameters
 from repro.measure.dataset import Dataset
 from repro.measure.grids import CampaignPlan, group_runs_by_config
@@ -30,10 +30,11 @@ from repro.measure.record import MeasurementRecord
 from repro.perf.parallel import ParallelRunner
 from repro.runs import WorkloadResult
 
-#: Batched runner: all problem orders of one configuration in a single call
-#: (``run_hpl_batch`` signature), returning one shared result per entry.  A
-#: workload family supplies its own (:meth:`repro.workloads.Workload.batch_runner`).
-BatchRunner = Callable[..., List[WorkloadResult]]
+#: Grid runner: every run of a grid of ``(config, sizes, trials)`` groups in
+#: a single call (``run_hpl_grid`` signature), returning one result list
+#: per group.  A workload family supplies its own
+#: (:meth:`repro.workloads.Workload.batch_runner`).
+GridRunner = Callable[..., List[List[WorkloadResult]]]
 
 
 @dataclass
@@ -67,25 +68,32 @@ class CampaignResult:
         return sum(self.cost_by_kind_and_n.values())
 
 
-def _measure_config_batch(
-    group: Tuple[ClusterConfig, List[Tuple[int, int]]],
+def _measure_chunk(
+    chunk: Sequence[Tuple[ClusterConfig, List[Tuple[int, int]]]],
     spec: ClusterSpec,
     kinds: Tuple[str, ...],
+    trials: int,
     params: Optional[HPLParameters],
     noise: Optional[NoiseSpec],
     seed: int,
-    batch_runner: BatchRunner,
-) -> List[Tuple[int, MeasurementRecord]]:
-    """All sizes of one configuration in a single batched simulation, and
-    their records from its phase block — module-level so process-pool
-    workers can unpickle it.  Returns records tagged with their original
-    plan positions."""
-    config, indexed = group
-    results = batch_runner(
-        spec, config, [n for _, n in indexed], params=params, noise=noise, seed=seed
-    )
-    records = MeasurementRecord.from_results(results, kinds, seed=seed)
-    return [(index, record) for (index, _), record in zip(indexed, records)]
+    batch_runner: GridRunner,
+) -> List[Tuple[int, List[MeasurementRecord]]]:
+    """Every ``sizes x trials`` run of a chunk of configuration groups in
+    one grid-runner call, and each configuration's records from its phase
+    block — module-level so process-pool workers can unpickle it.
+    Returns each plan entry's trial records tagged with its plan index."""
+    groups = [
+        (config, [n for _, n in indexed for _ in range(trials)],
+         list(range(trials)) * len(indexed))
+        for config, indexed in chunk
+    ]
+    results = batch_runner(spec, groups, params=params, noise=noise, seed=seed)
+    out: List[Tuple[int, List[MeasurementRecord]]] = []
+    for (_, indexed), (_, _, ts), group_results in zip(chunk, groups, results):
+        records = MeasurementRecord.from_results(group_results, kinds, seed=seed, trials=ts)
+        for slot, (index, _) in enumerate(indexed):
+            out.append((index, records[slot * trials:(slot + 1) * trials]))
+    return out
 
 
 def _measure_entries(
@@ -95,29 +103,36 @@ def _measure_entries(
     params: Optional[HPLParameters],
     noise: Optional[NoiseSpec],
     seed: int,
-    batch_runner: BatchRunner,
+    batch_runner: GridRunner,
     workers: int,
-) -> List[MeasurementRecord]:
-    """Measure plan entries, one batch per configuration, and return
-    records in plan-entry order."""
-    measure_batch = partial(
-        _measure_config_batch,
+    trials: int = 1,
+) -> List[List[MeasurementRecord]]:
+    """Measure plan entries, ``trials`` runs each, and return every
+    entry's trial records in plan-entry order.
+
+    The entries are grouped by configuration and handed to the grid
+    runner whole — or, with ``workers > 1``, as one contiguous chunk of
+    configurations per worker.  Every run seeds its own noise, so the
+    records do not depend on the chunking.
+    """
+    runner = ParallelRunner(workers=workers)
+    groups = group_runs_by_config(list(entries))
+    size = max(1, -(-len(groups) // runner.workers))
+    measure = partial(
+        _measure_chunk,
         spec=spec,
         kinds=kinds,
+        trials=trials,
         params=params,
         noise=noise,
         seed=seed,
         batch_runner=batch_runner,
     )
-    chunks = ParallelRunner(workers=workers).map(
-        measure_batch, group_runs_by_config(list(entries))
-    )
-    records: List[Optional[MeasurementRecord]] = [None] * sum(
-        len(chunk) for chunk in chunks
-    )
+    chunks = runner.map(measure, [groups[i:i + size] for i in range(0, len(groups), size)])
+    records: List[List[MeasurementRecord]] = [[] for _ in entries]
     for chunk in chunks:
-        for index, record in chunk:
-            records[index] = record
+        for index, entry_records in chunk:
+            records[index] = entry_records
     return records
 
 
@@ -127,27 +142,28 @@ def run_campaign(
     params: Optional[HPLParameters] = None,
     noise: Optional[NoiseSpec] = None,
     seed: int = 0,
-    batch_runner: BatchRunner = run_hpl_batch,
+    batch_runner: GridRunner = run_hpl_grid,
     workers: int = 1,
 ) -> CampaignResult:
     """Execute every construction measurement of ``plan``.
 
-    ``batch_runner`` (HPL's by default) simulates each configuration's
-    whole size grid in one call; records are reassembled into plan order.
+    ``batch_runner`` (HPL's grid runner by default) simulates the whole
+    construction grid in one call; records are reassembled into plan
+    order.
 
     ``workers > 1`` fans the work out over a process pool
-    (:class:`repro.perf.parallel.ParallelRunner`) — one configuration
-    batch per task.  Every run derives its own noise stream from
-    ``(seed, config, N, trial)``, so results do not depend on batching or
-    ``workers``; the default ``workers=1`` never forks.
+    (:class:`repro.perf.parallel.ParallelRunner`) — one chunk of
+    configurations per worker.  Every run derives its own noise stream
+    from ``(seed, config, N, trial)``, so results do not depend on
+    chunking or ``workers``; the default ``workers=1`` never forks.
     """
-    records = _measure_entries(
+    entries = _measure_entries(
         list(plan.construction_runs()),
         spec, plan.kinds, params, noise, seed, batch_runner, workers,
     )
     dataset = Dataset()
     cost: Dict[Tuple[str, int], float] = defaultdict(float)
-    for record in records:
+    for (record,) in entries:
         dataset.add(record)
         cost[(_charged_kind(record), record.n)] += record.wall_time_s
     return CampaignResult(
@@ -161,7 +177,7 @@ def run_evaluation(
     params: Optional[HPLParameters] = None,
     noise: Optional[NoiseSpec] = None,
     seed: int = 0,
-    batch_runner: BatchRunner = run_hpl_batch,
+    batch_runner: GridRunner = run_hpl_grid,
     workers: int = 1,
 ) -> Dataset:
     """Measure the full evaluation grid (the ground-truth runs the paper
@@ -169,11 +185,11 @@ def run_evaluation(
 
     Batching and ``workers`` behave exactly as in :func:`run_campaign`.
     """
-    records = _measure_entries(
+    entries = _measure_entries(
         list(plan.evaluation_runs()),
         spec, plan.kinds, params, noise, seed, batch_runner, workers,
     )
-    return Dataset(records)
+    return Dataset(record for (record,) in entries)
 
 
 def _charged_kind(record: MeasurementRecord) -> str:

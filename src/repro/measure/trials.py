@@ -17,21 +17,23 @@ single :class:`~repro.measure.record.MeasurementRecord`
 from __future__ import annotations
 
 from collections import defaultdict
-from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.config import ClusterConfig
 from repro.cluster.spec import ClusterSpec
 from repro.errors import MeasurementError
-from repro.hpl.driver import NoiseSpec, run_hpl_batch
+from repro.hpl.driver import NoiseSpec, run_hpl_grid
 from repro.hpl.schedule import HPLParameters
-from repro.measure.campaign import BatchRunner, CampaignResult, _charged_kind
+from repro.measure.campaign import (
+    CampaignResult,
+    GridRunner,
+    _charged_kind,
+    _measure_entries,
+)
 from repro.measure.dataset import Dataset
-from repro.measure.grids import CampaignPlan, group_runs_by_config
+from repro.measure.grids import CampaignPlan
 from repro.measure.record import KindMeasurement, MeasurementRecord
-from repro.perf.parallel import ParallelRunner
 
 AGGREGATORS: Dict[str, Callable[[np.ndarray], float]] = {
     "min": lambda values: float(np.min(values)),
@@ -98,37 +100,6 @@ def aggregate_records(
     )
 
 
-def _measure_trials_config_batch(
-    group: Tuple[ClusterConfig, List[Tuple[int, int]]],
-    spec: ClusterSpec,
-    kinds: Tuple[str, ...],
-    trials: int,
-    how: str,
-    params: Optional[HPLParameters],
-    noise: Optional[NoiseSpec],
-    seed: int,
-    batch_runner: BatchRunner,
-) -> List[Tuple[int, MeasurementRecord, float]]:
-    """One configuration's entire ``sizes x trials`` grid in a single
-    batched simulation — module-level for process pools.  Returns
-    aggregated records tagged with their original plan positions."""
-    config, indexed = group
-    ns = [n for _, n in indexed for _ in range(trials)]
-    ts = [t for _ in indexed for t in range(trials)]
-    results = batch_runner(
-        spec, config, ns, params=params, noise=noise, seed=seed, trial=ts
-    )
-    records = MeasurementRecord.from_results(results, kinds, seed=seed, trials=ts)
-    out: List[Tuple[int, MeasurementRecord, float]] = []
-    for slot, (index, _) in enumerate(indexed):
-        repeats = records[slot * trials:(slot + 1) * trials]
-        cost = 0.0
-        for record in repeats:
-            cost += record.wall_time_s
-        out.append((index, aggregate_records(repeats, how), cost))
-    return out
-
-
 def run_campaign_with_trials(
     spec: ClusterSpec,
     plan: CampaignPlan,
@@ -137,7 +108,7 @@ def run_campaign_with_trials(
     params: Optional[HPLParameters] = None,
     noise: Optional[NoiseSpec] = None,
     seed: int = 0,
-    batch_runner: BatchRunner = run_hpl_batch,
+    batch_runner: GridRunner = run_hpl_grid,
     workers: int = 1,
 ) -> CampaignResult:
     """A construction campaign with repeated, robustly aggregated trials.
@@ -145,35 +116,25 @@ def run_campaign_with_trials(
     The cost ledger charges every trial (a 3-trial campaign costs ~3x the
     single-shot one — the price of outlier immunity).
 
-    ``batch_runner`` (HPL's by default) simulates each configuration's
-    whole ``sizes x trials`` grid in one call; every ``(config, N,
+    ``batch_runner`` (HPL's grid runner by default) simulates the whole
+    ``configs x sizes x trials`` grid in one call (one chunk of
+    configurations per worker when ``workers > 1``); every ``(config, N,
     trial)`` still seeds its own noise stream, so datasets and cost
-    ledgers do not depend on batching or ``workers``.
+    ledgers do not depend on chunking or ``workers``.
     """
     if trials < 1:
         raise MeasurementError("trials must be >= 1")
-    entries = list(plan.construction_runs())
-    measure_batch = partial(
-        _measure_trials_config_batch,
-        spec=spec,
-        kinds=plan.kinds,
-        trials=trials,
-        how=how,
-        params=params,
-        noise=noise,
-        seed=seed,
-        batch_runner=batch_runner,
+    entries = _measure_entries(
+        list(plan.construction_runs()),
+        spec, plan.kinds, params, noise, seed, batch_runner, workers, trials=trials,
     )
-    chunks = ParallelRunner(workers=workers).map(
-        measure_batch, group_runs_by_config(entries)
-    )
-    results: List[Optional[Tuple[MeasurementRecord, float]]] = [None] * len(entries)
-    for chunk in chunks:
-        for index, record, run_cost in chunk:
-            results[index] = (record, run_cost)
     dataset = Dataset()
     cost: Dict[Tuple[str, int], float] = defaultdict(float)
-    for record, run_cost in results:
+    for repeats in entries:
+        record = aggregate_records(repeats, how)
+        run_cost = 0.0
+        for repeat in repeats:
+            run_cost += repeat.wall_time_s
         dataset.add(record)
         cost[(_charged_kind(record), record.n)] += run_cost
     return CampaignResult(

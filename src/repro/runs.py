@@ -15,8 +15,10 @@ kind and run — the mean phase times of that kind's processes
   as views of a walker's ``(S, P)`` phase matrices;
 * :func:`kind_means` — the only per-kind mean, over a batch's
   ``(S, F, P)`` phase block (runs x phases x ranks);
-* :func:`noise_rows` / :func:`normalize_trials` — the per-run noise draw
-  and ``trial`` expansion every batch runner shares.
+* :func:`noise_grid` / :func:`normalize_groups` — the per-run noise draw
+  of a whole grid of ``(configuration, sizes, trials)`` groups and the
+  group normalization every grid runner shares (:func:`noise_rows` and
+  :func:`normalize_trials` are their one-group cases).
 
 It imports nothing from :mod:`repro.hpl`, :mod:`repro.measure` or
 :mod:`repro.workloads`, so all three can build on it.
@@ -26,13 +28,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import fields
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Type
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Type, Union
 
 import numpy as np
 
 from repro.cluster.config import ClusterConfig
 from repro.errors import MeasurementError, SimulationError
-from repro.rng import prefixed_streams
+from repro.rng import folded_keys, seeded
 from repro.units import gflops as to_gflops
 
 
@@ -281,6 +283,72 @@ def kind_means(
         yield tuple(phase_class(*rows[s]) for rows in means)
 
 
+#: One group of a measurement grid: a configuration, its problem orders
+#: and one trial index per order (or one index shared by every order).
+RunGroup = Tuple[ClusterConfig, Sequence[int], Union[int, Sequence[int]]]
+
+
+def normalize_groups(
+    groups: Sequence[RunGroup],
+) -> List[Tuple[ClusterConfig, List[int], List[int]]]:
+    """A grid's groups with integer orders and one trial index per order."""
+    out = []
+    for config, sizes, trials in groups:
+        sizes = [int(n) for n in sizes]
+        out.append((config, sizes, normalize_trials(sizes, trials)))
+    return out
+
+
+def noise_grid(label: str, groups: Sequence[RunGroup], noise, seed: int):
+    """Per-run log-normal noise rows for every run of a grid.
+
+    Run ``(config, N, trial)`` draws from ``stream(seed, label,
+    config.key(), N, trial)``: compute jitter, comm jitter, then the
+    outlier roll.  The draw depends only on its own run, so a run gets
+    the same noise alone, in its configuration's batch or in any grid.
+    The whole grid is seeded in one pass (:func:`repro.rng.seeded`; each
+    group's ``(label, config.key())`` prefix is hashed once), and its
+    rows are scaled and exponentiated together.  Returns one
+    ``(compute_rows, comm_rows)`` pair of ``(len(sizes), P)`` arrays per
+    group, or ``(None, None)`` pairs when noise is disabled.
+    """
+    groups = normalize_groups(groups)
+    if noise is None or not noise.enabled:
+        return [(None, None)] * len(groups)
+    keys: List[int] = []
+    widths: List[int] = []
+    for config, sizes, trials in groups:
+        keys += folded_keys((label, config.key()), zip(sizes, trials))
+        widths += [2 * config.total_processes] * len(sizes)
+    ends = np.cumsum(widths, dtype=np.int64).tolist()
+    draws = np.empty(ends[-1] if ends else 0)
+    rolls = np.ones(len(keys))
+    roll = noise.outlier_probability > 0
+    start = 0
+    for run, (generator, end) in enumerate(zip(seeded(seed, keys), ends)):
+        generator.standard_normal(out=draws[start:end])
+        if roll:
+            rolls[run] = generator.random()
+        start = end
+    outliers = rolls < noise.outlier_probability
+    rows = []
+    run = start = 0
+    for config, sizes, _ in groups:
+        p, count = config.total_processes, len(sizes)
+        block = draws[start:start + 2 * p * count].reshape(count, 2, p)
+        # ``normal(0, sigma)`` is ``0.0 + sigma * z``; the sign of a zero
+        # does not survive ``exp``.
+        compute_rows = np.exp(noise.sigma_compute * block[:, 0])
+        comm_rows = np.exp(noise.sigma_comm * block[:, 1])
+        hit = outliers[run:run + count]
+        compute_rows[hit] *= noise.outlier_factor
+        comm_rows[hit] *= noise.outlier_factor
+        rows.append((compute_rows, comm_rows))
+        run += count
+        start += 2 * p * count
+    return rows
+
+
 def noise_rows(
     label: str,
     config: ClusterConfig,
@@ -289,34 +357,10 @@ def noise_rows(
     noise,
     seed: int,
 ):
-    """Per-run log-normal noise rows, one independent stream per row.
+    """The noise rows of one configuration's runs (one-group :func:`noise_grid`).
 
-    Each row draws from ``stream(seed, label, config.key(), N, trial)``:
-    compute jitter, comm jitter, then the outlier roll.  The draw depends
-    only on its own ``(config, N, trial)``, so a run gets the same noise
-    alone or in any batch.  The ``(label, config.key())`` prefix is hashed
-    once per batch, and the batch's rows are exponentiated together.
-    Returns ``(compute_rows, comm_rows)`` of shape ``(len(sizes), P)``, or
-    ``(None, None)`` when noise is disabled.
-    """
-    if noise is None or not noise.enabled:
-        return None, None
-    p = config.total_processes
-    compute_rows = np.empty((len(sizes), p))
-    comm_rows = np.empty((len(sizes), p))
-    outliers = np.zeros(len(sizes), dtype=bool)
-    streams = prefixed_streams(seed, (label, config.key()), zip(sizes, trials))
-    for i, rng in enumerate(streams):
-        compute_rows[i] = rng.normal(0.0, noise.sigma_compute, size=p)
-        comm_rows[i] = rng.normal(0.0, noise.sigma_comm, size=p)
-        outliers[i] = (
-            noise.outlier_probability > 0 and rng.random() < noise.outlier_probability
-        )
-    np.exp(compute_rows, out=compute_rows)
-    np.exp(comm_rows, out=comm_rows)
-    compute_rows[outliers] *= noise.outlier_factor
-    comm_rows[outliers] *= noise.outlier_factor
-    return compute_rows, comm_rows
+    Returns ``(len(sizes), P)`` arrays, or ``(None, None)`` without noise."""
+    return noise_grid(label, [(config, sizes, trials)], noise, seed)[0]
 
 
 def normalize_trials(sizes: Sequence[int], trial) -> List[int]:

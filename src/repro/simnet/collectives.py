@@ -27,6 +27,7 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from repro.errors import SimulationError
 
@@ -66,53 +67,61 @@ def ring_delivery_times(
     return out
 
 
-def ring_delivery_times_batch(
+def ring_delivery_times_cyclic(
     hop_times,
-    roots,
     pipeline_factor: float = 1.0,
 ) -> np.ndarray:
-    """Root-vector form of :func:`ring_delivery_times`.
+    """Delivery times of a panel sweep whose step ``k`` is rooted at ``k mod P``.
 
-    ``hop_times`` is ``(K, P)`` — one ring of per-edge costs per step —
-    and ``roots`` is ``(K,)`` — that step's broadcast root.  Returns the
-    ``(K, P)`` delivery times, row ``k`` bitwise identical to
-    ``ring_delivery_times(hop_times[k], roots[k], pipeline_factor)``
-    (same element-wise operations, and the cumulative sum along the chain
-    accumulates in the same left-to-right order).  A 1-D ``hop_times`` is
-    broadcast across all roots.
+    ``hop_times`` is ``(..., P, K)`` — the cost of edge ``e -> e+1 (mod P)``
+    at step ``k``, any leading batch axes, ``K`` a multiple of ``P``.
+    Returns the ``(..., P, K)`` time at which rank ``r`` holds step ``k``'s
+    panel, each step bitwise identical to
+    ``ring_delivery_times(hop_times[..., :, k], k % P, pipeline_factor)``:
+    the same element-wise operations, and the chain accumulates in the same
+    left-to-right order.
+
+    With step ``k = j*P + r`` rooted at ``r``, the chain of edges ``r ..
+    r+P-2`` is a strided view of the ring doubled along its edges, and the
+    rank at distance ``d`` reads arrival ``d`` from a strided view of the
+    doubled arrivals — no gather.
     """
     hops = np.asarray(hop_times, dtype=float)
-    roots_arr = np.asarray(roots, dtype=int)
-    if roots_arr.ndim != 1:
-        raise SimulationError(f"roots must be 1-D, got shape {roots_arr.shape}")
-    if hops.ndim == 1:
-        hops = np.broadcast_to(hops, (roots_arr.shape[0], hops.shape[0]))
-    if hops.ndim != 2:
-        raise SimulationError(f"hop_times must be 1-D or 2-D, got {hops.ndim}-D")
-    steps, p = hops.shape
+    if hops.ndim < 2:
+        raise SimulationError(f"hop_times must be at least 2-D, got {hops.ndim}-D")
+    p, steps = hops.shape[-2:]
     if p == 0:
         raise SimulationError("empty ring")
-    if steps != roots_arr.shape[0]:
-        raise SimulationError(
-            f"{steps} hop rows but {roots_arr.shape[0]} roots"
-        )
-    if steps and (roots_arr.min() < 0 or roots_arr.max() >= p):
-        bad = roots_arr[(roots_arr < 0) | (roots_arr >= p)][0]
-        raise SimulationError(f"invalid root {bad} for ring of {p}")
+    if steps % p:
+        raise SimulationError(f"{steps} steps are not a multiple of the ring size {p}")
     if not (0.0 <= pipeline_factor <= 1.0):
         raise SimulationError(f"pipeline_factor must be in [0,1]: {pipeline_factor}")
     if p == 1:
-        return np.zeros((steps, 1))
-    # Edge used to reach the rank at distance d (1-based) is (root+d-1) mod p.
-    edge_order = (roots_arr[:, None] + np.arange(p - 1)[None, :]) % p
-    chain = np.take_along_axis(hops, edge_order, axis=1)
-    discounted = chain.copy()
-    discounted[:, 1:] *= pipeline_factor
-    arrival_by_distance = np.concatenate(
-        [np.zeros((steps, 1)), np.cumsum(discounted, axis=1)], axis=1
+        return np.zeros(hops.shape)
+    lead, blocks = hops.shape[:-2], steps // p
+    ring = hops.reshape((-1, p, blocks, p))  # [sweep, edge, j, root]
+    doubled = np.concatenate([ring, ring[:, : p - 2]], axis=1)
+    s_sweep, s_edge, s_block, s_root = doubled.strides
+    # chain[d, sweep, j, r] = edge r + d of step j*P + r; the distance
+    # leads, so every step of the accumulation is one contiguous slab.
+    chain = as_strided(
+        doubled, (p - 1, len(ring), blocks, p), (s_edge, s_sweep, s_block, s_root + s_edge)
     )
-    distances = (np.arange(p)[None, :] - roots_arr[:, None]) % p
-    return np.take_along_axis(arrival_by_distance, distances, axis=1)
+    discounted = chain[1:] * pipeline_factor
+    # arrival[x]: arrival at distance x mod p (0 at the root)
+    arrival = np.empty((2 * p,) + discounted.shape[1:])
+    arrival[0] = 0.0
+    arrival[1] = chain[0]
+    for d in range(2, p):
+        np.add(arrival[d - 1], discounted[d - 2], out=arrival[d])
+    arrival[p:] = arrival[:p]
+    shifted = arrival[p:]
+    s_dist, s_sweep, s_block, s_root = shifted.strides
+    # delivery[sweep, rank, j, r] = arrival at distance (rank - r) mod p
+    delivery = as_strided(
+        shifted, (len(ring), p, blocks, p), (s_sweep, s_dist, s_block, s_root - s_dist)
+    )
+    return delivery.reshape(lead + (p, steps))
 
 
 def ring_busy_times(

@@ -10,9 +10,9 @@ Three link classes exist in the model, matching the paper's environment:
 
 The paper's modelling assumptions (homogeneous network, sender-independent
 cost) mean a link's cost depends only on its class and the message size.
-:class:`Transport` pre-classifies the ring edges of a placement once and
-then evaluates per-step hop times for an *array* of message sizes in one
-vectorized call — the schedule simulator's inner loop.
+:class:`Transport` classifies the ring edges of a placement and evaluates
+their hop times; the schedule simulator's grid walker takes the edge
+classes from it and evaluates each link model once per panel table.
 """
 
 from __future__ import annotations
@@ -108,29 +108,6 @@ class Transport:
                     intranode_time = float(self.spec.intranode.message_time(nbytes))
                 times[i] = intranode_time
         return times
-
-    def ring_hop_times_batch(self, nbytes) -> np.ndarray:
-        """Per-edge transfer times for *many* message sizes at once.
-
-        ``nbytes`` is an array of ``K`` message sizes (one per panel step);
-        the result is ``(K, P)`` where row ``k`` is bitwise identical to
-        ``ring_hop_times(nbytes[k])`` — both link models evaluate their
-        cost curves element-wise, so batching the sizes changes nothing
-        numerically.  This is the batched schedule walker's hop kernel.
-        """
-        sizes = np.asarray(nbytes, dtype=float).reshape(-1)
-        kinds = self.ring_link_kinds()
-        is_network = np.array([kind is LinkKind.NETWORK for kind in kinds])
-        out = np.empty((sizes.shape[0], self.size), dtype=float)
-        if is_network.any():
-            network = np.asarray(self.spec.network.message_time(sizes), dtype=float)
-            out[:, is_network] = network[:, None]
-        if (~is_network).any():
-            intranode = np.asarray(
-                self.spec.intranode.message_time(sizes), dtype=float
-            )
-            out[:, ~is_network] = intranode[:, None]
-        return out
 
     def describe_ring(self) -> str:
         """Human-readable ring path, for debugging placements."""

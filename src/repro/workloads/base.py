@@ -3,10 +3,11 @@
 A *workload family* bundles everything the estimation pipeline needs to
 know about one phase-structured parallel application:
 
-* the deterministic simulator (a batch runner with the signature of
-  :func:`~repro.hpl.driver.run_hpl_batch`, returning one shared
-  :class:`~repro.runs.WorkloadResult` per run) — the one way campaigns
-  choose the application;
+* the deterministic simulator (a grid runner with the signature of
+  :func:`~repro.hpl.driver.run_hpl_grid`, measuring every run of a grid of
+  ``(configuration, sizes, trials)`` groups in one call and returning one
+  shared :class:`~repro.runs.WorkloadResult` per run) — the one way
+  campaigns choose the application;
 * the phase decomposition used for fitting (a phase-vector class, see
   :mod:`repro.workloads.phases`);
 * the measurement-grid shape (a :class:`~repro.measure.grids.CampaignPlan`
@@ -108,7 +109,8 @@ class Workload:
     # -- simulator entry point ----------------------------------------------
 
     def batch_runner(self) -> Callable:
-        """The batch run function (``run_hpl_batch``-shaped)."""
+        """The family's grid runner (``run_hpl_grid``-shaped): one call
+        measures a whole grid of ``(config, sizes, trials)`` groups."""
         raise NotImplementedError
 
     # -- measurement grid ---------------------------------------------------

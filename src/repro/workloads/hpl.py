@@ -2,7 +2,7 @@
 
 This is a thin adapter: the simulator, phase decomposition, campaign
 plans and memory model live in :mod:`repro.hpl` /
-:mod:`repro.measure.grids`.  Like every family, HPL's batch runner
+:mod:`repro.measure.grids`.  Like every family, HPL's grid runner
 returns the shared :class:`~repro.runs.WorkloadResult` and its phases
 are a registered :class:`~repro.runs.PhaseVector`
 (:class:`~repro.hpl.timing.PhaseTimes`).  Registering them here is what
@@ -12,7 +12,7 @@ that the routing changes nothing.
 
 from __future__ import annotations
 
-from repro.hpl.driver import run_hpl_batch
+from repro.hpl.driver import run_hpl_grid
 from repro.hpl.flops import hpl_benchmark_flops
 from repro.hpl.memory import config_memory_ratio
 from repro.hpl.timing import PhaseTimes
@@ -28,7 +28,7 @@ class HPLWorkload(Workload):
     phase_class = PhaseTimes
 
     def batch_runner(self):
-        return run_hpl_batch
+        return run_hpl_grid
 
     def plan(self, protocol: str):
         return plan_by_name(protocol)

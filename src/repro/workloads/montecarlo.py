@@ -46,9 +46,10 @@ from repro.measure.grids import (
 )
 from repro.runs import (
     PhaseVector,
+    RunGroup,
     WorkloadResult,
-    noise_rows,
-    normalize_trials,
+    noise_grid,
+    normalize_groups,
     register_phases,
 )
 from repro.workloads.base import Workload, register_workload
@@ -226,6 +227,28 @@ def simulate_montecarlo_reference(
     )
 
 
+def run_montecarlo_grid(
+    spec: ClusterSpec,
+    groups: Sequence[RunGroup],
+    params=None,
+    noise=None,
+    seed: int = 0,
+) -> List[List[WorkloadResult]]:
+    """Monte Carlo's grid runner: every run of a grid in one call.
+
+    :func:`~repro.hpl.driver.run_hpl_grid`-shaped (``params`` ignored): the
+    whole grid's noise is seeded in one pass, then one walk per
+    configuration."""
+    groups = normalize_groups(groups)
+    rows = noise_grid("montecarlo-run", groups, noise, seed)
+    return [
+        simulate_montecarlo_batch(
+            spec, config, sizes, compute_noise=compute, comm_noise=comm
+        )
+        for (config, sizes, _), (compute, comm) in zip(groups, rows)
+    ]
+
+
 def run_montecarlo_batch(
     spec: ClusterSpec,
     config: ClusterConfig,
@@ -235,15 +258,10 @@ def run_montecarlo_batch(
     seed: int = 0,
     trial: Union[int, Sequence[int]] = 0,
 ) -> List[WorkloadResult]:
-    """Batched MC runner (``run_hpl_batch``-shaped; ``params`` ignored)."""
-    sizes = [int(n) for n in ns]
-    trials = normalize_trials(sizes, trial)
-    compute_rows, comm_rows = noise_rows(
-        "montecarlo-run", config, sizes, trials, noise, seed
-    )
-    return simulate_montecarlo_batch(
-        spec, config, sizes, compute_noise=compute_rows, comm_noise=comm_rows
-    )
+    """Batched MC runner: the one-group call of :func:`run_montecarlo_grid`."""
+    return run_montecarlo_grid(
+        spec, [(config, ns, trial)], params=params, noise=noise, seed=seed
+    )[0]
 
 
 def run_montecarlo(
@@ -292,7 +310,7 @@ class MonteCarloWorkload(Workload):
     phase_class = MonteCarloPhases
 
     def batch_runner(self):
-        return run_montecarlo_batch
+        return run_montecarlo_grid
 
     def plan(self, protocol: str) -> CampaignPlan:
         if protocol == "basic":

@@ -46,10 +46,11 @@ from repro.measure.grids import (
 )
 from repro.runs import (
     PhaseVector,
+    RunGroup,
     WorkloadResult,
     left_fold,
-    noise_rows,
-    normalize_trials,
+    noise_grid,
+    normalize_groups,
     register_phases,
 )
 from repro.workloads.base import Workload, register_workload
@@ -240,6 +241,29 @@ def simulate_sorting_reference(
     )
 
 
+def run_sorting_grid(
+    spec: ClusterSpec,
+    groups: Sequence[RunGroup],
+    params=None,
+    noise=None,
+    seed: int = 0,
+) -> List[List[WorkloadResult]]:
+    """Sorting's grid runner: every run of a grid in one call.
+
+    :func:`~repro.hpl.driver.run_hpl_grid`-shaped: the whole grid's noise
+    is seeded in one pass, then one walk per configuration.
+
+    ``params`` is accepted for signature compatibility and ignored — the
+    family has no HPL-style tuning block.
+    """
+    groups = normalize_groups(groups)
+    rows = noise_grid("sorting-run", groups, noise, seed)
+    return [
+        simulate_sorting_batch(spec, config, sizes, compute_noise=compute, comm_noise=comm)
+        for (config, sizes, _), (compute, comm) in zip(groups, rows)
+    ]
+
+
 def run_sorting_batch(
     spec: ClusterSpec,
     config: ClusterConfig,
@@ -249,19 +273,10 @@ def run_sorting_batch(
     seed: int = 0,
     trial: Union[int, Sequence[int]] = 0,
 ) -> List[WorkloadResult]:
-    """Batched sorting runner (``run_hpl_batch``-shaped).
-
-    ``params`` is accepted for signature compatibility and ignored — the
-    family has no HPL-style tuning block.
-    """
-    sizes = [int(n) for n in ns]
-    trials = normalize_trials(sizes, trial)
-    compute_rows, comm_rows = noise_rows(
-        "sorting-run", config, sizes, trials, noise, seed
-    )
-    return simulate_sorting_batch(
-        spec, config, sizes, compute_noise=compute_rows, comm_noise=comm_rows
-    )
+    """Batched sorting runner: the one-group call of :func:`run_sorting_grid`."""
+    return run_sorting_grid(
+        spec, [(config, ns, trial)], params=params, noise=noise, seed=seed
+    )[0]
 
 
 def run_sorting(
@@ -304,7 +319,7 @@ class SortingWorkload(Workload):
     phase_class = SortingPhases
 
     def batch_runner(self):
-        return run_sorting_batch
+        return run_sorting_grid
 
     def plan(self, protocol: str) -> CampaignPlan:
         if protocol == "basic":

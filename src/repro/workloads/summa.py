@@ -39,7 +39,7 @@ from repro.hpl.driver import NoiseSpec
 from repro.hpl.memory import config_memory_ratio, node_slowdowns
 from repro.hpl.schedule import HPLParameters, ScheduleResult, _noise_or_ones
 from repro.hpl.timing import PHASE_NAMES
-from repro.runs import WorkloadResult, noise_rows, normalize_trials
+from repro.runs import RunGroup, WorkloadResult, noise_grid, normalize_groups
 from repro.simnet.collectives import ring_delivery_times
 from repro.simnet.transport import LinkKind, Transport
 from repro.workloads.base import register_workload
@@ -134,6 +134,33 @@ def simulate_summa(
     )
 
 
+def run_summa_grid(
+    spec: ClusterSpec,
+    groups: Sequence[RunGroup],
+    params: Optional[HPLParameters] = None,
+    noise: Optional[NoiseSpec] = None,
+    seed: int = 0,
+) -> List[List[WorkloadResult]]:
+    """SUMMA's grid runner: every run of a grid in one call.
+
+    :func:`~repro.hpl.driver.run_hpl_grid`-shaped: the whole grid's noise
+    is seeded in one pass, then one walk per run, each with its own
+    ``(seed, "summa-run", config, N, trial)`` noise row."""
+    groups = normalize_groups(groups)
+    rows = noise_grid("summa-run", groups, noise, seed)
+    return [
+        [
+            simulate_summa(
+                spec, config, n, params=params,
+                compute_noise=None if compute is None else compute[i],
+                comm_noise=None if comm is None else comm[i],
+            ).to_result(spec.name, config, summa_flops(n))
+            for i, n in enumerate(sizes)
+        ]
+        for (config, sizes, _), (compute, comm) in zip(groups, rows)
+    ]
+
+
 def run_summa_batch(
     spec: ClusterSpec,
     config: ClusterConfig,
@@ -143,19 +170,10 @@ def run_summa_batch(
     seed: int = 0,
     trial: Union[int, Sequence[int]] = 0,
 ) -> List[WorkloadResult]:
-    """Batched SUMMA runner (``run_hpl_batch``-shaped): one walk per entry,
-    each with its own ``(seed, "summa-run", config, N, trial)`` noise row."""
-    sizes = [int(n) for n in ns]
-    trials = normalize_trials(sizes, trial)
-    compute_rows, comm_rows = noise_rows("summa-run", config, sizes, trials, noise, seed)
-    return [
-        simulate_summa(
-            spec, config, n, params=params,
-            compute_noise=None if compute_rows is None else compute_rows[i],
-            comm_noise=None if comm_rows is None else comm_rows[i],
-        ).to_result(spec.name, config, summa_flops(n))
-        for i, n in enumerate(sizes)
-    ]
+    """Batched SUMMA runner: the one-group call of :func:`run_summa_grid`."""
+    return run_summa_grid(
+        spec, [(config, ns, trial)], params=params, noise=noise, seed=seed
+    )[0]
 
 
 def run_summa(
@@ -180,7 +198,7 @@ class SummaWorkload(HPLWorkload):
     display = "SUMMA matrix multiplication"
 
     def batch_runner(self):
-        return run_summa_batch
+        return run_summa_grid
 
     def memory_ratio(self, spec, config, n, kind_name):
         # A, B and C resident: three HPL-sized matrices.

@@ -1,5 +1,6 @@
 """Unit tests for the pluggable search layer (registry + backends)."""
 
+import gc
 import math
 
 import pytest
@@ -75,6 +76,17 @@ class TestSearchSpace:
         configs = list(space.configs())
         assert len(configs) == space.size
         assert len({c.key() for c in configs}) == space.size
+
+    def test_configs_walk_leaves_no_reference_cycle(self, small_problem):
+        space = small_problem.space
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in space.configs():
+                pass
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_from_candidates_exact_cover_roundtrip(self):
         candidates = [cfg(1, 1, 0, 0), cfg(1, 2, 0, 0), cfg(0, 0, 8, 1),

@@ -20,8 +20,10 @@ from repro.hpl.schedule import (
     simulate_schedule_batch,
     walker_stats,
 )
+from repro.hpl.driver import NoiseSpec
 from repro.hpl.timing import PHASE_NAMES
-from repro.measure.grids import PAPER_KINDS
+from repro.measure.campaign import run_campaign, run_evaluation
+from repro.measure.grids import PAPER_KINDS, plan_by_name
 
 
 def cfg(p1, m1, p2, m2):
@@ -215,3 +217,35 @@ class TestWalkerStats:
         assert merged.batch_max == 6
         assert set(delta.to_dict()) == set(merged.to_dict())
         assert "panel-table" in stats.describe()
+
+
+class TestPaperGridPasses:
+    """The six paper HPL grids (campaign and evaluation of Basic, NL, NS)."""
+
+    @staticmethod
+    def measure_paper_grids(spec):
+        for protocol in ("basic", "nl", "ns"):
+            plan = plan_by_name(protocol)
+            run_campaign(spec, plan, noise=NoiseSpec(), seed=7)
+            run_evaluation(spec, plan, noise=NoiseSpec(), seed=7)
+
+    def test_one_walker_pass_per_grid_and_process_count(self, spec):
+        passes = sum(
+            len({config.total_processes for config in configs})
+            for plan in map(plan_by_name, ("basic", "nl", "ns"))
+            for configs in (plan.construction_configs, plan.evaluation_configs)
+        )
+        assert passes == 99  # against 300 configuration batches
+        reset_walker_stats()
+        self.measure_paper_grids(spec)
+        stats = walker_stats()
+        assert stats.batch_calls == passes
+        assert stats.batch_sizes == 1780
+
+    def test_panel_tables_of_the_paper_grids_stay_memoized(self, spec):
+        clear_panel_tables()
+        self.measure_paper_grids(spec)
+        reset_walker_stats()
+        self.measure_paper_grids(spec)
+        assert walker_stats().table_misses == 0
+        assert walker_stats().table_hits > 0

@@ -37,7 +37,7 @@ def sizes_of(family):
 
 def run_batch(spec, family, values, ns, noise, trials=0):
     runner = create_workload(family).batch_runner()
-    return runner(spec, config_of(values), ns, noise=noise, seed=SEED, trial=trials)
+    return runner(spec, [(config_of(values), ns, trials)], noise=noise, seed=SEED)[0]
 
 
 def float_bits(value):

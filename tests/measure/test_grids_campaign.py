@@ -155,11 +155,14 @@ class TestBatchedCampaignEquality:
     measurement — same datasets, same cost ledgers."""
 
     @staticmethod
-    def scalar_runner(spec, config, ns, params=None, noise=None, seed=0, trial=0):
-        # Batch-shaped, but one run_hpl call per size: the run-by-run oracle.
+    def scalar_runner(spec, groups, params=None, noise=None, seed=0):
+        # Grid-shaped, but one run_hpl call per run: the run-by-run oracle.
         return [
-            run_hpl(spec, config, n, params=params, noise=noise, seed=seed, trial=trial)
-            for n in ns
+            [
+                run_hpl(spec, config, n, params=params, noise=noise, seed=seed, trial=t)
+                for n, t in zip(ns, trials)
+            ]
+            for config, ns, trials in groups
         ]
 
     def test_campaign_dataset_and_costs_identical(self):

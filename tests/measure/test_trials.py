@@ -134,11 +134,14 @@ class TestTrialCampaign:
         """The batched sizes-times-trials grid must reproduce the run-by-run
         trial campaign exactly, outliers included."""
 
-        def scalar_runner(spec, config, ns, params=None, noise=None, seed=0, trial=0):
-            # Batch-shaped, but one run_hpl call per entry.
+        def scalar_runner(spec, groups, params=None, noise=None, seed=0):
+            # Grid-shaped, but one run_hpl call per entry.
             return [
-                run_hpl(spec, config, n, params=params, noise=noise, seed=seed, trial=t)
-                for n, t in zip(ns, trial)
+                [
+                    run_hpl(spec, config, n, params=params, noise=noise, seed=seed, trial=t)
+                    for n, t in zip(ns, trial)
+                ]
+                for config, ns, trial in groups
             ]
 
         noise = NoiseSpec(outlier_probability=0.2, outlier_factor=3.0)

@@ -12,7 +12,7 @@ from repro.simnet.collectives import (
     binomial_delivery_times,
     ring_busy_times,
     ring_delivery_times,
-    ring_delivery_times_batch,
+    ring_delivery_times_cyclic,
     run_binomial_bcast,
     run_ring_bcast,
 )
@@ -205,52 +205,40 @@ class TestClosedForms:
 
 
 class TestBatchedClosedForm:
+    """The panel sweep's form: step ``k`` of every sweep rooted at ``k % P``."""
+
     def test_bitwise_equal_to_scalar_per_row(self):
         import numpy as np
 
         rng = np.random.default_rng(3)
         for p in (2, 3, 7, 14):
-            steps = 9
-            hops = rng.uniform(0.001, 1.0, size=(steps, p))
-            roots = np.arange(steps) % p
+            steps = 3 * p
+            hops = rng.uniform(0.001, 1.0, size=(2, p, steps))
             for factor in (0.0, 0.45, 1.0):
-                batch = ring_delivery_times_batch(hops, roots, pipeline_factor=factor)
-                for k in range(steps):
-                    scalar = ring_delivery_times(
-                        hops[k], root=int(roots[k]), pipeline_factor=factor
-                    )
-                    assert np.array_equal(batch[k], scalar), (p, k, factor)
+                batch = ring_delivery_times_cyclic(hops, pipeline_factor=factor)
+                for sweep in range(2):
+                    for k in range(steps):
+                        scalar = ring_delivery_times(
+                            hops[sweep, :, k], root=k % p, pipeline_factor=factor
+                        )
+                        assert np.array_equal(batch[sweep, :, k], scalar), (p, k, factor)
 
     def test_one_dimensional_hops_broadcast(self):
         import numpy as np
 
-        hops = [1.0, 2.0, 3.0]
-        roots = np.array([0, 1, 2, 0])
-        batch = ring_delivery_times_batch(hops, roots)
-        for k, root in enumerate(roots):
-            assert np.array_equal(batch[k], ring_delivery_times(hops, root=int(root)))
+        hops = np.array([1.0, 2.0, 3.0])
+        # one ring's costs, broadcast (zero-stride) over every step
+        batch = ring_delivery_times_cyclic(np.broadcast_to(hops[:, None], (3, 6)))
+        for k in range(6):
+            assert np.array_equal(batch[:, k], ring_delivery_times(hops, root=k % 3))
 
     def test_single_rank_and_validation(self):
         import numpy as np
 
-        assert ring_delivery_times_batch([[0.5]], [0]).tolist() == [[0.0]]
+        assert ring_delivery_times_cyclic([[0.5]]).tolist() == [[0.0]]
         with pytest.raises(SimulationError):
-            ring_delivery_times_batch(np.ones((2, 3)), [0])  # root count mismatch
+            ring_delivery_times_cyclic(np.ones((3, 4)))  # steps not a multiple of P
         with pytest.raises(SimulationError):
-            ring_delivery_times_batch(np.ones((1, 3)), [3])  # root out of range
+            ring_delivery_times_cyclic(np.ones(3))  # no step axis
         with pytest.raises(SimulationError):
-            ring_delivery_times_batch(np.ones((1, 3)), [0], pipeline_factor=2.0)
-
-
-class TestBatchedHopTimes:
-    def test_rows_match_scalar_hop_times(self):
-        import numpy as np
-
-        spec = kishimoto_cluster()
-        config = ClusterConfig.from_tuple(KINDS, (1, 2, 8, 1))
-        transport = Transport(spec, place_processes(spec, config))
-        sizes = np.array([64.0, 1024.0, 81920.0, 640000.0])
-        batch = transport.ring_hop_times_batch(sizes)
-        assert batch.shape == (len(sizes), transport.size)
-        for k, nbytes in enumerate(sizes):
-            assert np.array_equal(batch[k], transport.ring_hop_times(float(nbytes)))
+            ring_delivery_times_cyclic(np.ones((3, 3)), pipeline_factor=2.0)

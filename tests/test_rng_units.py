@@ -49,13 +49,25 @@ class TestStreams:
         # the prefix state is copied, never advanced
         assert rng_mod._fold_keys((), state) == rng_mod._fold_keys(prefix)
 
-    def test_prefixed_streams_equal_stream(self):
+    def test_seeded_streams_equal_stream(self):
         prefix = ("sorting-run", ("athlon", 1, 5))
         suffixes = [(2000, 0), (2000, 1), (12000, 4)]
-        got = [g.random(8) for g in rng_mod.prefixed_streams(7, prefix, suffixes)]
+        keys = rng_mod.folded_keys(prefix, suffixes)
+        got = [g.random(8) for g in rng_mod.seeded(7, keys)]
         want = [rng_mod.stream(7, *prefix, *suffix).random(8) for suffix in suffixes]
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
+
+    def test_stream_is_numpys_seed_sequence_stream(self):
+        keys = ("hpl-run", ((1, 2), (8, 1)), 1600, 2)
+        for seed in (0, 7, 2**32 + 5):
+            numpy_stream = np.random.default_rng(
+                np.random.SeedSequence([seed & 0xFFFFFFFF, rng_mod._fold_keys(keys)])
+            )
+            assert np.array_equal(
+                rng_mod.stream(seed, *keys).standard_normal(16),
+                numpy_stream.standard_normal(16),
+            )
 
     def test_spawn_seed_deterministic(self):
         assert rng_mod.spawn_seed(5, "a") == rng_mod.spawn_seed(5, "a")

@@ -8,6 +8,15 @@ subset of the batch's sizes or in any order.  Noise is on, outliers
 included, and the configurations reach 16 processes: a sum over more than
 eight ranks is where a layout-dependent (pairwise) reduction shows.
 
+*Grid composition.*  The same holds for the family's grid runner: a run
+gets its bits in the whole grid, in any chunk of the grid's
+configurations, in any configuration order and alone, with trials, and
+with two configurations sharing a process count (one HPL walker pass).
+
+*Bulk seeding.*  The PCG64 states seeded for a whole grid at once equal
+NumPy's ``PCG64(SeedSequence([seed & 0xFFFFFFFF, key]))`` for every key,
+including keys that give SeedSequence fewer entropy words.
+
 *Per-kind mean.*  ``kind_phases(kind)`` is the left fold of that kind's
 per-rank values times ``1/k``, bit for bit, and any non-finite or
 negative rank value is rejected with an error naming the phase — even
@@ -22,8 +31,10 @@ from repro.errors import SimulationError
 from repro.hpl.driver import NoiseSpec, run_hpl, run_hpl_batch
 from repro.measure.grids import PAPER_KINDS
 from repro.measure.record import MeasurementRecord
+from repro.rng import pcg64_states
 from repro.runs import noise_rows
 from repro.workloads import (
+    create_workload,
     run_montecarlo,
     run_montecarlo_batch,
     run_sorting,
@@ -100,6 +111,74 @@ class TestBatchComposition:
         for size in (2, 3, len(ns) - 1):
             order = [int(i) for i in rng.permutation(len(ns))[:size]]
             assert batch(order) == {i: expected[i] for i in order}
+
+
+#: The grid: every batch configuration, plus one sharing P = 6 with (1, 2, 4, 1).
+GRID = CONFIGS + [(0, 0, 3, 2)]
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_run_bits_do_not_depend_on_the_grid(spec, family):
+    run, _, _, sizes = FAMILIES[family]
+    grid_runner = create_workload(family).batch_runner()
+    ns, trials = entries_of(sizes)
+    configs = [config_of(values) for values in GRID]
+    assert len({c.total_processes for c in configs}) < len(configs)
+    assert max(c.total_processes for c in configs) >= 9
+
+    def grid(order):
+        """``order``: (configuration index, entry indices) per group, in call order."""
+        results = grid_runner(
+            spec,
+            [(configs[g], [ns[i] for i in entries], [trials[i] for i in entries])
+             for g, entries in order],
+            noise=NOISE, seed=SEED,
+        )
+        assert len(results) == len(order)
+        return {
+            (g, i): bits(result, trials[i])
+            for (g, entries), group_results in zip(order, results)
+            for i, result in zip(entries, group_results)
+        }
+
+    everything = list(range(len(ns)))
+    expected = {
+        (g, i): bits(run(spec, config, ns[i], noise=NOISE, seed=SEED, trial=trials[i]),
+                     trials[i])
+        for g, config in enumerate(configs) for i in everything
+    }
+    whole = [(g, everything) for g in range(len(configs))]
+    assert grid(whole) == expected
+    assert grid(whole[::-1]) == expected
+    for g in range(len(configs)):
+        assert grid([(g, everything)]) == {k: v for k, v in expected.items() if k[0] == g}
+        assert grid([(g, [len(ns) - 1])]) == {(g, len(ns) - 1): expected[g, len(ns) - 1]}
+    rng = np.random.default_rng(len(family))
+    for parts in (2, 3):
+        shuffled = [(int(g), [int(i) for i in rng.permutation(len(ns))])
+                    for g in rng.permutation(len(configs))]
+        got = {}
+        for chunk in np.array_split(np.arange(len(shuffled)), parts):
+            got.update(grid([shuffled[c] for c in chunk]))
+        assert got == expected
+
+
+class TestBulkSeeding:
+    def test_states_equal_numpys_seed_sequence(self):
+        rng = np.random.default_rng(2004)
+        seeds = [0, 7, 2**32 - 1, 2**32 + 9, -3] + rng.integers(0, 2**62, 4).tolist()
+        keys = (
+            [0, 1, 2**31, 2**32 - 1, 2**32, 2**64 - 1]
+            + rng.integers(0, 2**32, 8).tolist()
+            + rng.integers(0, 2**64, 32, dtype=np.uint64).tolist()
+        )
+        for seed in seeds:
+            states, incs = pcg64_states(seed, keys)
+            for key, state, inc in zip(keys, states, incs):
+                want = np.random.PCG64(
+                    np.random.SeedSequence([seed & 0xFFFFFFFF, key])
+                ).state["state"]
+                assert (state, inc) == (want["state"], want["inc"]), (seed, key)
 
 
 def left_fold_mean(values):
