@@ -21,7 +21,7 @@ import itertools
 import time
 
 from repro.calibrate import Calibrator, ObservationLog, Recalibrator
-from repro.hpl.driver import run_hpl_batch
+from repro.hpl.driver import run_hpl_grid
 from repro.measure.record import MeasurementRecord
 
 TOTAL_OBSERVATIONS = 10_000
@@ -36,10 +36,9 @@ def traffic_records(pipeline):
     kinds = pipeline.plan.kinds
     configs = list(pipeline.calibration_configs())
     configs += list(pipeline.plan.construction_configs[:4])
-    for config in configs:
-        results = run_hpl_batch(
-            pipeline.spec, config, TRAFFIC_SIZES, noise=None, seed=7
-        )
+    for results in run_hpl_grid(
+        pipeline.spec, [(config, TRAFFIC_SIZES, 0) for config in configs], seed=7
+    ):
         records.extend(
             MeasurementRecord.from_result(result, kinds, seed=7)
             for result in results

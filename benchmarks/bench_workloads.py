@@ -1,11 +1,11 @@
-"""Workload kernel bench: vectorized batch runners vs scalar references.
+"""Workload kernel bench: vectorized grid runners vs scalar references.
 
 Each workload family ships two implementations of its simulator: the
-vectorized batch kernel the campaigns actually run, and a straight-line
+vectorized grid runner the campaigns actually run, and a straight-line
 scalar reference (``simulate_*_reference``) kept for auditability.  This
-bench sweeps one config across a 64-size batch per family and gates the
-batch runner at >= 5x the looped scalar reference — while asserting the
-two paths agree (allclose; the no-noise batch path and the reference
+bench sweeps one config across a 64-size group per family and gates the
+grid runner at >= 5x the looped scalar reference — while asserting the
+two paths agree (allclose; the no-noise grid path and the reference
 differ only in floating-point reduction order).
 
 Results land in ``benchmarks/results/workload_kernels.txt``.
@@ -19,17 +19,16 @@ import pytest
 from repro.analysis.tables import render_table
 from repro.cluster.config import ClusterConfig
 from repro.measure.grids import PAPER_KINDS
-from repro.workloads import run_montecarlo_batch, run_sorting_batch
-from repro.workloads.montecarlo import simulate_montecarlo_reference
-from repro.workloads.sorting import simulate_sorting_reference
+from repro.workloads.montecarlo import run_montecarlo_grid, simulate_montecarlo_reference
+from repro.workloads.sorting import run_sorting_grid, simulate_sorting_reference
 
 CONFIG = (1, 4, 8, 1)
 SIZES = tuple(2000 + 100 * i for i in range(64))
 SPEEDUP_FLOOR = 5.0
 
 FAMILIES = {
-    "sorting": (run_sorting_batch, simulate_sorting_reference),
-    "montecarlo": (run_montecarlo_batch, simulate_montecarlo_reference),
+    "sorting": (run_sorting_grid, simulate_sorting_reference),
+    "montecarlo": (run_montecarlo_grid, simulate_montecarlo_reference),
 }
 
 
@@ -47,12 +46,12 @@ def test_workload_batch_runners_beat_scalar_references(
 ):
     config = ClusterConfig.from_tuple(PAPER_KINDS, CONFIG)
     rows = []
-    for family, (batch, reference) in FAMILIES.items():
-        batch(spec, config, SIZES[:2])  # warm numpy / placement caches
+    for family, (grid, reference) in FAMILIES.items():
+        grid(spec, [(config, SIZES[:2], 0)])  # warm numpy / placement caches
         scalar_s, scalar = _best_of(
             2, lambda: [reference(spec, config, n) for n in SIZES]
         )
-        batch_s, batched = _best_of(3, lambda: batch(spec, config, SIZES))
+        batch_s, [batched] = _best_of(3, lambda: grid(spec, [(config, SIZES, 0)]))
 
         for a, b in zip(scalar, batched):
             assert b.wall_time_s == pytest.approx(a.wall_time_s, rel=1e-9)
@@ -71,7 +70,7 @@ def test_workload_batch_runners_beat_scalar_references(
             ]
         )
         assert speedup >= SPEEDUP_FLOOR, (
-            f"{family} batch runner speedup {speedup:.2f}x < "
+            f"{family} grid runner speedup {speedup:.2f}x < "
             f"{SPEEDUP_FLOOR}x over the scalar reference"
         )
 
@@ -80,9 +79,9 @@ def test_workload_batch_runners_beat_scalar_references(
         render_table(
             ["kernel", "scalar [ms]", "batched [ms]", "speedup"],
             rows,
-            title=f"Workload batch runners vs scalar references ({CONFIG})",
+            title=f"Workload grid runners vs scalar references ({CONFIG})",
         ),
     )
     benchmark.pedantic(
-        lambda: run_sorting_batch(spec, config, SIZES), rounds=3, iterations=1
+        lambda: run_sorting_grid(spec, [(config, SIZES, 0)]), rounds=3, iterations=1
     )

@@ -17,17 +17,15 @@ from repro.analysis.correlation import CorrelationData
 from repro.cluster.config import ClusterConfig
 from repro.cluster.presets import kishimoto_cluster, single_node_cluster
 from repro.cluster.spec import ClusterSpec
-from repro.hpl.driver import NoiseSpec, run_hpl_batch
+from repro.hpl.driver import NoiseSpec, run_hpl_grid
 from repro.simnet.mpich import mpich_1_2_1, mpich_1_2_2
 from repro.simnet.netpipe import probe_link, standard_block_sizes
 from repro.units import to_gbps
 
 
 def _gflops_curve(spec, config, sizes, noise, seed) -> List[float]:
-    """Gflops at each size, one batched simulation per configuration."""
-    results = run_hpl_batch(
-        spec, config, [int(n) for n in sizes], noise=noise, seed=seed
-    )
+    """Gflops at each size, one grid-runner group per configuration."""
+    [results] = run_hpl_grid(spec, [(config, sizes, 0)], noise=noise, seed=seed)
     return [result.gflops for result in results]
 
 

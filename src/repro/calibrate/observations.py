@@ -5,7 +5,7 @@ good as the measurements they were fitted on, and the platform underneath
 them does not stand still (a switch renegotiates to a lower rate, a
 kernel upgrade changes the MPI shared-memory path).  An
 :class:`ObservationLog` is where *live* evidence accumulates: every
-record is one timed run — a real execution, a ``run_hpl_batch`` replay,
+record is one timed run — a real execution, a ``run_hpl_grid`` replay,
 or a ``{"op": "observe"}`` request to the serving layer — appended to a
 JSONL file whose contents alone determine every calibration decision
 (drift alarms, refit windows, shadow scores).  No clocks, no RNG: replay
@@ -140,7 +140,7 @@ class ObservationLog:
         workload: str = "hpl",
     ) -> List[Observation]:
         """The measure→observation adapter: ingest a whole campaign/replay
-        dataset (e.g. ``run_hpl_batch`` output) in record order."""
+        dataset (e.g. ``run_hpl_grid`` output) in record order."""
         return [
             self.append(record, source=source, workload=workload)
             for record in dataset

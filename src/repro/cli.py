@@ -40,6 +40,7 @@ from repro.analysis.figures import (
 )
 from repro.analysis.report import cost_table, protocol_report, verification_table
 from repro.cluster.presets import kishimoto_cluster
+from repro.core.model_api import MODEL_META_KEYS
 from repro.core.pipeline import EstimationPipeline, PipelineConfig
 from repro.errors import ReproError
 
@@ -353,7 +354,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--cache-capacity", type=int, default=4096,
-        help="per-pipeline LRU estimate-cache bound (0 = unbounded)",
+        help="per-pipeline bound on the estimate and search-engine caches (0 = unbounded)",
     )
     serve.add_argument(
         "--refresh-interval", type=float, default=0.5,
@@ -486,12 +487,6 @@ def _pipeline(args: argparse.Namespace) -> EstimationPipeline:
     )
 
 
-#: ``to_dict`` keys that are identity/metadata, not coefficients.
-_MODEL_META_KEYS = frozenset(
-    ["kind", "p", "mi", "n_range", "p_range", "chisq_ta", "chisq_tc", "composed_from"]
-)
-
-
 def _model_inventory(pipeline: EstimationPipeline, source: str) -> str:
     """The fitted/composed model inventory of a loaded pipeline: one row
     per model with its registry type, identity, provenance, coefficients
@@ -525,7 +520,7 @@ def _model_inventory(pipeline: EstimationPipeline, source: str) -> str:
         coefficients = "  ".join(
             f"{key}={fmt(value)}"
             for key, value in data.items()
-            if key not in _MODEL_META_KEYS
+            if key not in MODEL_META_KEYS
         )
         lines.append(
             f"  {model.model_type:<8s} {identity:<22s} {origin:<20s} "
@@ -632,16 +627,15 @@ def _run_calibrate(args: argparse.Namespace) -> None:
         print(f"re-saved active version into {args.dir} (hot-reload target)")
 
 
-def _parse_dir_specs(specs) -> dict:
-    """``NAME=PATH`` (NAME defaulting to the basename) -> ordered dict."""
+def _parse_dir_specs(specs) -> list:
+    """``NAME=PATH`` (NAME defaulting to the basename) -> ``(name, path)``
+    pairs, in order."""
     from pathlib import Path
 
-    out = {}
+    out = []
     for spec_text in specs:
         name, _, path = spec_text.rpartition("=")
-        if not name:
-            name = Path(path).name or "pipeline"
-        out[name] = path
+        out.append((name or Path(path).name or "pipeline", path))
     return out
 
 
@@ -661,7 +655,7 @@ def _run_fleet(args: argparse.Namespace) -> None:
         max_batch=args.max_batch,
         cache_capacity=args.cache_capacity if args.cache_capacity > 0 else None,
     )
-    supervisor = FleetSupervisor(_parse_dir_specs(args.dir), config)
+    supervisor = FleetSupervisor(dict(_parse_dir_specs(args.dir)), config)
     stop = threading.Event()
     signal.signal(signal.SIGINT, lambda *_: stop.set())
     signal.signal(signal.SIGTERM, lambda *_: stop.set())
@@ -691,7 +685,6 @@ def _run_fleet(args: argparse.Namespace) -> None:
 def _run_server(args: argparse.Namespace) -> None:
     """``repro serve``: load every --dir, serve until interrupted."""
     import asyncio
-    from pathlib import Path
 
     from repro.serve import EstimationServer, ModelRegistry
 
@@ -702,10 +695,7 @@ def _run_server(args: argparse.Namespace) -> None:
     registry = ModelRegistry(
         cache_capacity=args.cache_capacity if args.cache_capacity > 0 else None
     )
-    for spec_text in args.dir:
-        name, _, path = spec_text.rpartition("=")
-        if not name:
-            name = Path(path).name or "pipeline"
+    for name, path in _parse_dir_specs(args.dir):
         entry = registry.add(name, path)
         print(
             f"loaded {name!r} from {path} "

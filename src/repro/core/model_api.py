@@ -187,6 +187,12 @@ def registered_model_types() -> Tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
+#: ``to_dict`` keys that are identity/metadata, not coefficients.
+MODEL_META_KEYS = frozenset(
+    ["kind", "p", "mi", "n_range", "p_range", "chisq_ta", "chisq_tc", "composed_from"]
+)
+
+
 def model_to_dict(model: TimeModel) -> Dict[str, object]:
     """Type-tagged serialization: the model's own payload plus its tag."""
     if not getattr(model, "model_type", ""):

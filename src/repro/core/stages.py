@@ -10,19 +10,19 @@ first-class:
   builds one typed **artifact** (a :class:`CampaignResult`, a
   :class:`FitArtifact`, a :class:`~repro.core.estimator.Estimator`, ...);
 * the :class:`StageGraph` resolves dependencies, runs each stage at most
-  once, and hooks two cross-cutting concerns *generically* instead of
+  once, and handles two cross-cutting concerns *generically* instead of
   per-property:
 
   - **timing** — a timed stage's build is wrapped in
     ``perf.stage(name)`` *after* its dependencies are resolved, so a
     lazily-triggered campaign is charged to ``"campaign"``, never to the
     stage that happened to ask for it first;
-  - **estimate invalidation** — stages that determine estimates
-    (fit, compose, adjust) are flagged ``invalidates_estimates``;
-    replacing or invalidating one drops every downstream artifact and
-    fires the graph's invalidation hooks, which is how the
-    :class:`~repro.perf.cache.RowCache` stays bound to the current
-    model generation without the pipeline micro-managing it.
+  - **estimate invalidation** — injecting an artifact (:meth:`StageGraph.set`)
+    drops every artifact downstream of it.  The search engine is
+    downstream of fit, compose and adjust, so replacing any of them drops
+    the engine and its :class:`~repro.perf.cache.RowCache` with it: the
+    cache stays bound to the current model generation without the
+    pipeline micro-managing it.
 
 Stage names match :data:`repro.perf.report.PIPELINE_STAGES`
 (``"campaign"``, ``"evaluation"``, ``"fit"``, ``"compose"``,
@@ -126,17 +126,12 @@ class ComposeArtifact:
 class Stage:
     """One named pipeline step producing one artifact.
 
-    Subclasses set :attr:`name`, optionally flip
-    :attr:`invalidates_estimates`, and implement :meth:`build`;
+    Subclasses set :attr:`name` and implement :meth:`build`;
     :meth:`requires` and :meth:`timed` may depend on the context (the
     adjust stage, for example, only needs the evaluation dataset — and
     only deserves a timing entry — when adjustment is enabled)."""
 
     name: str = ""
-    #: Replacing/invalidating this stage's artifact changes what the
-    #: pipeline would estimate — downstream artifacts and estimate caches
-    #: must go.
-    invalidates_estimates: bool = False
 
     def requires(self, ctx: PipelineContext) -> Tuple[str, ...]:
         return ()
@@ -152,8 +147,8 @@ class StageGraph:
     """Resolves stages on demand, each at most once, dependencies first.
 
     The graph is the one place that knows about timing and invalidation;
-    stages only declare (``timed``, ``invalidates_estimates``) and the
-    graph applies the policy uniformly."""
+    stages only declare (``requires``, ``timed``) and the graph applies
+    the policy uniformly."""
 
     def __init__(self, stages: Sequence[Stage], ctx: PipelineContext):
         self._stages: Dict[str, Stage] = {}
@@ -167,7 +162,6 @@ class StageGraph:
         ctx.graph = self
         self._artifacts: Dict[str, object] = {}
         self._building: List[str] = []
-        self._invalidation_hooks: List[Callable[[str], None]] = []
 
     # -- resolution --------------------------------------------------------
 
@@ -208,50 +202,22 @@ class StageGraph:
         self._artifacts[name] = artifact
         return artifact
 
-    # -- injection & invalidation -----------------------------------------
+    # -- injection ---------------------------------------------------------
 
     def set(self, name: str, artifact) -> None:
         """Inject an artifact (e.g. loaded from disk) instead of building.
 
-        Anything downstream of ``name`` is dropped so it rebuilds against
-        the injected artifact; inject in dependency order."""
+        Anything downstream of ``name`` is dropped, transitively, so it
+        rebuilds against the injected artifact; inject in dependency order."""
         self.stage(name)  # validate the name
         self._artifacts[name] = artifact
         self._drop_dependents(name)
-        self._fire_if_estimating({name})
 
-    def invalidate(self, name: str) -> None:
-        """Forget a stage's artifact (and everything downstream of it)."""
-        dropped = {name} if self._artifacts.pop(name, None) is not None else set()
-        dropped |= self._drop_dependents(name)
-        self._fire_if_estimating(dropped)
-
-    def on_invalidate(self, hook: Callable[[str], None]) -> None:
-        """Run ``hook(stage_name)`` whenever an estimate-determining
-        stage's artifact is replaced or dropped — the generic attachment
-        point for estimate-cache invalidation."""
-        self._invalidation_hooks.append(hook)
-
-    def _dependents(self, name: str) -> List[str]:
-        return [
-            other.name
-            for other in self._stages.values()
-            if name in other.requires(self.ctx)
-        ]
-
-    def _drop_dependents(self, name: str) -> set:
-        dropped = set()
-        for dep_name in self._dependents(name):
-            if self._artifacts.pop(dep_name, None) is not None:
-                dropped.add(dep_name)
-            dropped |= self._drop_dependents(dep_name)
-        return dropped
-
-    def _fire_if_estimating(self, names: set) -> None:
-        for name in sorted(names):
-            if self.stage(name).invalidates_estimates:
-                for hook in self._invalidation_hooks:
-                    hook(name)
+    def _drop_dependents(self, name: str) -> None:
+        for other in self._stages.values():
+            if name in other.requires(self.ctx):
+                self._artifacts.pop(other.name, None)
+                self._drop_dependents(other.name)
 
 
 # -- concrete stages ----------------------------------------------------------
@@ -303,7 +269,6 @@ class FitStage(Stage):
     (after the optional memory-guard split)."""
 
     name = "fit"
-    invalidates_estimates = True
 
     def requires(self, ctx: PipelineContext) -> Tuple[str, ...]:
         return ("campaign",)
@@ -325,7 +290,6 @@ class ComposeStage(Stage):
     kind with the most measured P-T models as the source (Section 3.5)."""
 
     name = "compose"
-    invalidates_estimates = True
 
     def requires(self, ctx: PipelineContext) -> Tuple[str, ...]:
         return ("fit",)
@@ -380,7 +344,6 @@ class AdjustStage(Stage):
     Section 4.1.2) — or return the identity when adjustment is off."""
 
     name = "adjust"
-    invalidates_estimates = True
 
     def requires(self, ctx: PipelineContext) -> Tuple[str, ...]:
         # The calibration fit needs models and ground truth; when

@@ -42,7 +42,7 @@ from repro.hpl.driver import NoiseSpec
 from repro.hpl.memory import node_slowdowns
 from repro.hpl.schedule import HPLParameters, ScheduleResult, _noise_or_ones
 from repro.hpl.timing import PHASE_NAMES
-from repro.runs import WorkloadResult, noise_rows
+from repro.runs import WorkloadResult, noise_grid
 from repro.simnet.collectives import ring_delivery_times
 from repro.simnet.transport import LinkKind, Transport
 
@@ -204,7 +204,7 @@ def run_hbc(
     trial: int = 0,
 ) -> WorkloadResult:
     """Driver-shaped wrapper (same signature as :func:`run_hpl`)."""
-    compute_rows, comm_rows = noise_rows("hbc-run", config, [n], [trial], noise, seed)
+    [(compute_rows, comm_rows)] = noise_grid("hbc-run", [(config, [n], [trial])], noise, seed)
     schedule = simulate_hbc(
         spec, config, n, params=params,
         compute_noise=None if compute_rows is None else compute_rows[0],

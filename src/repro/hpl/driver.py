@@ -13,7 +13,7 @@ the property the model-fitting layer and all tests rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 from repro.cluster.config import ClusterConfig
 from repro.cluster.spec import ClusterSpec
@@ -24,7 +24,7 @@ from repro.hpl.schedule import (
     simulate_schedule,
     simulate_schedule_grid,
 )
-from repro.runs import RunGroup, WorkloadResult, noise_grid, noise_rows, normalize_groups
+from repro.runs import RunGroup, WorkloadResult, noise_grid, normalize_groups
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ def run_hpl(
         the noise draw, so campaigns are reproducible and independent
         per measurement.
     """
-    compute_rows, comm_rows = noise_rows("hpl-run", config, [n], [trial], noise, seed)
+    [(compute_rows, comm_rows)] = noise_grid("hpl-run", [(config, [n], [trial])], noise, seed)
     schedule = simulate_schedule(
         spec,
         config,
@@ -131,38 +131,3 @@ def run_hpl_grid(
         out.append([s.to_result(spec.name, config, counts[s.n], kinds) for s in schedules])
     return out
 
-
-def run_hpl_batch(
-    spec: ClusterSpec,
-    config: ClusterConfig,
-    ns: Sequence[int],
-    params: Optional[HPLParameters] = None,
-    noise: Optional[NoiseSpec] = None,
-    seed: int = 0,
-    trial: Union[int, Sequence[int]] = 0,
-) -> List[WorkloadResult]:
-    """Run one configuration at many problem orders (one-group :func:`run_hpl_grid`).
-
-    ``ns`` may repeat sizes; ``trial`` is either one trial index shared by
-    every entry or a per-entry sequence.  Entry ``i`` of the result is
-    bit-identical to ``run_hpl(spec, config, ns[i], ..., trial=trial[i])``.
-    """
-    return run_hpl_grid(
-        spec, [(config, ns, trial)], params=params, noise=noise, seed=seed
-    )[0]
-
-
-def sweep_sizes(
-    spec: ClusterSpec,
-    config: ClusterConfig,
-    sizes,
-    params: Optional[HPLParameters] = None,
-    noise: Optional[NoiseSpec] = None,
-    seed: int = 0,
-) -> Dict[int, WorkloadResult]:
-    """Run one configuration across several problem orders (one batched
-    simulation; later duplicates of a size win, as in the dict literal)."""
-    results = run_hpl_batch(
-        spec, config, [int(n) for n in sizes], params=params, noise=noise, seed=seed
-    )
-    return {result.n: result for result in results}

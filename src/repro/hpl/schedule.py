@@ -36,8 +36,7 @@ Two walkers share those models:
   multiple of P.  Padded steps contribute exact zeros, and every array
   expression applies the same IEEE operations in the same order as the
   reference loop, so for identical inputs the two walkers agree **bitwise**
-  (golden-tested per phase, per rank).  :func:`simulate_schedule_batch`
-  is its one-group call.
+  (golden-tested per phase, per rank).
 
 The per-``(n, nb, P)`` step geometry (panel widths, owners, trailing-column
 counts and the derived workload tables — all analytic in ``(n, nb, k)``) is
@@ -53,7 +52,7 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, fields, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -353,22 +352,12 @@ _panel_tables: "OrderedDict[Tuple[int, int, int], PanelTable]" = OrderedDict()
 _panel_table_bytes = 0
 
 
-def _remember(table: PanelTable) -> None:
-    """Insert ``table`` as the most recent entry, then evict the least
-    recently used tables while the memo holds more than the byte bound."""
-    global _panel_table_bytes
-    key = (table.n, table.nb, table.p)
-    replaced = _panel_tables.pop(key, None)
-    if replaced is not None:
-        _panel_table_bytes -= replaced.nbytes
-    _panel_tables[key] = table
-    _panel_table_bytes += table.nbytes
-    while _panel_table_bytes > _PANEL_TABLE_BYTES and len(_panel_tables) > 1:
-        _panel_table_bytes -= _panel_tables.popitem(last=False)[1].nbytes
-
-
 def panel_table(n: int, nb: int, p: int) -> PanelTable:
-    """The memoized :class:`PanelTable` for ``(n, nb, p)`` (LRU, byte-bounded)."""
+    """The memoized :class:`PanelTable` for ``(n, nb, p)`` (LRU, byte-bounded).
+
+    A new table is the most recent entry; the least recently used tables
+    are evicted while the memo holds more than the byte bound."""
+    global _panel_table_bytes
     if n < 1 or nb < 1 or p < 1:
         raise SimulationError(f"panel_table needs positive (n, nb, p), got {(n, nb, p)}")
     key = (int(n), int(nb), int(p))
@@ -378,8 +367,10 @@ def panel_table(n: int, nb: int, p: int) -> PanelTable:
         _panel_tables.move_to_end(key)
         return table
     _WALKER_STATS.table_misses += 1
-    table = _build_panel_table(*key)
-    _remember(table)
+    table = _panel_tables[key] = _build_panel_table(*key)
+    _panel_table_bytes += table.nbytes
+    while _panel_table_bytes > _PANEL_TABLE_BYTES and len(_panel_tables) > 1:
+        _panel_table_bytes -= _panel_tables.popitem(last=False)[1].nbytes
     return table
 
 
@@ -388,22 +379,6 @@ def clear_panel_tables() -> None:
     global _panel_table_bytes
     _panel_tables.clear()
     _panel_table_bytes = 0
-
-
-def seed_panel_tables(tables: Iterable[PanelTable]) -> int:
-    """Pre-populate the memo with already-built tables; returns the count.
-
-    Fleet workers seed the memo with shared-memory-backed tables
-    (:mod:`repro.serve.shared`) so N replicas hold one copy of the panel
-    geometry instead of N.  Seeded tables participate in the same LRU as
-    locally built ones; a seeded key that is later evicted is simply
-    rebuilt locally — correctness never depends on the seed.
-    """
-    count = 0
-    for table in tables:
-        _remember(table)
-        count += 1
-    return count
 
 
 # -- shared rate/ring models ---------------------------------------------------
@@ -481,7 +456,7 @@ def simulate_schedule(
     respectively; the measurement layer supplies them (seeded), unit tests
     usually omit them for determinism.
 
-    This is the reference per-step loop; :func:`simulate_schedule_batch`
+    This is the reference per-step loop; :func:`simulate_schedule_grid`
     is the vectorized production walker and must agree with it bitwise.
     """
     if n < 1:
@@ -587,29 +562,6 @@ def simulate_schedule(
 
 
 # -- vectorized grid walker ----------------------------------------------------
-
-
-def simulate_schedule_batch(
-    spec: ClusterSpec,
-    config: ClusterConfig,
-    ns: Sequence[int],
-    params: Optional[HPLParameters] = None,
-    compute_noise: Optional[np.ndarray] = None,
-    comm_noise: Optional[np.ndarray] = None,
-) -> List[ScheduleResult]:
-    """Simulate one configuration at *many* problem orders in one call.
-
-    It is the one-group case of :func:`simulate_schedule_grid`.
-
-    ``ns`` may repeat sizes (e.g. one entry per trial); noise arrays, when
-    given, carry one row per entry (shape ``(len(ns), P)``).  Results are
-    bitwise identical to calling :func:`simulate_schedule` per entry with
-    the matching noise row — the golden tests assert per-phase, per-rank
-    equality.
-    """
-    return simulate_schedule_grid(
-        spec, [(config, ns)], params, [(compute_noise, comm_noise)]
-    )[0]
 
 
 @dataclass

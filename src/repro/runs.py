@@ -17,8 +17,8 @@ kind and run — the mean phase times of that kind's processes
   ``(S, F, P)`` phase block (runs x phases x ranks);
 * :func:`noise_grid` / :func:`normalize_groups` — the per-run noise draw
   of a whole grid of ``(configuration, sizes, trials)`` groups and the
-  group normalization every grid runner shares (:func:`noise_rows` and
-  :func:`normalize_trials` are their one-group cases).
+  group normalization every grid runner shares (:func:`normalize_trials`
+  is its one-group case).
 
 It imports nothing from :mod:`repro.hpl`, :mod:`repro.measure` or
 :mod:`repro.workloads`, so all three can build on it.
@@ -347,20 +347,6 @@ def noise_grid(label: str, groups: Sequence[RunGroup], noise, seed: int):
         run += count
         start += 2 * p * count
     return rows
-
-
-def noise_rows(
-    label: str,
-    config: ClusterConfig,
-    sizes: Sequence[int],
-    trials: Sequence[int],
-    noise,
-    seed: int,
-):
-    """The noise rows of one configuration's runs (one-group :func:`noise_grid`).
-
-    Returns ``(len(sizes), P)`` arrays, or ``(None, None)`` without noise."""
-    return noise_grid(label, [(config, sizes, trials)], noise, seed)[0]
 
 
 def normalize_trials(sizes: Sequence[int], trial) -> List[int]:

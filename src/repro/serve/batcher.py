@@ -308,6 +308,7 @@ class MicroBatcher:
             max_cost=first.max_cost,
             alpha=first.alpha,
         )
+        entry.bound_engine_cache()
         by_n = {n: outcome for n, outcome in zip(union, outcomes)}
         for outcome in outcomes:
             self.metrics.record_search(outcome.stats)
@@ -366,6 +367,7 @@ class MicroBatcher:
         outcomes = entry.pipeline.pareto_many(
             union, budget=first.budget, max_cost=first.max_cost
         )
+        entry.bound_engine_cache()
         by_n = {n: outcome for n, outcome in zip(union, outcomes)}
         for outcome in outcomes:
             self.metrics.record_search(outcome.stats)

@@ -16,10 +16,9 @@ connections across them.
 
 **Zero-copy artifacts.**  The supervisor packs each served pipeline
 directory into one :class:`~repro.serve.shared.ArtifactSegment`
-(artifact bytes + coefficient array + panel-table geometry) and workers
-attach: N replicas pay ~1x artifact load cost (the supervisor's single
-pack validates everything) and share one physical copy of the packed
-pages.
+(artifact bytes + coefficient array) and workers attach: N replicas pay
+~1x artifact load cost (the supervisor's single pack validates
+everything) and share one physical copy of the packed pages.
 
 **Two-phase promotion.**  :meth:`FleetSupervisor.promote` — the same
 ``(name, directory)`` signature as :meth:`ModelRegistry.promote`, so a
@@ -65,12 +64,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.perf.parallel import default_worker_count
-from repro.serve.shared import (
-    ArtifactSegment,
-    FleetStatsBlock,
-    pack_pipeline_segment,
-    seed_from_segment,
-)
+from repro.serve.shared import ArtifactSegment, FleetStatsBlock, pack_pipeline_segment
 
 #: Default cap on auto-sized fleets (``workers=0``): beyond the CPU
 #: count there is nothing left to shard.
@@ -172,16 +166,14 @@ async def _worker_async(
 
     untrack = config.start_method == "spawn"
     block = FleetStatsBlock.attach(stats_name, untrack=untrack)
-    # Segments stay attached (never closed) for the process lifetime:
-    # served panel tables are zero-copy views into them, and a staged
-    # promotion may be referenced by in-flight batches after commit.
+    # Segments stay attached (never closed) for the process lifetime: a
+    # staged promotion may be referenced by in-flight batches after commit.
     attached: List[ArtifactSegment] = []
     registry = ModelRegistry(cache_capacity=config.cache_capacity)
     for name in sorted(segments):
         segment = ArtifactSegment.attach(segments[name], untrack=untrack)
         attached.append(segment)
         registry.add_shared(name, segment)
-        seed_from_segment(segment)
 
     reuseport = listener == "reuseport"
     server = EstimationServer(
@@ -575,11 +567,11 @@ class FleetSupervisor:
                         continue  # retried on the next monitor pass
                 if dead and self._router is not None:
                     self._router.set_backends(self._backend_addresses())
-            sentinels = [
-                worker.process.sentinel
-                for worker in self._workers
-                if worker.alive and not worker.draining
-            ]
+                sentinels = [
+                    worker.process.sentinel
+                    for worker in self._workers
+                    if worker.alive and not worker.draining
+                ]
             if sentinels:
                 multiprocessing.connection.wait(sentinels, timeout=0.5)
             else:
@@ -685,15 +677,24 @@ class FleetSupervisor:
         return status
 
     def worker_pids(self) -> List[int]:
-        return [worker.process.pid for worker in self._workers if worker.alive]
+        with self._lock:
+            return [worker.process.pid for worker in self._workers if worker.alive]
 
     def kill_worker(self, index: int) -> int:
-        """Hard-kill one replica (crash-resilience tests); returns its pid."""
-        worker = self._workers[index]
-        pid = worker.process.pid
-        worker.process.kill()
-        worker.process.join(timeout=10.0)
-        return pid
+        """Hard-kill one replica and reap it (crash-resilience tests);
+        returns its pid.
+
+        Every liveness probe (``is_alive``, a ``waitpid``) holds the lock:
+        if two threads probe one exited child, the one whose ``waitpid``
+        fails with ECHILD reports it alive.  Returns only once the exit
+        code is recorded."""
+        with self._lock:
+            process = self._workers[index].process
+            process.kill()
+            process.join(timeout=10.0)
+            if process.exitcode is None:
+                raise ReproError(f"fleet worker {index} (pid {process.pid}) survived kill")
+            return process.pid
 
     # -- shutdown --------------------------------------------------------------
 

@@ -115,6 +115,20 @@ class RegistryEntry:
         values are bitwise those of the direct path."""
         return self.cache.get_block([config], ns, self.pipeline.grid_kernel.evaluate)[0]
 
+    def bound_engine_cache(self) -> None:
+        """Hold the pipeline's search-engine cache to this entry's capacity.
+
+        Served ``optimize`` and ``pareto`` batches fill the engine's
+        :class:`~repro.perf.cache.RowCache`, one column per distinct N.
+        Once a batch leaves more values than the estimate cache's
+        capacity, every value is dropped and counted as an eviction; a
+        capacity of ``None`` leaves it unbounded."""
+        capacity = self.cache.capacity
+        engine_cache = self.pipeline.estimate_cache
+        if capacity is not None and len(engine_cache) > capacity:
+            engine_cache.stats.evictions += len(engine_cache)
+            engine_cache.clear()
+
     def model_inventory(self) -> Dict[str, object]:
         """Structured model listing for the ``models`` op."""
         facade = self.pipeline.models

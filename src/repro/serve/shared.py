@@ -7,13 +7,12 @@ This module provides the two shared-memory primitives the fleet
 
 :class:`ArtifactSegment`
     One ``multiprocessing.shared_memory`` segment holding a saved
-    pipeline's artifact bytes, the flattened model-coefficient array,
-    and precomputed :class:`~repro.hpl.schedule.PanelTable` geometry.
-    The supervisor packs it once (:func:`pack_pipeline_segment`); every
-    replica attaches and reconstitutes its pipeline straight from the
-    shared buffer (:func:`load_pipeline_from_segment`) — zero disk I/O,
-    and the numpy geometry arrays are read-only *views* into the
-    segment, so the kernel keeps one physical copy for the whole fleet.
+    pipeline's artifact bytes and its flattened model-coefficient array
+    — what a replica serves, and nothing of the simulator that measured
+    it.  The supervisor packs it once (:func:`pack_pipeline_segment`);
+    every replica attaches and reconstitutes its pipeline straight from
+    the shared buffer (:func:`load_pipeline_from_segment`) — zero disk
+    I/O, one physical copy of the packed pages for the whole fleet.
 
 :class:`FleetStatsBlock`
     A fixed-layout int64 block of per-replica serving counters.  Each
@@ -53,33 +52,15 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.model_api import model_to_dict
+from repro.core.model_api import MODEL_META_KEYS, model_to_dict
 from repro.core.persistence import pipeline_from_blobs, read_pipeline_blobs
 from repro.core.pipeline import EstimationPipeline
 from repro.errors import ModelError
-from repro.hpl.schedule import HPLParameters, PanelTable, _build_panel_table
 from repro.perf.cache import CacheStats
 from repro.serve.metrics import FLEET_COUNTER_FIELDS, LATENCY_BUCKETS_MS
 
 _MAGIC = b"RPROSEG1"
 _ALIGN = 64
-
-#: ``to_dict`` keys that are identity/metadata, not coefficients (the
-#: same partition ``repro.cli`` uses for the model inventory listing).
-_MODEL_META_KEYS = frozenset(
-    ["kind", "p", "mi", "n_range", "p_range", "chisq_ta", "chisq_tc", "composed_from"]
-)
-
-#: Cap on precomputed panel tables per segment (matches the in-process
-#: memo bound; a construction dataset touches far fewer keys).
-MAX_PANEL_TABLES = 256
-
-#: The per-table arrays shipped in a segment, in :class:`PanelTable`
-#: field order.
-_PANEL_ARRAY_FIELDS = (
-    "owner", "width", "m_rows", "q", "pfact_flops",
-    "update_flops", "laswp_bytes", "panel_nbytes",
-)
 
 
 def _attach(name: str, untrack: bool) -> shared_memory.SharedMemory:
@@ -268,7 +249,7 @@ def model_coefficients(pipeline: EstimationPipeline) -> np.ndarray:
     for model in pipeline.models.models():
         data = model_to_dict(model)
         for key in sorted(data):
-            if key in _MODEL_META_KEYS or key == "type":
+            if key in MODEL_META_KEYS or key == "type":
                 continue
             value = data[key]
             if isinstance(value, (int, float)) and not isinstance(value, bool):
@@ -280,68 +261,24 @@ def model_coefficients(pipeline: EstimationPipeline) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 
 
-def _panel_table_keys(pipeline: EstimationPipeline) -> List[Tuple[int, int, int]]:
-    """The ``(n, nb, p)`` panel-table keys this pipeline's workload spans
-    (every construction-measurement size x process count, default NB)."""
-    nb = HPLParameters().nb
-    dataset = pipeline.campaign.dataset
-    keys = sorted({(int(r.n), nb, int(r.total_processes)) for r in dataset})
-    return keys[:MAX_PANEL_TABLES]
-
-
 def pack_pipeline_segment(directory: Path | str) -> ArtifactSegment:
     """Pack one saved pipeline directory into a shared segment.
 
     Reads the artifact bytes once, validates them by building a real
     pipeline (so a corrupt directory fails *here*, in the supervisor,
-    never in a replica), and ships: the raw artifact blobs, the
-    flattened coefficient array, and the precomputed panel-table
-    geometry for every ``(n, p)`` the construction campaign measured.
-    ``segment.meta['fingerprint']`` is the served model fingerprint.
+    never in a replica), and ships the raw artifact blobs and the
+    flattened coefficient array.  ``segment.meta['fingerprint']`` is the
+    served model fingerprint.
     """
     src = Path(directory)
     blobs, origins = read_pipeline_blobs(src)
     pipeline = pipeline_from_blobs(blobs, origins)
-    coefficients = model_coefficients(pipeline)
-
-    arrays: Dict[str, np.ndarray] = {"coefficients": coefficients}
-    tables_meta: List[Dict[str, int]] = []
-    for i, (n, nb, p) in enumerate(_panel_table_keys(pipeline)):
-        table = _build_panel_table(n, nb, p)
-        prefix = f"pt{i}"
-        for field_name in _PANEL_ARRAY_FIELDS:
-            arrays[f"{prefix}.{field_name}"] = getattr(table, field_name)
-        tables_meta.append(
-            {"n": n, "nb": nb, "p": p, "nblocks": table.nblocks, "prefix": prefix}
-        )
-
     meta = {
         "kind": "pipeline",
         "directory": str(src),
         "fingerprint": pipeline.estimate_cache.fingerprint,
-        "panel_tables": tables_meta,
     }
-    return ArtifactSegment.pack(meta, blobs, arrays)
-
-
-def shared_panel_tables(segment: ArtifactSegment) -> List[PanelTable]:
-    """Reconstitute the packed panel tables as zero-copy views."""
-    tables: List[PanelTable] = []
-    for entry in segment.meta.get("panel_tables", []):
-        prefix = entry["prefix"]
-        fields = {
-            name: segment.array(f"{prefix}.{name}") for name in _PANEL_ARRAY_FIELDS
-        }
-        tables.append(
-            PanelTable(
-                n=int(entry["n"]),
-                nb=int(entry["nb"]),
-                p=int(entry["p"]),
-                nblocks=int(entry["nblocks"]),
-                **fields,
-            )
-        )
-    return tables
+    return ArtifactSegment.pack(meta, blobs, {"coefficients": model_coefficients(pipeline)})
 
 
 def load_pipeline_from_segment(segment: ArtifactSegment) -> EstimationPipeline:
@@ -608,27 +545,13 @@ class FleetStatsBlock:
             self._shm.unlink()
 
 
-def seed_from_segment(segment: ArtifactSegment) -> int:
-    """Seed this process's panel-table memo from a packed segment;
-    returns the number of tables seeded (see
-    :func:`repro.hpl.schedule.seed_panel_tables`).  The tables are views
-    into the segment: keep it open while they may be used, or call
-    :func:`repro.hpl.schedule.clear_panel_tables` before closing it."""
-    from repro.hpl.schedule import seed_panel_tables
-
-    return seed_panel_tables(shared_panel_tables(segment))
-
-
 __all__ = [
     "ArtifactSegment",
     "FleetStatsBlock",
     "WorkerRow",
-    "MAX_PANEL_TABLES",
     "STATS_META_FIELDS",
     "STATS_CACHE_FIELDS",
     "model_coefficients",
     "pack_pipeline_segment",
     "load_pipeline_from_segment",
-    "shared_panel_tables",
-    "seed_from_segment",
 ]

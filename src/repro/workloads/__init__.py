@@ -20,19 +20,9 @@ from repro.workloads.base import (
 )
 from repro.workloads.phases import phases_from_dict
 from repro.workloads.hpl import HPLWorkload
-from repro.workloads.montecarlo import (
-    MonteCarloPhases,
-    MonteCarloWorkload,
-    run_montecarlo,
-    run_montecarlo_batch,
-)
-from repro.workloads.sorting import (
-    SortingPhases,
-    SortingWorkload,
-    run_sorting,
-    run_sorting_batch,
-)
-from repro.workloads.summa import SummaWorkload, run_summa, run_summa_batch
+from repro.workloads.montecarlo import MonteCarloPhases, MonteCarloWorkload
+from repro.workloads.sorting import SortingPhases, SortingWorkload
+from repro.workloads.summa import SummaWorkload
 
 __all__ = [
     "HPLWorkload",
@@ -51,10 +41,4 @@ __all__ = [
     "register_workload",
     "registered_phase_schemas",
     "registered_workloads",
-    "run_montecarlo",
-    "run_montecarlo_batch",
-    "run_sorting",
-    "run_sorting_batch",
-    "run_summa",
-    "run_summa_batch",
 ]

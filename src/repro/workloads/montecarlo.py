@@ -30,7 +30,7 @@ baseline the vectorized kernel is verified and benchmarked against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -247,36 +247,6 @@ def run_montecarlo_grid(
         )
         for (config, sizes, _), (compute, comm) in zip(groups, rows)
     ]
-
-
-def run_montecarlo_batch(
-    spec: ClusterSpec,
-    config: ClusterConfig,
-    ns: Sequence[int],
-    params=None,
-    noise=None,
-    seed: int = 0,
-    trial: Union[int, Sequence[int]] = 0,
-) -> List[WorkloadResult]:
-    """Batched MC runner: the one-group call of :func:`run_montecarlo_grid`."""
-    return run_montecarlo_grid(
-        spec, [(config, ns, trial)], params=params, noise=noise, seed=seed
-    )[0]
-
-
-def run_montecarlo(
-    spec: ClusterSpec,
-    config: ClusterConfig,
-    n: int,
-    params=None,
-    noise=None,
-    seed: int = 0,
-    trial: int = 0,
-) -> WorkloadResult:
-    """Scalar MC runner: the batch runner applied to one size."""
-    return run_montecarlo_batch(
-        spec, config, [n], params=params, noise=noise, seed=seed, trial=trial
-    )[0]
 
 
 MC_CONSTRUCTION_SIZES = (512, 768, 1024, 1536, 2048, 3072, 4096, 6144, 8192)

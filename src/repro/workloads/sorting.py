@@ -30,7 +30,7 @@ re-implementation the vectorized kernel is tested and benchmarked against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -262,37 +262,6 @@ def run_sorting_grid(
         simulate_sorting_batch(spec, config, sizes, compute_noise=compute, comm_noise=comm)
         for (config, sizes, _), (compute, comm) in zip(groups, rows)
     ]
-
-
-def run_sorting_batch(
-    spec: ClusterSpec,
-    config: ClusterConfig,
-    ns: Sequence[int],
-    params=None,
-    noise=None,
-    seed: int = 0,
-    trial: Union[int, Sequence[int]] = 0,
-) -> List[WorkloadResult]:
-    """Batched sorting runner: the one-group call of :func:`run_sorting_grid`."""
-    return run_sorting_grid(
-        spec, [(config, ns, trial)], params=params, noise=noise, seed=seed
-    )[0]
-
-
-def run_sorting(
-    spec: ClusterSpec,
-    config: ClusterConfig,
-    n: int,
-    params=None,
-    noise=None,
-    seed: int = 0,
-    trial: int = 0,
-) -> WorkloadResult:
-    """Scalar sorting runner: the batch runner applied to one size, so
-    scalar and batched measurements are bit-identical by construction."""
-    return run_sorting_batch(
-        spec, config, [n], params=params, noise=noise, seed=seed, trial=trial
-    )[0]
 
 
 def _sorting_plan(

@@ -27,7 +27,7 @@ batch runner applied to one size.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -159,36 +159,6 @@ def run_summa_grid(
         ]
         for (config, sizes, _), (compute, comm) in zip(groups, rows)
     ]
-
-
-def run_summa_batch(
-    spec: ClusterSpec,
-    config: ClusterConfig,
-    ns: Sequence[int],
-    params: Optional[HPLParameters] = None,
-    noise: Optional[NoiseSpec] = None,
-    seed: int = 0,
-    trial: Union[int, Sequence[int]] = 0,
-) -> List[WorkloadResult]:
-    """Batched SUMMA runner: the one-group call of :func:`run_summa_grid`."""
-    return run_summa_grid(
-        spec, [(config, ns, trial)], params=params, noise=noise, seed=seed
-    )[0]
-
-
-def run_summa(
-    spec: ClusterSpec,
-    config: ClusterConfig,
-    n: int,
-    params: Optional[HPLParameters] = None,
-    noise: Optional[NoiseSpec] = None,
-    seed: int = 0,
-    trial: int = 0,
-) -> WorkloadResult:
-    """Scalar SUMMA runner: the batch runner applied to one size."""
-    return run_summa_batch(
-        spec, config, [n], params=params, noise=noise, seed=seed, trial=trial
-    )[0]
 
 
 @register_workload("summa")

@@ -74,12 +74,10 @@ class TestStageGraph:
         )
         return StageGraph(stages, ctx)
 
-    def _stage(self, name, deps=(), builds=None, invalidates=False, timed=True):
+    def _stage(self, name, deps=(), builds=None, timed=True):
         calls = []
 
         class _S(Stage):
-            invalidates_estimates = invalidates
-
             def requires(self, ctx):
                 return tuple(deps)
 
@@ -133,28 +131,26 @@ class TestStageGraph:
         graph.get("quiet")
         assert graph.ctx.perf.stage_calls("quiet") == 0
 
-    def test_set_drops_downstream_and_fires_hooks(self):
-        a = self._stage("a", invalidates=True)
+    def test_set_drops_downstream_and_rebuilds(self):
+        a = self._stage("a")
         b = self._stage("b", deps=("a",))
         graph = self._graph([a, b])
         graph.get("b")
-        fired = []
-        graph.on_invalidate(fired.append)
         graph.set("a", "replacement")
-        assert fired == ["a"]
         assert not graph.has("b")
         assert graph.get("a") == "replacement"
         assert graph.get("b") == "b"
         assert b.calls == ["b", "b"]  # rebuilt against the injected artifact
 
     def test_invalidate_cascades_transitively(self):
-        a = self._stage("a", invalidates=True)
+        """Injecting a replacement invalidates every artifact downstream."""
+        a = self._stage("a")
         b = self._stage("b", deps=("a",))
         c = self._stage("c", deps=("b",))
         graph = self._graph([a, b, c])
         graph.get("c")
-        graph.invalidate("a")
-        assert not graph.has("a") and not graph.has("b") and not graph.has("c")
+        graph.set("a", "replacement")
+        assert graph.has("a") and not graph.has("b") and not graph.has("c")
 
     def test_cycles_are_reported(self):
         a = self._stage("a", deps=("b",))
@@ -182,8 +178,5 @@ class TestPipelineGraphIntegration:
     def test_injecting_models_invalidates_search_engine(self, pipeline):
         pipeline.optimize(3200)
         old_cache = pipeline.estimate_cache
-        fired = []
-        pipeline.graph.on_invalidate(fired.append)
         pipeline.graph.set("compose", pipeline.graph.get("compose"))
-        assert fired == ["compose"]
         assert pipeline.estimate_cache is not old_cache

@@ -10,13 +10,18 @@ from repro.exts.grid2d import GridShape, grid_shapes, near_square_shape, simulat
 from repro.hpl.driver import NoiseSpec, run_hpl
 from repro.hpl.schedule import simulate_schedule
 from repro.runs import WorkloadResult
-from repro.workloads.summa import run_summa, simulate_summa, summa_flops
+from repro.workloads.summa import run_summa_grid, simulate_summa, summa_flops
 
 KINDS = ("athlon", "pentium2")
 
 
 def cfg(p1, m1, p2, m2):
     return ClusterConfig.from_tuple(KINDS, (p1, m1, p2, m2))
+
+
+def run_one(spec, config, n, noise=None, seed=0):
+    """One SUMMA run: a one-group, one-size :func:`run_summa_grid` call."""
+    return run_summa_grid(spec, [(config, [n], 0)], noise=noise, seed=seed)[0][0]
 
 
 @pytest.fixture(scope="module")
@@ -102,7 +107,7 @@ class TestSumma:
             summa_flops(-1)
 
     def test_gflops_uses_matmul_count(self, spec):
-        result = run_summa(spec, cfg(1, 1, 0, 0), 1600)
+        result = run_one(spec, cfg(1, 1, 0, 0), 1600)
         assert result.gflops == pytest.approx(
             summa_flops(1600) / result.wall_time_s / 1e9
         )
@@ -123,18 +128,18 @@ class TestSumma:
         """3x the flops of LU on the same order -> roughly 3x the time."""
         config = cfg(1, 1, 8, 1)
         hpl_t = run_hpl(spec, config, 3200).wall_time_s
-        summa_t = run_summa(spec, config, 3200).wall_time_s
+        summa_t = run_one(spec, config, 3200).wall_time_s
         assert 2.0 < summa_t / hpl_t < 4.5
 
     def test_noise_reproducible(self, spec):
-        a = run_summa(spec, cfg(1, 2, 4, 1), 1600, noise=NoiseSpec(), seed=4)
-        b = run_summa(spec, cfg(1, 2, 4, 1), 1600, noise=NoiseSpec(), seed=4)
+        a = run_one(spec, cfg(1, 2, 4, 1), 1600, noise=NoiseSpec(), seed=4)
+        b = run_one(spec, cfg(1, 2, 4, 1), 1600, noise=NoiseSpec(), seed=4)
         assert a.wall_time_s == b.wall_time_s
 
     def test_result_type(self, spec):
-        assert isinstance(run_summa(spec, cfg(1, 1, 0, 0), 400), WorkloadResult)
+        assert isinstance(run_one(spec, cfg(1, 1, 0, 0), 400), WorkloadResult)
 
     def test_kind_breakdown_available(self, spec):
-        result = run_summa(spec, cfg(1, 1, 8, 1), 1600)
+        result = run_one(spec, cfg(1, 1, 8, 1), 1600)
         assert result.kind_phases("pentium2").tc > 0
         assert result.kind_phases("athlon").ta > 0

@@ -17,7 +17,7 @@ from repro.hpl.schedule import (
     panel_table,
     reset_walker_stats,
     simulate_schedule,
-    simulate_schedule_batch,
+    simulate_schedule_grid,
     walker_stats,
 )
 from repro.hpl.driver import NoiseSpec
@@ -39,12 +39,15 @@ def assert_bitwise_equal(scalar_result, batch_result):
         ), f"phase {name!r} differs"
 
 
+def simulate_group(spec, config, ns, params=None, compute_noise=None, comm_noise=None):
+    """One configuration group of :func:`simulate_schedule_grid`."""
+    return simulate_schedule_grid(spec, [(config, ns)], params, [(compute_noise, comm_noise)])[0]
+
+
 def assert_batch_matches_scalar(
     spec, config, ns, params=None, compute_noise=None, comm_noise=None
 ):
-    batch = simulate_schedule_batch(
-        spec, config, ns, params, compute_noise, comm_noise
-    )
+    batch = simulate_group(spec, config, ns, params, compute_noise, comm_noise)
     assert len(batch) == len(ns)
     for i, n in enumerate(ns):
         scalar = simulate_schedule(
@@ -108,7 +111,7 @@ class TestGoldenEquality:
         rng = np.random.default_rng(7)
         compute = np.exp(rng.normal(0.0, 0.05, size=(len(ns), p)))
         comm = np.ones((len(ns), p))
-        batch = simulate_schedule_batch(
+        batch = simulate_group(
             spec, config, ns, compute_noise=compute, comm_noise=comm
         )
         walls = {result.wall_time_s for result in batch}
@@ -127,20 +130,20 @@ class TestGoldenEquality:
 class TestBatchValidation:
     def test_empty_sizes_rejected(self, spec):
         with pytest.raises(SimulationError, match="at least one size"):
-            simulate_schedule_batch(spec, cfg(1, 1, 0, 0), [])
+            simulate_group(spec, cfg(1, 1, 0, 0), [])
 
     def test_nonpositive_size_rejected(self, spec):
         with pytest.raises(SimulationError, match="matrix order"):
-            simulate_schedule_batch(spec, cfg(1, 1, 0, 0), [100, 0])
+            simulate_group(spec, cfg(1, 1, 0, 0), [100, 0])
 
     def test_bad_noise_shape_rejected(self, spec):
         config = cfg(1, 1, 4, 1)
         with pytest.raises(SimulationError, match="compute_noise"):
-            simulate_schedule_batch(
+            simulate_group(
                 spec, config, [400, 800], compute_noise=np.ones((2, 3))
             )
         with pytest.raises(SimulationError, match="comm_noise"):
-            simulate_schedule_batch(
+            simulate_group(
                 spec,
                 config,
                 [400, 800],
@@ -151,7 +154,7 @@ class TestBatchValidation:
         config = cfg(1, 1, 0, 0)
         noise = np.zeros((1, 1))
         with pytest.raises(SimulationError, match="positive"):
-            simulate_schedule_batch(spec, config, [400], compute_noise=noise)
+            simulate_group(spec, config, [400], compute_noise=noise)
 
 
 class TestPanelTable:
@@ -194,7 +197,7 @@ class TestWalkerStats:
     def test_counters_accumulate(self, spec):
         reset_walker_stats()
         simulate_schedule(spec, cfg(1, 1, 0, 0), 400)
-        simulate_schedule_batch(spec, cfg(1, 1, 0, 0), [400, 800])
+        simulate_group(spec, cfg(1, 1, 0, 0), [400, 800])
         stats = walker_stats()
         assert stats.scalar_calls == 1
         assert stats.batch_calls == 1

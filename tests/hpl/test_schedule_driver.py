@@ -7,7 +7,7 @@ import pytest
 from repro.cluster.config import ClusterConfig
 from repro.cluster.presets import kishimoto_cluster, single_node_cluster
 from repro.errors import SimulationError
-from repro.hpl.driver import NoiseSpec, run_hpl, run_hpl_batch, sweep_sizes
+from repro.hpl.driver import NoiseSpec, run_hpl, run_hpl_grid
 from repro.hpl.schedule import HPLParameters, simulate_schedule
 from repro.hpl.timing import PHASE_NAMES
 from repro.hpl.flops import hpl_benchmark_flops
@@ -126,14 +126,15 @@ class TestDriver:
         with pytest.raises(SimulationError):
             result.kind_phases("pentium2")
 
-    def test_sweep_sizes(self, spec):
-        results = sweep_sizes(spec, cfg(1, 1, 0, 0), [400, 800])
-        assert sorted(results) == [400, 800]
-        assert results[800].wall_time_s > results[400].wall_time_s
+
+def run_group(spec, config, ns, noise=None, seed=0, trial=0):
+    """One configuration group of :func:`run_hpl_grid`."""
+    return run_hpl_grid(spec, [(config, ns, trial)], noise=noise, seed=seed)[0]
 
 
 class TestDriverBatch:
-    """run_hpl_batch must be bit-identical to per-call run_hpl."""
+    """A configuration group of run_hpl_grid must be bit-identical to
+    per-call run_hpl."""
 
     def assert_same(self, a, b):
         assert a.n == b.n
@@ -145,7 +146,7 @@ class TestDriverBatch:
     def test_noise_free_matches_scalar(self, spec):
         config = cfg(1, 2, 4, 1)
         ns = [800, 1600, 2400]
-        batch = run_hpl_batch(spec, config, ns)
+        batch = run_group(spec, config, ns)
         assert [r.n for r in batch] == ns
         for result, n in zip(batch, ns):
             self.assert_same(result, run_hpl(spec, config, n))
@@ -154,7 +155,7 @@ class TestDriverBatch:
         config = cfg(1, 1, 8, 1)
         noise = NoiseSpec()
         ns = [1600, 3200, 1600]  # duplicate sizes draw identical streams
-        batch = run_hpl_batch(spec, config, ns, noise=noise, seed=9)
+        batch = run_group(spec, config, ns, noise=noise, seed=9)
         for result, n in zip(batch, ns):
             self.assert_same(result, run_hpl(spec, config, n, noise=noise, seed=9))
         assert batch[0].wall_time_s == batch[2].wall_time_s
@@ -164,7 +165,7 @@ class TestDriverBatch:
         noise = NoiseSpec()
         ns = [1600, 1600, 1600]
         trials = [0, 1, 2]
-        batch = run_hpl_batch(spec, config, ns, noise=noise, seed=3, trial=trials)
+        batch = run_group(spec, config, ns, noise=noise, seed=3, trial=trials)
         for result, n, t in zip(batch, ns, trials):
             self.assert_same(
                 result, run_hpl(spec, config, n, noise=noise, seed=3, trial=t)
@@ -177,7 +178,7 @@ class TestDriverBatch:
         each run still equals its own ``to_result``."""
         config = cfg(1, 2, 4, 1)
         ns = [800, 1600, 800]
-        batch = run_hpl_batch(spec, config, ns)
+        batch = run_group(spec, config, ns)
         for result, n in zip(batch, ns):
             alone = run_hpl(spec, config, n)
             assert result.rank_kinds == alone.rank_kinds
@@ -187,11 +188,11 @@ class TestDriverBatch:
 
     def test_trial_length_mismatch_rejected(self, spec):
         with pytest.raises(SimulationError, match="trial"):
-            run_hpl_batch(spec, cfg(1, 1, 0, 0), [400, 800], trial=[0])
+            run_group(spec, cfg(1, 1, 0, 0), [400, 800], trial=[0])
 
     def test_empty_sizes_rejected(self, spec):
         with pytest.raises(SimulationError):
-            run_hpl_batch(spec, cfg(1, 1, 0, 0), [])
+            run_group(spec, cfg(1, 1, 0, 0), [])
 
 
 class TestCalibrationShapes:

@@ -1,5 +1,6 @@
 """Multi-process fleet tests: sharded serving, two-phase promotion
-under live traffic, and crash respawn.
+under live traffic, crash respawn, shared residency and the
+``repro serve --workers`` process.
 
 These spawn real worker processes (fork) over real sockets, so they are
 the serving layer's heaviest tests — kept to 2 replicas and small
@@ -8,7 +9,13 @@ request counts.
 
 import asyncio
 import json
+import os
+import re
 import shutil
+import signal
+import socket
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -27,6 +34,8 @@ from repro.serve.fleet import (
 )
 
 FIXTURE = Path(__file__).parent.parent / "golden" / "format1_pipeline"
+SRC = Path(__file__).resolve().parent.parent.parent / "src"
+MAPPING_HEADER = re.compile(r"^[0-9a-f]+-[0-9a-f]+ ")
 
 
 def make_candidate(tmp_path, factor=1.25):
@@ -116,6 +125,68 @@ class TestFleetServing:
         for _ in range(8):
             with ServeClient(fleet.host, fleet.port) as client:
                 assert client.ping()["pong"] is True
+
+    def test_mixed_replies_equal_the_direct_path(self, fleet):
+        """Concurrent estimate and optimize traffic: every served total and
+        every served ranking is bitwise the direct path's."""
+        direct = load_pipeline(FIXTURE)
+        values = [1, 2, 8, 1]
+        config = ClusterConfig.from_tuple(direct.plan.kinds, values)
+        sizes = [1600 + 8 * i for i in range(64)]
+        totals = dict(zip(sizes, direct.estimate_totals(config, sizes).tolist()))
+        kinds = direct.plan.kinds
+        rankings = {
+            n: [
+                {"config": list(e.config.as_flat_tuple(kinds)), "estimate_s": e.estimate_s}
+                for e in outcome.top(3)
+            ]
+            for n, outcome in zip(sizes[:16], direct.optimize_many(sizes[:16]))
+        }
+        payloads = [
+            {"op": "estimate", "pipeline": "golden", "config": values, "n": n}
+            for n in sizes
+        ] + [{"op": "optimize", "pipeline": "golden", "n": n, "top": 3} for n in rankings]
+        replies, _ = asyncio.run(
+            fire_concurrent(fleet.host, fleet.port, payloads, concurrency=16)
+        )
+        for payload, reply in zip(payloads, replies):
+            assert reply["ok"], reply
+            result = reply["result"]
+            if payload["op"] == "estimate":
+                assert result["totals"] == [totals[payload["n"]]]
+            else:
+                assert result["sizes"][0]["ranking"] == rankings[payload["n"]]
+        # a peer's stats row lags by up to one interval; wait two
+        time.sleep(2 * fleet.config.stats_interval_s)
+        with ServeClient(fleet.host, fleet.port) as client:
+            status = client.fleet_status()
+        assert len(status["workers"]) == 2
+        assert status["totals"]["requests"] >= len(payloads)
+
+    def test_shared_segment_is_resident_once(self, fleet):
+        """Each replica maps the whole segment, but their proportional set
+        sizes split its pages: together at most 1.5x the segment."""
+        segment = fleet._segments["golden"]
+        with ServeClient(fleet.host, fleet.port) as client:
+            client.estimate("golden", [1, 2, 8, 1], [1600])
+        total_kb = 0
+        for pid in fleet.worker_pids():
+            try:
+                smaps = Path(f"/proc/{pid}/smaps").read_text()
+            except OSError:
+                pytest.skip("/proc/<pid>/smaps cannot be read; residency not measured")
+            inside, found = False, False
+            for line in smaps.splitlines():
+                if MAPPING_HEADER.match(line):
+                    inside = segment.name in line
+                    found = found or inside
+                elif inside and line.startswith("Pss:"):
+                    total_kb += int(line.split()[1])
+            assert found, f"worker {pid} has no mapping of {segment.name}"
+        assert total_kb <= 1.5 * segment.size / 1024, (
+            f"{total_kb} KiB PSS across the workers for a "
+            f"{segment.size / 1024:.0f} KiB segment: copied, not shared"
+        )
 
     def test_router_listener_serves(self):
         supervisor = FleetSupervisor(
@@ -225,6 +296,27 @@ class TestCrashResilience:
         epochs = {w["index"]: w["epoch"] for w in status["workers"]}
         assert epochs[0] == 2 and epochs[1] == 1
 
+    def test_kill_reaps_the_replica_every_time(self, fleet):
+        """Three kills in a row, each after the respawn: a killed pid is
+        never reported alive, whatever the monitor thread is doing (a
+        short switch interval interleaves the two threads more often)."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for epoch in (2, 3, 4):
+                pid = fleet.kill_worker(0)
+                assert pid not in fleet.worker_pids()
+                deadline = time.monotonic() + 30
+                while time.monotonic() < deadline:
+                    if (len(fleet.worker_pids()) == 2
+                            and fleet.status()["workers"][0]["epoch"] == epoch):
+                        break
+                    time.sleep(0.05)
+                assert len(fleet.worker_pids()) == 2, "replica was not respawned"
+        finally:
+            sys.setswitchinterval(interval)
+        assert fleet.status()["restarts"] == [3, 0]
+
     def test_respawned_replica_serves_the_promoted_generation(
         self, fleet, tmp_path
     ):
@@ -250,3 +342,45 @@ class TestCrashResilience:
 class TestListenerSupport:
     def test_reuse_port_supported_is_bool(self):
         assert isinstance(reuse_port_supported(), bool)
+
+
+class TestServeProcess:
+    def test_cli_fleet_answers_and_drains_on_sigint(self):
+        """``repro serve --workers 2`` comes up, answers ``repro client
+        --op fleet_status`` for both replicas and exits 0 on SIGINT."""
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--dir", f"golden={FIXTURE}",
+             "--port", str(port), "--workers", "2"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while True:
+                try:
+                    with socket.create_connection(("127.0.0.1", port), timeout=1.0):
+                        break
+                except OSError:
+                    assert server.poll() is None, server.communicate()[0]
+                    assert time.monotonic() < deadline, "repro serve never came up"
+                    time.sleep(0.1)
+            client = subprocess.run(
+                [sys.executable, "-m", "repro", "client", "--port", str(port),
+                 "--op", "fleet_status"],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            assert client.returncode == 0, client.stderr
+            reply = json.loads(client.stdout)
+            assert reply["ok"] and len(reply["result"]["workers"]) == 2, client.stdout
+            server.send_signal(signal.SIGINT)
+            out, _ = server.communicate(timeout=60)
+            assert server.returncode == 0, out
+            assert "replicas" in out, out
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.wait()

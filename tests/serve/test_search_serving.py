@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.persistence import load_pipeline
 from repro.serve.batcher import MicroBatcher
 from repro.serve.metrics import FLEET_COUNTER_FIELDS, ServeMetrics
 from repro.serve.protocol import ProtocolError, Request, parse_request
@@ -157,3 +158,55 @@ class TestSearchCounters:
         assert by_field["search_pruned"] == metrics.search_pruned
         assert "search" in metrics.to_dict()
         assert "search[branch-bound]" in metrics.describe()
+
+
+class TestEngineCacheBound:
+    """Served optimize batches hold the search engine's cache to the
+    registry's capacity; the rankings do not change."""
+
+    SIZES = [1600 + 40 * i for i in range(50)]
+
+    def serve(self, capacity):
+        """Forty lone requests (one batch each), then ten concurrent ones;
+        the cache's size after each."""
+        registry = ModelRegistry(cache_capacity=capacity)
+        registry.add("golden", FIXTURE)
+        engine_cache = registry.get("golden").pipeline.estimate_cache
+        held = []
+
+        async def scenario():
+            batcher = MicroBatcher(registry)
+            batcher.start()
+            results = []
+            for i, n in enumerate(self.SIZES[:40]):
+                results.append(await batcher.submit(optimize_request(i, ns=(n,), top=100)))
+                held.append(len(engine_cache))
+            results += await asyncio.gather(*(
+                batcher.submit(optimize_request(i, ns=(n,), top=100))
+                for i, n in enumerate(self.SIZES[40:], 40)
+            ))
+            held.append(len(engine_cache))
+            await batcher.drain_and_stop()
+            return results
+
+        return run(scenario()), held, engine_cache
+
+    def test_capacity_bounds_the_engine_cache(self):
+        results, held, engine_cache = self.serve(capacity=200)
+        fresh = load_pipeline(FIXTURE)
+        pool = len(fresh.optimize(1600).ranking)
+        assert max(held) == pool * (200 // pool)  # kept up to the bound, never past it
+        assert engine_cache.stats.evictions > 0
+        kinds = fresh.plan.kinds
+        for result, outcome in zip(results, fresh.optimize_many(self.SIZES)):
+            want = [
+                {"config": list(e.config.as_flat_tuple(kinds)), "estimate_s": e.estimate_s}
+                for e in outcome.top(100)
+            ]
+            assert result["sizes"][0]["ranking"] == want  # bitwise
+
+    def test_no_capacity_keeps_every_value(self):
+        _, held, engine_cache = self.serve(capacity=None)
+        pool = len(load_pipeline(FIXTURE).optimize(1600).ranking)
+        assert held[-1] == len(self.SIZES) * pool
+        assert engine_cache.stats.evictions == 0

@@ -10,7 +10,6 @@ import pytest
 from repro.cluster.config import ClusterConfig
 from repro.core.persistence import load_pipeline, read_pipeline_blobs
 from repro.errors import ModelError
-from repro.hpl.schedule import _build_panel_table, clear_panel_tables
 from repro.serve.metrics import FLEET_COUNTER_FIELDS, LATENCY_BUCKETS_MS
 from repro.serve.shared import (
     ArtifactSegment,
@@ -18,8 +17,6 @@ from repro.serve.shared import (
     load_pipeline_from_segment,
     model_coefficients,
     pack_pipeline_segment,
-    seed_from_segment,
-    shared_panel_tables,
 )
 
 FIXTURE = Path(__file__).parent.parent / "golden" / "format1_pipeline"
@@ -134,24 +131,12 @@ class TestPipelineSegment:
             with pytest.raises(ModelError, match="fingerprint"):
                 load_pipeline_from_segment(seg)
 
-    def test_panel_tables_round_trip(self, segment):
-        tables = shared_panel_tables(segment)
-        assert tables, "golden campaign should yield panel tables"
-        sample = tables[0]
-        rebuilt = _build_panel_table(sample.n, sample.nb, sample.p)
-        np.testing.assert_array_equal(sample.update_flops, rebuilt.update_flops)
-        np.testing.assert_array_equal(sample.owner, rebuilt.owner)
-        assert not sample.update_flops.flags.writeable
-
-    def test_seed_from_segment_counts_tables(self, segment):
-        try:
-            count = seed_from_segment(segment)
-            assert count == len(segment.meta["panel_tables"])
-            assert count > 0
-        finally:
-            # The seeded tables are views into the segment, which the
-            # fixture unmaps; a later walk must not read them.
-            clear_panel_tables()
+    def test_segment_holds_only_what_a_replica_serves(self, segment):
+        """The artifact blobs and the coefficient array: no simulator state."""
+        blobs, _ = read_pipeline_blobs(FIXTURE)
+        assert segment.array_names() == ["coefficients"]
+        assert segment.blob_names() == sorted(blobs)
+        assert sorted(segment.meta) == ["directory", "fingerprint", "kind"]
 
 
 class TestFleetStatsBlock:

@@ -2,11 +2,12 @@
 
 *Batch composition.*  A run is determined by its ``(config, N, trial)``
 alone, so it must get the same bits — wall time, every per-rank phase
-array and its measurement record — whether it is simulated by the
-family's scalar runner, as a one-size batch, in the full batch, in any
-subset of the batch's sizes or in any order.  Noise is on, outliers
-included, and the configurations reach 16 processes: a sum over more than
-eight ranks is where a layout-dependent (pairwise) reduction shows.
+array and its measurement record — whether it is simulated alone (HPL's
+scalar reference :func:`run_hpl`, or a one-run grid), as a one-size
+configuration group, in the full group, in any subset of the group's
+sizes or in any order.  Noise is on, outliers included, and the
+configurations reach 16 processes: a sum over more than eight ranks is
+where a layout-dependent (pairwise) reduction shows.
 
 *Grid composition.*  The same holds for the family's grid runner: a run
 gets its bits in the whole grid, in any chunk of the grid's
@@ -28,31 +29,47 @@ import pytest
 
 from repro.cluster.config import ClusterConfig
 from repro.errors import SimulationError
-from repro.hpl.driver import NoiseSpec, run_hpl, run_hpl_batch
+from repro.hpl.driver import NoiseSpec, run_hpl
 from repro.measure.grids import PAPER_KINDS
 from repro.measure.record import MeasurementRecord
 from repro.rng import pcg64_states
-from repro.runs import noise_rows
-from repro.workloads import (
-    create_workload,
-    run_montecarlo,
-    run_montecarlo_batch,
-    run_sorting,
-    run_sorting_batch,
-    run_summa,
-    run_summa_batch,
-)
+from repro.runs import noise_grid
+from repro.workloads import create_workload
 
 SEED = 7
 NOISE = NoiseSpec(outlier_probability=0.5, outlier_factor=3.0)
 
-#: family -> (scalar runner, batch runner, noise stream label, sizes)
+
+def one_run(family):
+    """A family's run alone: a one-group, one-size call of its grid runner."""
+    grid_runner = create_workload(family).batch_runner()
+
+    def run(spec, config, n, noise=None, seed=0, trial=0):
+        return grid_runner(spec, [(config, [n], trial)], noise=noise, seed=seed)[0][0]
+
+    return run
+
+
+def one_group(family):
+    """A family's one-configuration call: a one-group grid."""
+    grid_runner = create_workload(family).batch_runner()
+
+    def run_group(spec, config, ns, noise=None, seed=0, trial=0):
+        return grid_runner(spec, [(config, ns, trial)], noise=noise, seed=seed)[0]
+
+    return run_group
+
+
+#: family -> (run alone, one configuration group, noise stream label, sizes)
 FAMILIES = {
-    "hpl": (run_hpl, run_hpl_batch, "hpl-run", (400, 999, 1600, 2400)),
-    "summa": (run_summa, run_summa_batch, "summa-run", (400, 999, 1600, 2400)),
-    "sorting": (run_sorting, run_sorting_batch, "sorting-run", (2000, 4000, 6000, 12000)),
+    "hpl": (run_hpl, one_group("hpl"), "hpl-run", (400, 999, 1600, 2400)),
+    "summa": (one_run("summa"), one_group("summa"), "summa-run", (400, 999, 1600, 2400)),
+    "sorting": (
+        one_run("sorting"), one_group("sorting"), "sorting-run", (2000, 4000, 6000, 12000),
+    ),
     "montecarlo": (
-        run_montecarlo, run_montecarlo_batch, "montecarlo-run", (1024, 2048, 4096, 10240),
+        one_run("montecarlo"), one_group("montecarlo"), "montecarlo-run",
+        (1024, 2048, 4096, 10240),
     ),
 }
 
@@ -88,7 +105,7 @@ class TestBatchComposition:
         run, run_batch, label, sizes = FAMILIES[family]
         config = config_of(values)
         ns, trials = entries_of(sizes)
-        compute, _ = noise_rows(label, config, ns, trials, NOISE, SEED)
+        [(compute, _)] = noise_grid(label, [(config, ns, trials)], NOISE, SEED)
         assert compute.max() > 2.0, "no entry exercises the outlier branch"
 
         def batch(order):

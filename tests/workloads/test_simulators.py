@@ -1,4 +1,5 @@
-"""Simulator determinism: scalar == batch bitwise, vectorized == reference."""
+"""Simulator determinism: one run == its configuration group bitwise,
+vectorized == reference.  Every run goes through the family's grid runner."""
 
 import numpy as np
 import pytest
@@ -7,16 +8,34 @@ from repro.cluster.config import ClusterConfig
 from repro.errors import SimulationError
 from repro.hpl.driver import NoiseSpec
 from repro.measure.grids import PAPER_KINDS
-from repro.workloads import run_montecarlo, run_montecarlo_batch, run_sorting, run_sorting_batch
-from repro.workloads.montecarlo import simulate_montecarlo_reference
-from repro.workloads.sorting import simulate_sorting_reference
+from repro.workloads.montecarlo import run_montecarlo_grid, simulate_montecarlo_reference
+from repro.workloads.sorting import run_sorting_grid, simulate_sorting_reference
 
 CONFIGS = [(1, 2, 4, 1), (1, 3, 0, 0), (0, 0, 8, 1), (1, 1, 1, 1), (1, 5, 8, 1)]
 
+
+def run_one(grid_runner):
+    """One run alone: a one-group, one-size grid."""
+    def run(spec, config, n, noise=None, seed=0, trial=0):
+        return grid_runner(spec, [(config, [n], trial)], noise=noise, seed=seed)[0][0]
+    return run
+
+
+def run_group(grid_runner):
+    """One configuration group of a grid."""
+    def run(spec, config, ns, noise=None, seed=0, trial=0):
+        return grid_runner(spec, [(config, ns, trial)], noise=noise, seed=seed)[0]
+    return run
+
+
 FAMILIES = {
-    "sorting": (run_sorting, run_sorting_batch, simulate_sorting_reference, 4000),
+    "sorting": (
+        run_one(run_sorting_grid), run_group(run_sorting_grid), simulate_sorting_reference,
+        4000,
+    ),
     "montecarlo": (
-        run_montecarlo, run_montecarlo_batch, simulate_montecarlo_reference, 4096,
+        run_one(run_montecarlo_grid), run_group(run_montecarlo_grid),
+        simulate_montecarlo_reference, 4096,
     ),
 }
 
@@ -82,18 +101,16 @@ class TestResultInterface:
 
     def test_noise_perturbs_times(self, spec):
         config = config_of((1, 2, 4, 1))
-        quiet = run_sorting(spec, config, 4000)
-        noisy = run_sorting(spec, config, 4000, noise=NoiseSpec(), seed=3)
+        [[quiet]] = run_sorting_grid(spec, [(config, [4000], 0)])
+        [[noisy]] = run_sorting_grid(spec, [(config, [4000], 0)], noise=NoiseSpec(), seed=3)
         assert noisy.wall_time_s != quiet.wall_time_s
 
     def test_bad_order_rejected(self, spec):
         with pytest.raises(SimulationError, match=">= 1"):
-            run_sorting(spec, config_of((1, 1, 0, 0)), 0)
+            run_sorting_grid(spec, [(config_of((1, 1, 0, 0)), [0], 0)])
         with pytest.raises(SimulationError, match=">= 1"):
-            run_montecarlo_batch(spec, config_of((1, 1, 0, 0)), [1024, 0])
+            run_montecarlo_grid(spec, [(config_of((1, 1, 0, 0)), [1024, 0], 0)])
 
     def test_trial_length_mismatch_rejected(self, spec):
         with pytest.raises(SimulationError, match="trial indices"):
-            run_sorting_batch(
-                spec, config_of((1, 1, 0, 0)), [1000, 2000], trial=[0]
-            )
+            run_sorting_grid(spec, [(config_of((1, 1, 0, 0)), [1000, 2000], [0])])
