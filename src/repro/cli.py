@@ -629,13 +629,17 @@ def _run_calibrate(args: argparse.Namespace) -> None:
 
 def _parse_dir_specs(specs) -> list:
     """``NAME=PATH`` (NAME defaulting to the basename) -> ``(name, path)``
-    pairs, in order."""
+    pairs, in order.  A name given twice raises the registry's error
+    before either path is loaded."""
     from pathlib import Path
 
     out = []
     for spec_text in specs:
         name, _, path = spec_text.rpartition("=")
-        out.append((name or Path(path).name or "pipeline", path))
+        name = name or Path(path).name or "pipeline"
+        if any(name == seen for seen, _ in out):
+            raise ReproError(f"pipeline name {name!r} already registered")
+        out.append((name, path))
     return out
 
 
@@ -646,6 +650,7 @@ def _run_fleet(args: argparse.Namespace) -> None:
 
     from repro.serve import FleetConfig, FleetSupervisor
 
+    pipelines = dict(_parse_dir_specs(args.dir))
     config = FleetConfig(
         workers=args.workers,
         host=args.host,
@@ -655,7 +660,7 @@ def _run_fleet(args: argparse.Namespace) -> None:
         max_batch=args.max_batch,
         cache_capacity=args.cache_capacity if args.cache_capacity > 0 else None,
     )
-    supervisor = FleetSupervisor(dict(_parse_dir_specs(args.dir)), config)
+    supervisor = FleetSupervisor(pipelines, config)
     stop = threading.Event()
     signal.signal(signal.SIGINT, lambda *_: stop.set())
     signal.signal(signal.SIGTERM, lambda *_: stop.set())

@@ -8,6 +8,7 @@ construction so the rest of the code can assume a well-formed cluster.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple
@@ -72,6 +73,10 @@ class ClusterSpec:
         # (``replace`` builds a new spec and counts again): configuration
         # validation reads it for every candidate the grid kernel routes.
         object.__setattr__(self, "_pe_counts", counts)
+        # Configurations placed on this spec, memoized by
+        # :func:`repro.cluster.placement.place_processes`.  Not a field:
+        # ``==``, ``hash``, ``repr`` and pickles ignore it.
+        object.__setattr__(self, "_placements", OrderedDict())
         if self.cost is not None:
             # Duck-typed: anything with kind_names() naming a subset of
             # this cluster's kinds (a rate for hardware the cluster does
@@ -82,6 +87,11 @@ class ClusterSpec:
                         f"{self.name}: rate card prices unknown kind "
                         f"{kind_name!r} (cluster kinds: {sorted(seen)})"
                     )
+
+    def __getstate__(self) -> Dict[str, object]:
+        """Pickled state: the fields and the PE counts, with an empty
+        placement memo (a copy or another process places again)."""
+        return {**self.__dict__, "_placements": OrderedDict()}
 
     # -- inventory queries ---------------------------------------------------
 

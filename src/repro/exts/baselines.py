@@ -98,7 +98,7 @@ def simulate_hbc(
     f_comp = _noise_or_ones(compute_noise, (p,), "compute_noise")
     f_comm = _noise_or_ones(comm_noise, (p,), "comm_noise")
 
-    paging = node_slowdowns(spec, slots, n, nb=params.nb, slope=params.paging_slope)
+    paging = node_slowdowns(slots, n, nb=params.nb, slope=params.paging_slope)
     update_rate = np.empty(p)
     pfact_rate = np.empty(p)
     laswp_rate = np.empty(p)

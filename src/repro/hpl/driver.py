@@ -127,7 +127,6 @@ def run_hpl_grid(
     }
     out = []
     for (config, _, _), schedules in zip(groups, walked):
-        kinds = tuple(slot.kind.name for slot in schedules[0].slots)
-        out.append([s.to_result(spec.name, config, counts[s.n], kinds) for s in schedules])
+        out.append([s.to_result(spec.name, config, counts[s.n]) for s in schedules])
     return out
 

@@ -15,13 +15,11 @@ exactly that purpose.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Sequence, Union
 
 import numpy as np
 
-from repro.cluster.placement import ProcessSlot
-from repro.cluster.spec import ClusterSpec
+from repro.cluster.placement import RankTable
 from repro.errors import SimulationError
 from repro.units import DOUBLE
 
@@ -115,29 +113,27 @@ def config_memory_ratio(
 
 
 def node_slowdowns(
-    spec: ClusterSpec,
-    slots: Sequence[ProcessSlot],
+    columns: RankTable,
     n: Union[int, Sequence[int]],
     nb: int = 80,
     slope: float = 12.0,
 ) -> np.ndarray:
-    """Per-*process* paging slowdown factors for a placement.
+    """Per-*process* paging slowdown factors of a placement.
 
-    Processes on the same node share its memory pressure.  ``n`` is one
+    Processes on the same node share its memory pressure, read from the
+    placement's ``node_procs`` and ``usable_bytes`` columns.  ``n`` is one
     order (the result is indexed by rank) or an array of orders (one row
-    per order); every entry takes :func:`memory_ratio`'s and
-    :func:`paging_slowdown`'s operations in their order.
+    per order); ``columns`` may also be a pass's gathered ``(R, F, P)``
+    table with one order per row.  Every entry takes
+    :func:`memory_ratio`'s and :func:`paging_slowdown`'s operations in
+    their order.
     """
-    total = len(slots)
+    procs, usable = columns.node_procs, columns.usable_bytes
+    total = procs.shape[-1]
     if total == 0:
         raise SimulationError("empty placement")
     if slope < 0:
         raise SimulationError(f"negative paging slope {slope}")
-    per_node = Counter(slot.node_index for slot in slots)
-    procs = np.array([per_node[slot.node_index] for slot in slots], dtype=float)
-    usable = np.array(
-        [spec.nodes[slot.node_index].usable_memory_bytes for slot in slots], dtype=float
-    )
     if np.any(usable <= 0):
         raise SimulationError("usable_bytes must be positive")
     order = np.asarray(n, dtype=float)[..., None]

@@ -41,7 +41,9 @@ Two walkers share those models:
 The per-``(n, nb, P)`` step geometry (panel widths, owners, trailing-column
 counts and the derived workload tables — all analytic in ``(n, nb, k)``) is
 memoized in a byte-bounded :class:`PanelTable` cache, so every
-configuration, size and trial sharing it skips the recomputation.
+configuration, size and trial sharing it skips the recomputation; each
+configuration's placement and per-rank columns come from the spec's
+placement memo (:func:`~repro.cluster.placement.place_processes`).
 :func:`walker_stats` exposes walker timings, pass and run counts and
 table hit counts; the measurement layer folds them into
 :class:`~repro.perf.report.PerfReport`.
@@ -57,7 +59,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.cluster.config import ClusterConfig
-from repro.cluster.placement import ProcessSlot, place_processes, rank_rates
+from repro.cluster.placement import (
+    Placement,
+    ProcessSlot,
+    RankTable,
+    place_processes,
+    rank_rates,
+)
 from repro.cluster.spec import ClusterSpec
 from repro.errors import SimulationError
 from repro.hpl import flops
@@ -150,7 +158,7 @@ class ScheduleResult:
 
     n: int
     params: HPLParameters
-    slots: List[ProcessSlot]
+    slots: Placement
     phase_arrays: Dict[str, np.ndarray]
     wall_time_s: float
 
@@ -167,19 +175,17 @@ class ScheduleResult:
         spec_name: str,
         config: ClusterConfig,
         benchmark_flops: Optional[float] = None,
-        rank_kinds: Optional[Sequence[str]] = None,
     ) -> WorkloadResult:
         """This run as the shared measurement result.  Gflops are charged
         against HPL's flop count unless the caller's application supplies
-        its own (``benchmark_flops``); a batch passes its ranks' kinds once
-        for all its runs (``rank_kinds``)."""
+        its own (``benchmark_flops``)."""
         return WorkloadResult(
             spec_name=spec_name,
             config=config,
             n=self.n,
             wall_time_s=self.wall_time_s,
             phase_arrays=self.phase_arrays,
-            rank_kinds=rank_kinds or [slot.kind.name for slot in self.slots],
+            rank_kinds=self.slots.rank_kinds,
             phase_class=PhaseTimes,
             benchmark_flops=(
                 flops.hpl_benchmark_flops(self.n)
@@ -386,13 +392,14 @@ def clear_panel_tables() -> None:
 
 def _rank_rates(
     spec: ClusterSpec,
-    slots: Sequence[ProcessSlot],
+    slots: Placement,
     n: int,
     params: HPLParameters,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-rank static rates (update, pfact, laswp) and step overheads."""
+    """Per-rank static rates (update, pfact, laswp) and step overheads of
+    a placement of ``spec`` (whose columns hold its nodes' memory)."""
     p = len(slots)
-    paging = node_slowdowns(spec, slots, n, nb=params.nb, slope=params.paging_slope)
+    paging = node_slowdowns(slots, n, nb=params.nb, slope=params.paging_slope)
     update_rate = np.empty(p)
     pfact_rate = np.empty(p)
     laswp_rate = np.empty(p)
@@ -569,7 +576,7 @@ class _Group:
     """One configuration's runs, validated and placed."""
 
     config: ClusterConfig
-    slots: List[ProcessSlot]
+    placement: Placement
     sizes: List[int]
     f_comp: np.ndarray  #: (S, P) compute noise factors
     f_comm: np.ndarray  #: (S, P) communication noise factors
@@ -604,16 +611,16 @@ def simulate_schedule_grid(
         for n in sizes:
             if n < 1:
                 raise SimulationError(f"matrix order must be >= 1, got {n}")
-        slots = place_processes(spec, config)
-        shape = (len(sizes), len(slots))
+        placement = place_processes(spec, config)
+        shape = (len(sizes), len(placement))
         prepared.append(_Group(
-            config, slots, sizes,
+            config, placement, sizes,
             _noise_or_ones(compute_noise, shape, "compute_noise"),
             _noise_or_ones(comm_noise, shape, "comm_noise"),
         ))
     by_count: Dict[int, List[int]] = {}
     for index, group in enumerate(prepared):
-        by_count.setdefault(len(group.slots), []).append(index)
+        by_count.setdefault(len(group.placement), []).append(index)
     results: List[List[ScheduleResult]] = [[] for _ in prepared]
     for p, members in by_count.items():
         walked = _walk_process_count(spec, params, p, [prepared[i] for i in members])
@@ -643,9 +650,14 @@ def _walk_process_count(
     ``r`` and the owner-only phases are ``(runs, J, P)`` arrays folded
     over ``J``.  Set-up rows are the unique ``(group, size)`` pairs:
     their tables, rates and (noise-free) broadcast chains are computed
-    once and gathered to the runs.  Every array expression applies the
-    reference loop's IEEE operations in its order, and per-step sums
-    are left folds (cumulative sums), so no bit depends on the pass.
+    once and gathered to the runs; rates, paging and ring factors are
+    array arithmetic over the rows' gathered placement columns.  The
+    broadcast is built before the laswp/update arrays, and each
+    ``(runs, ranks, steps)`` array is folded and dropped as soon as the
+    step times hold it, which keeps the pass's peak memory low.  Every
+    array expression applies the reference loop's IEEE operations in its
+    order, and per-step sums are left folds (cumulative sums), so no bit
+    depends on the pass.
     """
     nb = params.nb
     # -- set-up rows: one per (group, unique size) -----------------------------
@@ -685,33 +697,20 @@ def _walk_process_count(
         return out
 
     # -- per-rank rates and ring factors (rows: set-up rows) ------------------
-    # PEKind.process_rate's rates, degraded by paging (``_rank_rates``'
-    # operations, in their order).
-    rates, pagings, mem_rates, overheads = [], [], [], []
-    network_edges, forward_slows, hop_handoffs = [], [], []  # per set-up row
-    for group, sizes in zip(groups, unique):
-        rate, overhead = rank_rates(group.slots, sizes)  # (U_g, P), (P,)
-        rates.append(rate)
-        pagings.append(node_slowdowns(
-            spec, group.slots, sizes, nb=nb, slope=params.paging_slope
-        ))
-        mem_rate = np.array(
-            [slot.kind.mem_copy_rate() / slot.co_resident for slot in group.slots]
-        )
-        mem_rates.append(np.broadcast_to(mem_rate, rate.shape))
-        overheads.append(np.broadcast_to(overhead, (len(group.sizes), p)))
-        if p > 1:
-            kinds = Transport(spec, group.slots).ring_link_kinds()
-            forward_slow, hop_handoff = _ring_factors(params, group.slots, kinds)
-            network_edges += [[kind is LinkKind.NETWORK for kind in kinds]] * len(sizes)
-            forward_slows += [forward_slow] * len(sizes)
-            hop_handoffs += [hop_handoff] * len(sizes)
-    rate_u = np.concatenate(rates)
-    paging_u = np.concatenate(pagings)
+    # Array arithmetic over the rows' placement columns, taking the scalar
+    # model's operations in its order (``_rank_rates``: process rates
+    # degraded by paging; ``_ring_factors``: each sender's slowdown and
+    # handoff from its ring edge's class).
+    columns = RankTable.gather(
+        [group.placement for group in groups],
+        np.repeat(np.arange(len(groups)), [len(sizes) for sizes in unique]),
+    )  # (U, F, P)
+    rate_u, overhead_u = rank_rates(columns, setup_sizes)
+    paging_u = node_slowdowns(columns, setup_sizes, nb=nb, slope=params.paging_slope)
     update_rate = (rate_u / paging_u)[run_setup]  # (S, P)
     pfact_rate = (rate_u * params.pfact_efficiency / paging_u)[run_setup]
-    laswp_rate = (np.concatenate(mem_rates) / paging_u)[run_setup]
-    step_overhead = np.concatenate(overheads)
+    laswp_rate = (columns.mem_rate / paging_u)[run_setup]
+    step_overhead = overhead_u[run_setup]
     f_comp = np.concatenate([group.f_comp for group in groups])  # (S, P)
     f_comm = np.concatenate([group.f_comm for group in groups])
 
@@ -726,7 +725,43 @@ def _walk_process_count(
     )
     own_base = t_pfact + t_mxswp
 
-    # -- laswp / update / overhead, (S, P, K) ----------------------------------
+    # -- broadcast, (S, P, K), built before the laswp/update arrays so the
+    # ring's temporaries never share the pass's peak with them -------------
+    if p > 1:
+        co_res = columns.procs
+        edge_weight = np.where(
+            columns.network_edge, 1.0, params.intranode_interference_weight
+        )
+        forward_slow = 1.0 + params.forward_interference * (co_res - 1.0) * edge_weight
+        hop_handoff = np.where(
+            columns.same_cpu_edge, params.same_cpu_handoff_s * (co_res - 1.0), 0.0
+        )
+        # Edge costs per step, (U, P, K): each link model evaluated once
+        # per table, each edge taking its class's time, then the sender's
+        # slowdown and handoff (``Transport.ring_hop_times``' values).
+        panel_nbytes = padded("panel_nbytes")  # (T, K)
+        hops_u = np.where(
+            columns.network_edge[:, :, None],
+            spec.network.message_time(panel_nbytes)[setup_table, None, :],
+            spec.intranode.message_time(panel_nbytes)[setup_table, None, :],
+        )
+        hops_u *= forward_slow[:, :, None]
+        hops_u += hop_handoff[:, :, None]
+        hops_u *= valid_t[setup_table][:, None, :]
+        delivery = ring_delivery_times_cyclic(
+            hops_u, pipeline_factor=params.ring_pipeline_factor
+        )  # (U, P, K)
+        send_cost = _owner_entries(hops_u)[run_setup] * f_comm[:, None, :]  # (S, J, P)
+        del hops_u
+        bcast = delivery[run_setup]
+        del delivery
+        head_wait = own_base * params.pfact_wait_factor  # (S, J, P)
+        bcast += head_wait.reshape(runs, 1, steps)
+        bcast *= f_comm[:, :, None]
+        _owner_entries(bcast)[...] = send_cost
+
+    # -- laswp / update / overhead, (S, P, K), each folded and dropped as
+    # soon as the step times hold it ------------------------------------------
     t_laswp = padded_ranks("laswp_bytes")[run_table]
     t_laswp /= laswp_rate[:, :, None]
     t_laswp *= f_comm[:, :, None]
@@ -739,38 +774,22 @@ def _walk_process_count(
     step += t_over
     t_update += t_over  # the update phase: update + per-step overhead
     del t_over
+    laswp_total = left_fold(t_laswp)
+    del t_laswp
+    update_total = left_fold(t_update)
+    del t_update
 
-    # -- broadcast ------------------------------------------------------------
     if p > 1:
-        # Edge costs per step, (U, P, K): each link model evaluated once
-        # per table, each edge taking its class's time, then the sender's
-        # slowdown and handoff (``Transport.ring_hop_times``' values).
-        panel_nbytes = padded("panel_nbytes")  # (T, K)
-        hops_u = np.where(
-            np.array(network_edges)[:, :, None],
-            spec.network.message_time(panel_nbytes)[setup_table, None, :],
-            spec.intranode.message_time(panel_nbytes)[setup_table, None, :],
-        )
-        hops_u *= np.array(forward_slows)[:, :, None]
-        hops_u += np.array(hop_handoffs)[:, :, None]
-        hops_u *= valid_t[setup_table][:, None, :]
-        delivery = ring_delivery_times_cyclic(
-            hops_u, pipeline_factor=params.ring_pipeline_factor
-        )  # (U, P, K)
-        head_wait = own_base * params.pfact_wait_factor  # (S, J, P)
-        bcast = delivery[run_setup]
-        bcast += head_wait.reshape(runs, 1, steps)
-        bcast *= f_comm[:, :, None]
-        send_cost = _owner_entries(hops_u)[run_setup] * f_comm[:, None, :]  # (S, J, P)
-        _owner_entries(bcast)[...] = send_cost
         work = _owner_entries(step).copy()
         step += bcast
         _owner_entries(step)[...] = (own_base + send_cost) + work
         bcast_total = left_fold(bcast)
+        del bcast
     else:
         step += own_base.reshape(runs, 1, steps)
         bcast_total = np.zeros((runs, p))
     wall_body = left_fold(step.max(axis=1))  # (S,)
+    del step
 
     # -- backward substitution ------------------------------------------------
     solve = flops.solve_flops(np.array(table_sizes, dtype=float))[run_table]
@@ -784,8 +803,8 @@ def _walk_process_count(
         "pfact": left_fold(t_pfact.transpose(0, 2, 1)),
         "mxswp": left_fold(t_mxswp.transpose(0, 2, 1)),
         "bcast": bcast_total,
-        "update": left_fold(t_update),
-        "laswp": left_fold(t_laswp),
+        "update": update_total,
+        "laswp": laswp_total,
         "uptrsv": t_uptrsv,
     }
     # Each run's phase arrays are views of its row of one (S, F, P) block.
@@ -794,7 +813,7 @@ def _walk_process_count(
     run = 0
     for group in groups:
         results.append([
-            ScheduleResult(n=n, params=params, slots=group.slots,
+            ScheduleResult(n=n, params=params, slots=group.placement,
                            phase_arrays=dict(zip(PHASE_NAMES, block[run + i])),
                            wall_time_s=walls[run + i])
             for i, n in enumerate(group.sizes)

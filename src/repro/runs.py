@@ -18,7 +18,10 @@ kind and run — the mean phase times of that kind's processes
 * :func:`noise_grid` / :func:`normalize_groups` — the per-run noise draw
   of a whole grid of ``(configuration, sizes, trials)`` groups and the
   group normalization every grid runner shares (:func:`normalize_trials`
-  is its one-group case).
+  is its one-group case);
+* :func:`walk_grid` — a grid runner that walks every run of a process
+  count in one ``(rows, ranks)`` pass (the sorting and Monte Carlo
+  families').
 
 It imports nothing from :mod:`repro.hpl`, :mod:`repro.measure` or
 :mod:`repro.workloads`, so all three can build on it.
@@ -33,6 +36,8 @@ from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, 
 import numpy as np
 
 from repro.cluster.config import ClusterConfig
+from repro.cluster.placement import RankTable, place_processes
+from repro.cluster.spec import ClusterSpec
 from repro.errors import MeasurementError, SimulationError
 from repro.rng import folded_keys, seeded
 from repro.units import gflops as to_gflops
@@ -347,6 +352,76 @@ def noise_grid(label: str, groups: Sequence[RunGroup], noise, seed: int):
         run += count
         start += 2 * p * count
     return rows
+
+
+#: One walker pass: ``walk(spec, columns, sizes, f_comp, f_comm)`` over R
+#: rows of one process count P -> ``(R,)`` wall times and an ``(R, P)``
+#: array per phase.
+PassWalker = Callable[
+    [ClusterSpec, RankTable, np.ndarray, np.ndarray, np.ndarray],
+    Tuple[np.ndarray, Mapping[str, np.ndarray]],
+]
+
+
+def walk_grid(
+    label: str,
+    spec: ClusterSpec,
+    groups: Sequence[RunGroup],
+    noise,
+    seed: int,
+    walk: PassWalker,
+    phase_class: type,
+    benchmark_flops: Callable[[int], float],
+) -> List[List[WorkloadResult]]:
+    """Run a grid with one walker pass per process count.
+
+    The grid's noise is seeded in one pass under ``label``
+    (:func:`noise_grid`); each group's orders are checked and its
+    configuration placed, in group order.  Then every ``(configuration,
+    size)`` row with P ranks is walked in one call: ``walk`` gets the
+    rows' gathered ``(R, F, P)`` rank table, their ``(R,)`` orders and
+    ``(R, P)`` compute and communication noise factors.  A walker that
+    reduces every row on its own, in a fixed order, gives each run the
+    same bits whatever else shares its pass.  Returns one result list per
+    group, in group order; a run's phase arrays are views of its row.
+    """
+    groups = normalize_groups(groups)
+    noise_rows = noise_grid(label, groups, noise, seed)
+    placements = []
+    for config, sizes, _ in groups:
+        if any(n < 1 for n in sizes):
+            raise SimulationError(f"problem orders must be >= 1, got {sizes}")
+        placements.append(place_processes(spec, config))
+    by_count: Dict[int, List[int]] = {}
+    for index, (placement, (_, sizes, _)) in enumerate(zip(placements, groups)):
+        if sizes:
+            by_count.setdefault(len(placement), []).append(index)
+    results: List[List[WorkloadResult]] = [[] for _ in groups]
+    for p, members in by_count.items():
+        counts = [len(groups[i][1]) for i in members]
+        columns = RankTable.gather(
+            [placements[i] for i in members], np.repeat(np.arange(len(members)), counts)
+        )
+        f_comp, f_comm = (
+            np.concatenate([
+                np.ones((count, p)) if noise_rows[i][k] is None else noise_rows[i][k]
+                for i, count in zip(members, counts)
+            ])
+            for k in (0, 1)
+        )
+        sizes = np.array([n for i in members for n in groups[i][1]], dtype=float)
+        walls, phases = walk(spec, columns, sizes, f_comp, f_comm)
+        start = 0
+        for i, count in zip(members, counts):
+            rows = slice(start, start + count)
+            config, ns, _ = groups[i]
+            results[i] = WorkloadResult.rows(
+                spec.name, config, ns, walls[rows],
+                {name: values[rows] for name, values in phases.items()},
+                placements[i].rank_kinds, phase_class, benchmark_flops,
+            )
+            start += count
+    return results
 
 
 def normalize_trials(sizes: Sequence[int], trial) -> List[int]:

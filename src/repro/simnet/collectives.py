@@ -107,13 +107,16 @@ def ring_delivery_times_cyclic(
     chain = as_strided(
         doubled, (p - 1, len(ring), blocks, p), (s_edge, s_sweep, s_block, s_root + s_edge)
     )
-    discounted = chain[1:] * pipeline_factor
-    # arrival[x]: arrival at distance x mod p (0 at the root)
-    arrival = np.empty((2 * p,) + discounted.shape[1:])
+    # arrival[x]: arrival at distance x mod p (0 at the root); each hop
+    # after the first is discounted as it is added.
+    arrival = np.empty((2 * p,) + chain.shape[1:])
     arrival[0] = 0.0
     arrival[1] = chain[0]
+    hop = np.empty(chain.shape[1:])
     for d in range(2, p):
-        np.add(arrival[d - 1], discounted[d - 2], out=arrival[d])
+        np.multiply(chain[d - 1], pipeline_factor, out=hop)
+        np.add(arrival[d - 1], hop, out=arrival[d])
+    del chain, doubled, hop  # the ring's copy is not needed for the output
     arrival[p:] = arrival[:p]
     shifted = arrival[p:]
     s_dist, s_sweep, s_block, s_root = shifted.strides

@@ -22,20 +22,22 @@ time accumulates per-iteration maxima (the barrier makes every iteration
 bulk-synchronous).
 
 Determinism matches HPL: one ``(seed, "montecarlo-run", config, N,
-trial)`` stream per measurement; the scalar runner is the batch runner on
-one size; :func:`simulate_montecarlo_reference` is the plain-Python
-baseline the vectorized kernel is verified and benchmarked against.
+trial)`` stream per measurement; the grid runner walks every run of one
+process count in one ``(iterations, rows, ranks)`` pass whose every
+reduction is per row; :func:`simulate_montecarlo_reference` is the
+plain-Python baseline the vectorized walker is verified and benchmarked
+against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.cluster.config import ClusterConfig
-from repro.cluster.placement import place_processes, rank_rates
+from repro.cluster.placement import RankTable, place_processes, rank_rates
 from repro.cluster.spec import ClusterSpec
 from repro.errors import SimulationError
 from repro.measure.grids import (
@@ -48,9 +50,8 @@ from repro.runs import (
     PhaseVector,
     RunGroup,
     WorkloadResult,
-    noise_grid,
-    normalize_groups,
     register_phases,
+    walk_grid,
 )
 from repro.workloads.base import Workload, register_workload
 
@@ -90,35 +91,28 @@ def montecarlo_benchmark_flops(n: int) -> float:
     return float(n) * SITES_PER_UNIT * SWEEP_OPS * MC_ITERATIONS
 
 
-def simulate_montecarlo_batch(
+def _walk_montecarlo(
     spec: ClusterSpec,
-    config: ClusterConfig,
-    sizes: Sequence[int],
-    compute_noise: Optional[np.ndarray] = None,
-    comm_noise: Optional[np.ndarray] = None,
-) -> List[WorkloadResult]:
-    """Vectorized synchronous-MC walk: all sizes of one config at once.
+    columns: RankTable,
+    sizes: np.ndarray,
+    f_comp: np.ndarray,
+    f_comm: np.ndarray,
+) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
+    """Vectorized synchronous-MC walk of one pass: one row per
+    ``(configuration, size)`` run of one process count.
 
     The balancer's chunk schedule does not depend on any timing, so it is
     computed first (``MC_ITERATIONS`` small steps); every sweep, barrier
     and rebalance time is then one array expression over the
-    ``(iterations, S, P)`` grid.  Per-rank totals are cumulative sums
+    ``(iterations, R, P)`` grid.  Per-rank totals are cumulative sums
     along the iteration axis, and the wall time one cumulative sum over
     the interleaved per-iteration terms — the reference loop's ``+=``
-    order, so the bits do not depend on the batch.
+    order, so the bits do not depend on the pass.
     """
-    ns = [int(n) for n in sizes]
-    if any(n < 1 for n in ns):
-        raise SimulationError(f"problem orders must be >= 1, got {ns}")
-    slots = place_processes(spec, config)
-    p = len(slots)
-    s_arr = np.asarray(ns, dtype=float)
-    sites = s_arr[:, None] * SITES_PER_UNIT  # (S, 1)
+    p = columns.table.shape[-1]
+    sites = sizes[:, None] * SITES_PER_UNIT  # (R, 1)
 
-    f_comp = np.ones((len(ns), p)) if compute_noise is None else np.asarray(compute_noise)
-    f_comm = np.ones((len(ns), p)) if comm_noise is None else np.asarray(comm_noise)
-
-    rate, overhead = rank_rates(slots, s_arr)  # (S, P), (P,)
+    rate, overhead = rank_rates(columns, sizes)  # (R, P) each
     speed_share = rate / rate.sum(axis=1, keepdims=True)
 
     if p > 1:
@@ -130,14 +124,14 @@ def simulate_montecarlo_batch(
 
     # Dynamic balancing: each iteration moves a REBALANCE_GAIN fraction of
     # the gap to the speed-proportional target.
-    chunk = np.empty((MC_ITERATIONS, len(ns), p))
+    chunk = np.empty((MC_ITERATIONS,) + rate.shape)
     chunk[0] = 1.0 / p
     for i in range(1, MC_ITERATIONS):
         chunk[i] = chunk[i - 1] + REBALANCE_GAIN * (speed_share - chunk[i - 1])
     delta = REBALANCE_GAIN * (speed_share - chunk)
 
-    step = (chunk * sites * SWEEP_OPS / rate + overhead) * f_comp  # (I, S, P)
-    slowest = step.max(axis=2)  # (I, S)
+    step = (chunk * sites * SWEEP_OPS / rate + overhead) * f_comp  # (I, R, P)
+    slowest = step.max(axis=2)  # (I, R)
     wait = (slowest[..., None] - step) + barrier_latency * f_comm
     # Moved state crosses the network.
     if p > 1:
@@ -145,16 +139,13 @@ def simulate_montecarlo_batch(
         reb = np.asarray(spec.network.message_time(moved_bytes), dtype=float) * f_comm
     else:
         reb = np.zeros_like(step)
-    terms = np.empty((2 * MC_ITERATIONS, len(ns)))
+    terms = np.empty((2 * MC_ITERATIONS, len(sizes)))
     terms[0::2] = slowest + (barrier_latency * f_comm).max(axis=1)
     terms[1::2] = reb.max(axis=2)
 
     phases = {name: values.cumsum(axis=0)[-1]
               for name, values in (("sweep", step), ("barrier", wait), ("rebalance", reb))}
-    return WorkloadResult.rows(
-        spec.name, config, ns, terms.cumsum(axis=0)[-1], phases,
-        [slot.kind.name for slot in slots], MonteCarloPhases, montecarlo_benchmark_flops,
-    )
+    return terms.cumsum(axis=0)[-1], phases
 
 
 def simulate_montecarlo_reference(
@@ -237,16 +228,13 @@ def run_montecarlo_grid(
     """Monte Carlo's grid runner: every run of a grid in one call.
 
     :func:`~repro.hpl.driver.run_hpl_grid`-shaped (``params`` ignored): the
-    whole grid's noise is seeded in one pass, then one walk per
-    configuration."""
-    groups = normalize_groups(groups)
-    rows = noise_grid("montecarlo-run", groups, noise, seed)
-    return [
-        simulate_montecarlo_batch(
-            spec, config, sizes, compute_noise=compute, comm_noise=comm
-        )
-        for (config, sizes, _), (compute, comm) in zip(groups, rows)
-    ]
+    whole grid's noise is seeded in one pass, then one walk per process
+    count (:func:`~repro.runs.walk_grid`)."""
+    return walk_grid(
+        "montecarlo-run", spec, groups, noise, seed,
+        walk=_walk_montecarlo, phase_class=MonteCarloPhases,
+        benchmark_flops=montecarlo_benchmark_flops,
+    )
 
 
 MC_CONSTRUCTION_SIZES = (512, 768, 1024, 1536, 2048, 3072, 4096, 6144, 8192)

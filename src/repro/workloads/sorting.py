@@ -21,21 +21,22 @@ giving the family an N-T structure genuinely different from HPL's
 ``N^3`` — which is exactly what the generalization claim needs to cover.
 
 Determinism matches HPL: one ``(seed, "sorting-run", config, N, trial)``
-stream fully determines a measurement, the scalar runner is the batch
-runner applied to one size (bit-identical by construction), and
+stream fully determines a measurement, and the grid runner walks every
+run of one process count in one ``(rows, ranks)`` pass whose every
+reduction is per row, so a run gets the same bits alone or in any grid.
 :func:`simulate_sorting_reference` is the straight-line scalar
-re-implementation the vectorized kernel is tested and benchmarked against.
+re-implementation the vectorized walker is tested and benchmarked against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.cluster.config import ClusterConfig
-from repro.cluster.placement import place_processes, rank_rates
+from repro.cluster.placement import RankTable, place_processes, rank_rates
 from repro.cluster.spec import ClusterSpec
 from repro.errors import SimulationError
 from repro.measure.grids import (
@@ -49,9 +50,8 @@ from repro.runs import (
     RunGroup,
     WorkloadResult,
     left_fold,
-    noise_grid,
-    normalize_groups,
     register_phases,
+    walk_grid,
 )
 from repro.workloads.base import Workload, register_workload
 
@@ -95,32 +95,24 @@ def sorting_benchmark_flops(n: int) -> float:
     return keys * np.log2(keys) * SORT_OPS
 
 
-def simulate_sorting_batch(
+def _walk_sorting(
     spec: ClusterSpec,
-    config: ClusterConfig,
-    sizes: Sequence[int],
-    compute_noise: Optional[np.ndarray] = None,
-    comm_noise: Optional[np.ndarray] = None,
-) -> List[WorkloadResult]:
-    """Vectorized sample-sort walk: all sizes of one config in one shot.
+    columns: RankTable,
+    sizes: np.ndarray,
+    f_comp: np.ndarray,
+    f_comm: np.ndarray,
+) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
+    """Vectorized sample-sort walk of one pass: ``(rows, ranks)`` arrays,
+    one row per ``(configuration, size)`` run of one process count.
 
-    ``compute_noise`` / ``comm_noise`` are ``(S, P)`` per-run factor rows
-    (or ``None`` for bit-exact determinism), exactly as the HPL batched
-    walker takes them.
+    Every reduction runs over one row: the speed-share sum over the
+    row's C-contiguous rates, the scatter's left folds and the phase
+    maxima.  ``f_comp`` / ``f_comm`` are the rows' noise factors.
     """
-    ns = [int(n) for n in sizes]
-    if any(n < 1 for n in ns):
-        raise SimulationError(f"problem orders must be >= 1, got {ns}")
-    slots = place_processes(spec, config)
-    p = len(slots)
-    node = np.array([slot.node_index for slot in slots])
-    s_arr = np.asarray(ns, dtype=float)
-    keys_total = s_arr * KEYS_PER_UNIT  # (S,)
+    p = columns.table.shape[-1]
+    keys_total = sizes * KEYS_PER_UNIT  # (R,)
 
-    f_comp = np.ones((len(ns), p)) if compute_noise is None else np.asarray(compute_noise)
-    f_comm = np.ones((len(ns), p)) if comm_noise is None else np.asarray(comm_noise)
-
-    rate, overhead = rank_rates(slots, s_arr)  # (S, P), (P,)
+    rate, overhead = rank_rates(columns, sizes)  # (R, P) each
     share = rate / rate.sum(axis=1, keepdims=True)  # speed-proportional
     local0 = keys_total[:, None] / p  # even initial distribution
     recv = keys_total[:, None] * share  # keys owned after scatter
@@ -129,26 +121,27 @@ def simulate_sorting_batch(
 
     # partition: sample + one binary search per initially-held key.
     t_partition = (
-        local0 * PARTITION_OPS * (1.0 + log_p) / rate + overhead[None, :]
+        local0 * PARTITION_OPS * (1.0 + log_p) / rate + overhead
     ) * f_comp
 
     # scatter: all-to-all; the message to destination d carries d's share
     # of the sender's keys, over the placement's intranode/network links.
     if p > 1:
-        dest_bytes = local0 * share * KEY_BYTES  # (S, P): bytes to dest d
+        dest_bytes = local0 * share * KEY_BYTES  # (R, P): bytes to dest d
         msg_net = np.asarray(spec.network.message_time(dest_bytes), dtype=float)
         msg_intra = np.asarray(spec.intranode.message_time(dest_bytes), dtype=float)
-        same_node = node[:, None] == node[None, :]
+        node = columns.node
+        same_node = node[:, :, None] == node[:, None, :]  # (R, r, d)
         off_diag = ~np.eye(p, dtype=bool)
-        # Sender r pays each destination's link cost over (S, r, d) grids
+        # Sender r pays each destination's link cost over (R, r, d) grids
         # folded left to right over d (not a matmul or ``sum``, whose
-        # order depends on the batch's memory layout), so a run gets the
-        # same bits alone or in any batch.  Other links add exact zeros.
+        # order depends on the pass's memory layout), so a run gets the
+        # same bits alone or in any pass.  Other links add exact zeros.
         net = np.where(~same_node, msg_net[:, None, :], 0.0)
         intra = np.where(same_node & off_diag, msg_intra[:, None, :], 0.0)
         t_scatter = (left_fold(net) + left_fold(intra)) * f_comm
     else:
-        t_scatter = np.zeros((len(ns), p))
+        t_scatter = np.zeros(rate.shape)
 
     # local sort of the received keys: O(k log k).
     t_local_sort = (
@@ -156,7 +149,7 @@ def simulate_sorting_batch(
     ) * f_comp
 
     # merge the P sorted runs: one comparison level per doubling.
-    t_merge = (recv * MERGE_OPS * log_p / rate + overhead[None, :]) * f_comp
+    t_merge = (recv * MERGE_OPS * log_p / rate + overhead) * f_comp
 
     # Bulk-synchronous: a barrier after every phase.
     wall = (
@@ -165,13 +158,8 @@ def simulate_sorting_batch(
         + t_local_sort.max(axis=1)
         + t_merge.max(axis=1)
     )
-
-    phases = {"partition": t_partition, "scatter": t_scatter,
-              "local_sort": t_local_sort, "merge": t_merge}
-    return WorkloadResult.rows(
-        spec.name, config, ns, wall, phases, [slot.kind.name for slot in slots],
-        SortingPhases, sorting_benchmark_flops,
-    )
+    return wall, {"partition": t_partition, "scatter": t_scatter,
+                  "local_sort": t_local_sort, "merge": t_merge}
 
 
 def simulate_sorting_reference(
@@ -183,9 +171,9 @@ def simulate_sorting_reference(
 ) -> WorkloadResult:
     """Straight-line scalar sample-sort walk (tests + benchmark baseline).
 
-    Computes the same quantities as :func:`simulate_sorting_batch` with
-    plain Python loops over ranks; the batch kernel is asserted allclose
-    against this and benchmarked (>= 5x) against it.
+    Computes the same quantities as the grid runner's walker with plain
+    Python loops over ranks; the walker is asserted allclose against this
+    and benchmarked (>= 5x) against it.
     """
     if n < 1:
         raise SimulationError(f"problem order must be >= 1, got {n}")
@@ -251,17 +239,17 @@ def run_sorting_grid(
     """Sorting's grid runner: every run of a grid in one call.
 
     :func:`~repro.hpl.driver.run_hpl_grid`-shaped: the whole grid's noise
-    is seeded in one pass, then one walk per configuration.
+    is seeded in one pass, then one walk per process count
+    (:func:`~repro.runs.walk_grid`).
 
     ``params`` is accepted for signature compatibility and ignored — the
     family has no HPL-style tuning block.
     """
-    groups = normalize_groups(groups)
-    rows = noise_grid("sorting-run", groups, noise, seed)
-    return [
-        simulate_sorting_batch(spec, config, sizes, compute_noise=compute, comm_noise=comm)
-        for (config, sizes, _), (compute, comm) in zip(groups, rows)
-    ]
+    return walk_grid(
+        "sorting-run", spec, groups, noise, seed,
+        walk=_walk_sorting, phase_class=SortingPhases,
+        benchmark_flops=sorting_benchmark_flops,
+    )
 
 
 def _sorting_plan(

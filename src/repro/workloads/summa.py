@@ -78,7 +78,7 @@ def simulate_summa(
     # Three resident matrices: reuse the node paging model at 3x pressure
     # by simulating a 1.73x larger order (bytes scale with n^2).
     paging = node_slowdowns(
-        spec, slots, int(n * np.sqrt(3.0)), nb=params.nb, slope=params.paging_slope
+        slots, int(n * np.sqrt(3.0)), nb=params.nb, slope=params.paging_slope
     )
     update_rate = np.empty(p)
     step_overhead = np.empty(p)

@@ -139,8 +139,8 @@ class TestMemoryModel:
         spec = kishimoto_cluster()
         config = ClusterConfig.from_tuple(KINDS, (1, 1, 0, 0))
         slots = place_processes(spec, config)
-        ok = node_slowdowns(spec, slots, 6400)
-        paging = node_slowdowns(spec, slots, 10000)
+        ok = node_slowdowns(slots, 6400)
+        paging = node_slowdowns(slots, 10000)
         assert ok[0] == 1.0
         assert paging[0] > 1.3
 
@@ -149,7 +149,7 @@ class TestMemoryModel:
         spec = kishimoto_cluster()
         config = ClusterConfig.from_tuple(KINDS, (0, 0, 5, 1))
         slots = place_processes(spec, config)
-        assert np.all(node_slowdowns(spec, slots, 10000) == 1.0)
+        assert np.all(node_slowdowns(slots, 10000) == 1.0)
 
     @pytest.mark.parametrize("values", [(1, 1, 0, 0), (1, 3, 8, 2), (0, 0, 2, 3)])
     def test_array_orders_equal_the_scalar_model(self, values):
@@ -158,7 +158,7 @@ class TestMemoryModel:
         spec = kishimoto_cluster()
         slots = place_processes(spec, ClusterConfig.from_tuple(KINDS, values))
         sizes = [400, 6400, 10000, 30000]
-        rows = node_slowdowns(spec, slots, sizes, nb=64, slope=9.0)
+        rows = node_slowdowns(slots, sizes, nb=64, slope=9.0)
         assert rows.shape == (len(sizes), len(slots))
         for n, row in zip(sizes, rows):
             expected = [
@@ -168,7 +168,7 @@ class TestMemoryModel:
                 for slot in slots
             ]
             assert row.tolist() == expected
-            assert np.array_equal(node_slowdowns(spec, slots, n, nb=64, slope=9.0), row)
+            assert np.array_equal(node_slowdowns(slots, n, nb=64, slope=9.0), row)
         assert rows.max() > 1.0  # the paging branch is exercised
         with pytest.raises(SimulationError, match="negative paging slope"):
-            node_slowdowns(spec, slots, sizes, slope=-1.0)
+            node_slowdowns(slots, sizes, slope=-1.0)

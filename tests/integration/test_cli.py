@@ -219,3 +219,38 @@ class TestEstimateCommand:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "models.json" in err
         assert "Traceback" not in err
+
+
+class TestServeRepeatedName:
+    """``repro serve`` refuses a ``--dir`` name given twice, in one process
+    and as a fleet, before it loads a pipeline or spawns a replica."""
+
+    DIRS = ("--dir", "a=/nonexistent/first", "--dir", "a=/nonexistent/second")
+
+    def test_one_process_refuses_before_loading(self, capsys, monkeypatch):
+        from repro.serve import ModelRegistry
+
+        added = []
+        add = ModelRegistry.add
+
+        def recording(self, name, directory):
+            added.append(name)
+            return add(self, name, directory)
+
+        monkeypatch.setattr(ModelRegistry, "add", recording)
+        code, _, err = run_cli(capsys, "serve", *self.DIRS)
+        assert code == 1
+        assert "pipeline name 'a' already registered" in err
+        assert added == []
+
+    def test_fleet_refuses_before_spawning(self, capsys, monkeypatch):
+        import repro.serve
+        from repro.errors import ReproError
+
+        def spawn(*args, **kwargs):
+            raise ReproError("a fleet was started")
+
+        monkeypatch.setattr(repro.serve, "FleetSupervisor", spawn)
+        code, _, err = run_cli(capsys, "serve", "--workers", "2", *self.DIRS)
+        assert code == 1
+        assert "pipeline name 'a' already registered" in err
