@@ -20,6 +20,7 @@ Results land in ``benchmarks/results/perf_engine.txt``.
 import time
 
 from repro.analysis.tables import render_table
+from repro.cluster.presets import kishimoto_cluster
 from repro.core.pipeline import EstimationPipeline, PipelineConfig
 from repro.measure.campaign import run_campaign
 from repro.measure.grids import ns_plan
@@ -34,14 +35,16 @@ def test_perf_engine(benchmark, spec, write_result):
     rows = []
 
     # -- campaign: serial vs parallel -----------------------------------------
+    # Each side on a fresh spec: on one spec the second campaign would be
+    # read back from the first one's run memo.
     plan = ns_plan()
     started = time.perf_counter()
-    serial = run_campaign(spec, plan, seed=SEED, workers=1)
+    serial = run_campaign(kishimoto_cluster(), plan, seed=SEED, workers=1)
     serial_s = time.perf_counter() - started
 
     workers = resolve_workers(REQUESTED_WORKERS)
     started = time.perf_counter()
-    pooled = run_campaign(spec, plan, seed=SEED, workers=REQUESTED_WORKERS)
+    pooled = run_campaign(kishimoto_cluster(), plan, seed=SEED, workers=REQUESTED_WORKERS)
     pooled_s = time.perf_counter() - started
 
     assert pooled.dataset.to_json() == serial.dataset.to_json()

@@ -74,9 +74,11 @@ class ClusterSpec:
         # validation reads it for every candidate the grid kernel routes.
         object.__setattr__(self, "_pe_counts", counts)
         # Configurations placed on this spec, memoized by
-        # :func:`repro.cluster.placement.place_processes`.  Not a field:
-        # ``==``, ``hash``, ``repr`` and pickles ignore it.
+        # :func:`repro.cluster.placement.place_processes`, and runs
+        # measured on it, memoized by :mod:`repro.measure.campaign`.  Not
+        # fields: ``==``, ``hash``, ``repr`` and pickles ignore them.
         object.__setattr__(self, "_placements", OrderedDict())
+        object.__setattr__(self, "_runs", OrderedDict())
         if self.cost is not None:
             # Duck-typed: anything with kind_names() naming a subset of
             # this cluster's kinds (a rate for hardware the cluster does
@@ -89,9 +91,10 @@ class ClusterSpec:
                     )
 
     def __getstate__(self) -> Dict[str, object]:
-        """Pickled state: the fields and the PE counts, with an empty
-        placement memo (a copy or another process places again)."""
-        return {**self.__dict__, "_placements": OrderedDict()}
+        """Pickled state: the fields and the PE counts, with empty
+        placement and run memos (a copy or another process places and
+        measures again)."""
+        return {**self.__dict__, "_placements": OrderedDict(), "_runs": OrderedDict()}
 
     # -- inventory queries ---------------------------------------------------
 

@@ -62,6 +62,15 @@ class FitResult:
     def standard_errors(self) -> np.ndarray:
         return np.sqrt(np.maximum(np.diag(self.covariance), 0.0))
 
+    def require_full_rank(self, what: str) -> "FitResult":
+        """This fit, or :class:`FitError` naming ``what`` when the SVD
+        dropped a direction of the design (rank below its column count):
+        a truncated fit silently loses a term of the model."""
+        columns = self.coefficients.shape[0]
+        if self.rank < columns:
+            raise FitError(f"{what}: rank-deficient design (rank {self.rank} of {columns})")
+        return self
+
 
 def multifit_linear(
     design: np.ndarray,

@@ -105,7 +105,9 @@ class NTModel(TimeModelMixin):
 
         Raises :class:`FitError` with an explanatory message when fewer
         than 4 (Ta) / 3 (Tc) distinct sizes are supplied — the paper's
-        Section 3.2 minimum.
+        Section 3.2 minimum — or when either design is rank-deficient at
+        these sizes (too close together, or too large, for the cubic's
+        columns to stay independent in double precision).
         """
         n_arr = np.asarray(sizes, dtype=float)
         if len(set(n_arr.tolist())) < 4:
@@ -125,6 +127,11 @@ class NTModel(TimeModelMixin):
             fit_c = lsq.multifit_wlinear(lsq.design_quadratic(n_arr), w_c, tc_arr)
         else:
             raise FitError(f"unknown weighting {weighting!r}")
+        at = ", ".join(f"{n:.15g}" for n in n_arr)
+        for part, fit in (("Ta", fit_a), ("Tc", fit_c)):
+            fit.require_full_rank(
+                f"N-T model for {kind_name} (P={p}, Mi={mi}) {part} at N = [{at}]"
+            )
         return cls(
             kind_name=kind_name,
             p=p,

@@ -107,7 +107,8 @@ class PTModel(TimeModelMixin):
         P-T model, sampling each N-T model at ``sizes``.
 
         Raises :class:`FitError` unless at least three distinct ``P`` are
-        present (the paper's minimum for the three Tc coefficients).
+        present (the paper's minimum for the three Tc coefficients), and
+        when the Ta or Tc design is rank-deficient.
         """
         if not nt_models:
             raise FitError("empty N-T family")
@@ -154,6 +155,11 @@ class PTModel(TimeModelMixin):
             y_tc.append(np.asarray(model.predict_tc(n_arr), dtype=float))
         fit_ta = lsq.multifit_linear(np.vstack(rows_ta), np.concatenate(y_ta))
         fit_tc = lsq.multifit_linear(np.vstack(rows_tc), np.concatenate(y_tc))
+        at = ", ".join(f"{n:.15g}" for n in n_arr)
+        for part, fit in (("Ta", fit_ta), ("Tc", fit_tc)):
+            fit.require_full_rank(
+                f"P-T model for ({kind}, Mi={mi}) {part} over P = {p_values} at N = [{at}]"
+            )
 
         return cls(
             kind_name=kind,

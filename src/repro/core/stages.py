@@ -64,7 +64,12 @@ from repro.core.search import actual_best as _actual_best
 from repro.core.grid_kernel import GridKernel, Routes
 from repro.errors import SearchError
 from repro.hpl.schedule import walker_stats
-from repro.measure.campaign import CampaignResult, run_campaign, run_evaluation
+from repro.measure.campaign import (
+    CampaignResult,
+    run_campaign,
+    run_counts,
+    run_evaluation,
+)
 from repro.measure.dataset import Dataset
 from repro.perf.cache import RowCache, model_fingerprint
 from repro.perf.report import GridKernelStats, PerfReport
@@ -223,25 +228,33 @@ class StageGraph:
 # -- concrete stages ----------------------------------------------------------
 
 
+def _measure(ctx: PipelineContext, stage: str, measure: Callable):
+    """Run ``measure`` (:func:`run_campaign` or :func:`run_evaluation`) on
+    the context's inputs, and record on the perf report the walker
+    counters it moved and the runs it simulated and reused (main-process
+    walker counters only: pool workers keep their own)."""
+    walked, runs = walker_stats().snapshot(), run_counts()
+    artifact = measure(
+        ctx.spec,
+        ctx.plan,
+        params=ctx.config.hpl_params,
+        noise=ctx.config.noise,
+        seed=ctx.config.seed,
+        batch_runner=ctx.workload.batch_runner(),
+        workers=ctx.config.workers,
+    )
+    ctx.perf.record_walker(walker_stats().delta(walked))
+    ctx.perf.record_runs(stage, run_counts() - runs)
+    return artifact
+
+
 class MeasureStage(Stage):
     """Run the construction campaign (the paper's measurement step)."""
 
     name = "campaign"
 
     def build(self, ctx: PipelineContext) -> CampaignResult:
-        before = walker_stats().snapshot()
-        result = run_campaign(
-            ctx.spec,
-            ctx.plan,
-            params=ctx.config.hpl_params,
-            noise=ctx.config.noise,
-            seed=ctx.config.seed,
-            batch_runner=ctx.workload.batch_runner(),
-            workers=ctx.config.workers,
-        )
-        # main-process counters only: pool workers keep their own
-        ctx.perf.record_walker(walker_stats().delta(before))
-        return result
+        return _measure(ctx, self.name, run_campaign)
 
 
 class EvaluationStage(Stage):
@@ -250,18 +263,7 @@ class EvaluationStage(Stage):
     name = "evaluation"
 
     def build(self, ctx: PipelineContext) -> Dataset:
-        before = walker_stats().snapshot()
-        dataset = run_evaluation(
-            ctx.spec,
-            ctx.plan,
-            params=ctx.config.hpl_params,
-            noise=ctx.config.noise,
-            seed=ctx.config.seed,
-            batch_runner=ctx.workload.batch_runner(),
-            workers=ctx.config.workers,
-        )
-        ctx.perf.record_walker(walker_stats().delta(before))
-        return dataset
+        return _measure(ctx, self.name, run_evaluation)
 
 
 class FitStage(Stage):

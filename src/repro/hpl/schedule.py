@@ -594,9 +594,9 @@ def simulate_schedule_grid(
     per group, each ``None`` or of shape ``(len(sizes), P)``.  The walker
     runs once per process count P over every ``(configuration, size)``
     row with that P (:func:`_walk_process_count`); returns one list of
-    results per group, in group order.  Every run is bitwise identical to
-    :func:`simulate_schedule` with its noise row, whatever else shares
-    its pass.
+    results per group, in group order (empty for a group without sizes).
+    Every run is bitwise identical to :func:`simulate_schedule` with its
+    noise row, whatever else shares its pass.
     """
     started = time.perf_counter()
     params = params if params is not None else HPLParameters()
@@ -606,8 +606,6 @@ def simulate_schedule_grid(
     prepared: List[_Group] = []
     for (config, ns), (compute_noise, comm_noise) in zip(groups, noise):
         sizes = [int(n) for n in ns]
-        if not sizes:
-            raise SimulationError("every group needs at least one size")
         for n in sizes:
             if n < 1:
                 raise SimulationError(f"matrix order must be >= 1, got {n}")
@@ -620,7 +618,8 @@ def simulate_schedule_grid(
         ))
     by_count: Dict[int, List[int]] = {}
     for index, group in enumerate(prepared):
-        by_count.setdefault(len(group.placement), []).append(index)
+        if group.sizes:
+            by_count.setdefault(len(group.placement), []).append(index)
     results: List[List[ScheduleResult]] = [[] for _ in prepared]
     for p, members in by_count.items():
         walked = _walk_process_count(spec, params, p, [prepared[i] for i in members])

@@ -10,10 +10,18 @@ Evaluation measurements (the ground truth the estimated-best configuration
 is verified against) are produced by :func:`run_evaluation` and kept in a
 separate dataset so nothing from the evaluation grid can leak into model
 construction.
+
+Both measure each distinct run once per spec: the paper's NL and NS
+grids are sub-grids of Basic's, and every protocol's evaluation grid
+repeats runs of the others, so a run already measured on the same spec
+object (same runner, parameters, noise, seed, kinds, configuration, N
+and trial) is served from the spec's run memo instead of simulated
+again.  A fresh spec measures cold.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import partial
@@ -68,32 +76,91 @@ class CampaignResult:
         return sum(self.cost_by_kind_and_n.values())
 
 
+#: Runs memoized per spec (least recently used evicted first).  The nine
+#: paper pipelines of one seed (HPL, sorting and Monte Carlo under Basic,
+#: NL and NS, campaign and evaluation grids) measure 2,392 distinct runs.
+_RUNS_PER_SPEC = 4096
+_memo_lock = threading.Lock()
+_counts = threading.local()
+
+#: One run's memo key: ``((batch_runner, params, noise, seed, kinds),
+#: config.key(), n, trial)``.
+RunKey = Tuple[tuple, tuple, int, int]
+
+
+@dataclass(frozen=True)
+class RunCounts:
+    """Runs measured so far in one thread, by where they came from.
+
+    ``simulated`` by a grid runner, ``reused`` from a spec's run memo;
+    the pipeline's measuring stages record differences."""
+
+    simulated: int = 0
+    reused: int = 0
+
+    def __sub__(self, other: "RunCounts") -> "RunCounts":
+        return RunCounts(self.simulated - other.simulated, self.reused - other.reused)
+
+
+def run_counts() -> RunCounts:
+    """The calling thread's run counters."""
+    return getattr(_counts, "value", RunCounts())
+
+
 def _measure_chunk(
-    chunk: Sequence[Tuple[ClusterConfig, List[Tuple[int, int]]]],
+    groups: Sequence[Tuple[ClusterConfig, List[int], List[int]]],
     spec: ClusterSpec,
     kinds: Tuple[str, ...],
-    trials: int,
     params: Optional[HPLParameters],
     noise: Optional[NoiseSpec],
     seed: int,
     batch_runner: GridRunner,
-) -> List[Tuple[int, List[MeasurementRecord]]]:
-    """Every ``sizes x trials`` run of a chunk of configuration groups in
-    one grid-runner call, and each configuration's records from its phase
-    block — module-level so process-pool workers can unpickle it.
-    Returns each plan entry's trial records tagged with its plan index."""
-    groups = [
-        (config, [n for _, n in indexed for _ in range(trials)],
-         list(range(trials)) * len(indexed))
-        for config, indexed in chunk
-    ]
+) -> List[List[MeasurementRecord]]:
+    """Every run of a chunk of ``(config, sizes, trials)`` groups in one
+    grid-runner call, and each group's records from its phase block —
+    module-level so process-pool workers can unpickle it."""
     results = batch_runner(spec, groups, params=params, noise=noise, seed=seed)
-    out: List[Tuple[int, List[MeasurementRecord]]] = []
-    for (_, indexed), (_, _, ts), group_results in zip(chunk, groups, results):
-        records = MeasurementRecord.from_results(group_results, kinds, seed=seed, trials=ts)
-        for slot, (index, _) in enumerate(indexed):
-            out.append((index, records[slot * trials:(slot + 1) * trials]))
-    return out
+    return [
+        MeasurementRecord.from_results(group_results, kinds, seed=seed, trials=trials)
+        for (_, _, trials), group_results in zip(groups, results)
+    ]
+
+
+def _simulate(
+    runs: Sequence[Tuple[int, ClusterConfig, int]],
+    spec: ClusterSpec,
+    kinds: Tuple[str, ...],
+    params: Optional[HPLParameters],
+    noise: Optional[NoiseSpec],
+    seed: int,
+    batch_runner: GridRunner,
+    workers: int,
+) -> List[MeasurementRecord]:
+    """Simulate ``(n, config, trial)`` runs, grouped by configuration, in
+    one grid-runner call — or, with ``workers > 1``, one contiguous chunk
+    of configurations per worker — and return their records in order."""
+    grouped = group_runs_by_config([(n, config) for n, config, _ in runs])
+    groups = [
+        (config, [n for _, n in indexed], [runs[i][2] for i, _ in indexed])
+        for config, indexed in grouped
+    ]
+    runner = ParallelRunner(workers=workers)
+    size = max(1, -(-len(groups) // runner.workers))
+    measure = partial(
+        _measure_chunk,
+        spec=spec,
+        kinds=kinds,
+        params=params,
+        noise=noise,
+        seed=seed,
+        batch_runner=batch_runner,
+    )
+    chunks = runner.map(measure, [groups[i:i + size] for i in range(0, len(groups), size)])
+    records: List[MeasurementRecord] = [None] * len(runs)  # type: ignore[list-item]
+    for (_, indexed), group in zip(grouped, (group for chunk in chunks for group in chunk)):
+        for (i, _), record in zip(indexed, group):
+            records[i] = record
+    return records
 
 
 def _measure_entries(
@@ -110,30 +177,48 @@ def _measure_entries(
     """Measure plan entries, ``trials`` runs each, and return every
     entry's trial records in plan-entry order.
 
-    The entries are grouped by configuration and handed to the grid
-    runner whole — or, with ``workers > 1``, as one contiguous chunk of
-    configurations per worker.  Every run seeds its own noise, so the
-    records do not depend on the chunking.
+    Each run is first looked up in the spec's run memo, keyed by
+    everything that fixes its record (:data:`RunKey`) and bounded to
+    ``_RUNS_PER_SPEC`` runs; records are frozen, so datasets share them.
+    Only the misses reach the grid runner, each once.  Every run seeds
+    its own noise, so a record depends neither on the chunking nor on
+    which runs the memo served.  Simulated records are stored once the
+    grid call has returned, so a call that raises stores nothing.
     """
-    runner = ParallelRunner(workers=workers)
-    groups = group_runs_by_config(list(entries))
-    size = max(1, -(-len(groups) // runner.workers))
-    measure = partial(
-        _measure_chunk,
-        spec=spec,
-        kinds=kinds,
-        trials=trials,
-        params=params,
-        noise=noise,
-        seed=seed,
-        batch_runner=batch_runner,
+    context = (batch_runner, params, noise, seed, tuple(kinds))
+    memo = spec._runs
+    records: List[Optional[MeasurementRecord]] = []
+    # per missed run: its n, configuration, trial and positions in ``records``
+    misses: Dict[RunKey, Tuple[int, ClusterConfig, int, List[int]]] = {}
+    with _memo_lock:
+        for n, config in entries:
+            config_key = config.key()
+            for trial in range(trials):
+                key = (context, config_key, n, trial)
+                record = memo.get(key)
+                if record is None:
+                    misses.setdefault(key, (n, config, trial, []))[3].append(len(records))
+                else:
+                    memo.move_to_end(key)
+                records.append(record)
+    if misses:
+        runs = list(misses.values())
+        simulated = _simulate(
+            [run[:3] for run in runs], spec, kinds, params, noise, seed, batch_runner, workers
+        )
+        with _memo_lock:
+            memo.update(zip(misses, simulated))
+            while len(memo) > _RUNS_PER_SPEC:
+                memo.popitem(last=False)
+        for (_, _, _, positions), record in zip(runs, simulated):
+            for i in positions:
+                records[i] = record
+    counts = run_counts()
+    _counts.value = RunCounts(
+        counts.simulated + len(misses),
+        counts.reused + len(records) - len(misses),
     )
-    chunks = runner.map(measure, [groups[i:i + size] for i in range(0, len(groups), size)])
-    records: List[List[MeasurementRecord]] = [[] for _ in entries]
-    for chunk in chunks:
-        for index, entry_records in chunk:
-            records[index] = entry_records
-    return records
+    return [records[i:i + trials] for i in range(0, len(records), trials)]
 
 
 def run_campaign(
@@ -147,9 +232,9 @@ def run_campaign(
 ) -> CampaignResult:
     """Execute every construction measurement of ``plan``.
 
-    ``batch_runner`` (HPL's grid runner by default) simulates the whole
-    construction grid in one call; records are reassembled into plan
-    order.
+    ``batch_runner`` (HPL's grid runner by default) simulates, in one
+    call, every run of the construction grid the spec's run memo does not
+    hold; records are reassembled into plan order.
 
     ``workers > 1`` fans the work out over a process pool
     (:class:`repro.perf.parallel.ParallelRunner`) — one chunk of

@@ -116,11 +116,13 @@ def run_campaign_with_trials(
     The cost ledger charges every trial (a 3-trial campaign costs ~3x the
     single-shot one — the price of outlier immunity).
 
-    ``batch_runner`` (HPL's grid runner by default) simulates the whole
-    ``configs x sizes x trials`` grid in one call (one chunk of
-    configurations per worker when ``workers > 1``); every ``(config, N,
-    trial)`` still seeds its own noise stream, so datasets and cost
-    ledgers do not depend on chunking or ``workers``.
+    ``batch_runner`` (HPL's grid runner by default) simulates the
+    ``configs x sizes x trials`` runs the spec's run memo does not hold in
+    one call (one chunk of configurations per worker when ``workers >
+    1``); trial 0 is the run a plain campaign with the same noise
+    measures.  Every ``(config, N, trial)`` seeds its own noise stream,
+    so datasets and cost ledgers do not depend on chunking or
+    ``workers``.
     """
     if trials < 1:
         raise MeasurementError("trials must be >= 1")

@@ -143,6 +143,9 @@ class PerfReport:
         self.cost: Optional[CostStats] = None
         #: Grid-kernel accounting (None until the engine builds a kernel).
         self.grid: Optional[GridKernelStats] = None
+        #: Runs each measuring stage simulated and reused from the spec's
+        #: run memo, ``{stage: {"simulated": s, "reused": r}}``.
+        self.runs: Dict[str, Dict[str, int]] = {}
 
     def record_search(self, stats) -> None:
         """Fold one search run's :class:`SearchStats` into the per-backend
@@ -190,6 +193,13 @@ class PerfReport:
         else:
             self.walker.merge(stats)
 
+    def record_runs(self, stage: str, counts) -> None:
+        """Add a measuring stage's run counts (duck-typed
+        :class:`repro.measure.campaign.RunCounts`)."""
+        entry = self.runs.setdefault(stage, {"simulated": 0, "reused": 0})
+        entry["simulated"] += counts.simulated
+        entry["reused"] += counts.reused
+
     @contextmanager
     def stage(self, name: str) -> Iterator[None]:
         """Time a block and charge it to ``name`` (accumulating)."""
@@ -235,6 +245,8 @@ class PerfReport:
             }
         if self.walker is not None:
             out["walker"] = self.walker.to_dict()
+        if self.runs:
+            out["runs"] = {stage: dict(entry) for stage, entry in self.runs.items()}
         if self.search_backends:
             out["search_backends"] = {
                 name: dict(entry)
@@ -257,6 +269,11 @@ class PerfReport:
             lines.append(f"cache: {self.cache.describe()}")
         if self.walker is not None:
             lines.append(f"walker: {self.walker.describe()}")
+        if self.runs:
+            lines.append("runs: " + "; ".join(
+                f"{stage} {entry['simulated']} simulated/{entry['reused']} reused"
+                for stage, entry in self.runs.items()
+            ))
         for name, entry in sorted(self.search_backends.items()):
             detail = (
                 f"search[{name}]: {entry['runs']} runs, "

@@ -11,6 +11,8 @@ from repro.calibrate import (
     Recalibrator,
     merge_with_observations,
 )
+from repro.cli import main
+from repro.core.persistence import save_pipeline
 from repro.errors import CalibrationError
 from repro.measure.dataset import Dataset
 
@@ -157,3 +159,30 @@ class TestShadowScoring:
         )
         with pytest.raises(CalibrationError, match="scored no observations"):
             Recalibrator().score(incumbent, log.observations)
+
+
+class TestRefitCLI:
+    def test_rank_deficient_refit_is_a_typed_one_line_error(
+        self, tmp_path, capsys, incumbent, base_spec, make_record, make_config
+    ):
+        """Observations of a configuration the plan never measured, at four
+        orders too close together for the N-T cubic, leave its refit
+        rank-deficient: ``repro calibrate refit`` names the fit on one
+        ``error:`` line and exits 1."""
+        serving = tmp_path / "serving"
+        save_pipeline(incumbent, serving, include_evaluation=incumbent.graph.has("evaluation"))
+        log_path = tmp_path / "observations.jsonl"
+        with ObservationLog(log_path) as log:
+            for n in (20000, 20010, 20020, 20030):
+                log.append(make_record(base_spec, make_config(0, 0, 3, 1), n))
+            log.append(make_record(base_spec, make_config(1, 3, 8, 1), 3200))  # held out
+        code = main([
+            "calibrate", "refit", "--dir", str(serving), "--log", str(log_path),
+            "--versions", str(tmp_path / "versions"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.splitlines() == [
+            "error: N-T model for pentium2 (P=3, Mi=1) Ta at "
+            "N = [20000, 20010, 20020, 20030]: rank-deficient design (rank 2 of 4)"
+        ]

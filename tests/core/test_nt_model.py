@@ -32,6 +32,23 @@ class TestFit:
         with pytest.raises(FitError):
             NTModel.fit("k", 1, 1, [400, 400, 800, 1200], [1, 1, 2, 3], [1, 1, 2, 3])
 
+    @pytest.mark.parametrize("weighting", ["uniform", "relative"])
+    @pytest.mark.parametrize(
+        "sizes, rank",
+        [([50000, 60000, 70000, 80000], 3), ([20000, 20010, 20020, 20030], 2)],
+    )
+    def test_rank_deficient_design_fails_loudly(self, sizes, rank, weighting):
+        # Before the check, GSL's truncating SVD fitted these silently at
+        # a lower rank, dropping a term of the cubic.
+        n = np.array(sizes, dtype=float)
+        with pytest.raises(FitError) as raised:
+            NTModel.fit("k", 2, 1, sizes, 1e-9 * n**3 + 1.0, 1e-6 * n**2 + 0.5,
+                        weighting=weighting)
+        message = str(raised.value)
+        assert "N-T model for k (P=2, Mi=1) Ta" in message
+        assert f"N = [{', '.join(map(str, sizes))}]" in message
+        assert f"rank {rank} of 4" in message
+
     def test_extrapolation_flag(self):
         model = NTModel.fit("k", 1, 1, [400, 800, 1200, 1600], [1, 2, 3, 4], [0, 0, 0, 0.1])
         assert not model.extrapolating(1000)

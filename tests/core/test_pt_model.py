@@ -58,6 +58,21 @@ class TestFit:
         with pytest.raises(FitError, match=">= 3 distinct P"):
             PTModel.fit_from_nt_family(family, sizes)
 
+    def test_rank_deficient_design_fails_loudly(self):
+        # A family without computation time: the Ta design [Ta_ref/P, 1]
+        # has a zero column.
+        family = [
+            NTModel("k", p=p, mi=1, ka=(0.0, 0.0, 0.0, 0.0), kc=(2e-8, 1e-5, 0.1),
+                    n_range=(400, 3200))
+            for p in (1, 2, 4)
+        ]
+        with pytest.raises(FitError) as raised:
+            PTModel.fit_from_nt_family(family, [400, 800, 1600, 3200])
+        message = str(raised.value)
+        assert "P-T model for (k, Mi=1) Ta over P = [1, 2, 4]" in message
+        assert "N = [400, 800, 1600, 3200]" in message
+        assert "rank 1 of 2" in message
+
     def test_mixed_family_rejected(self):
         fam_a, sizes = synthetic_nt_family(mi=1)
         fam_b, _ = synthetic_nt_family(mi=2)

@@ -190,9 +190,8 @@ class TestDriverBatch:
         with pytest.raises(SimulationError, match="trial"):
             run_group(spec, cfg(1, 1, 0, 0), [400, 800], trial=[0])
 
-    def test_empty_sizes_rejected(self, spec):
-        with pytest.raises(SimulationError):
-            run_group(spec, cfg(1, 1, 0, 0), [])
+    def test_empty_sizes_give_no_runs(self, spec):
+        assert run_group(spec, cfg(1, 1, 0, 0), []) == []
 
 
 class TestCalibrationShapes:

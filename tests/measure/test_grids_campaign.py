@@ -133,9 +133,10 @@ class TestCampaign:
         assert all(b > a for a, b in zip(costs, costs[1:]))
 
     def test_campaign_reproducible(self):
-        spec = kishimoto_cluster()
-        a = run_campaign(spec, ns_plan(), noise=NoiseSpec(), seed=3)
-        b = run_campaign(spec, ns_plan(), noise=NoiseSpec(), seed=3)
+        # Two fresh specs: on one spec the second campaign would be read
+        # back from the first one's run memo.
+        a = run_campaign(kishimoto_cluster(), ns_plan(), noise=NoiseSpec(), seed=3)
+        b = run_campaign(kishimoto_cluster(), ns_plan(), noise=NoiseSpec(), seed=3)
         assert a.dataset.to_json() == b.dataset.to_json()
 
     def test_evaluation_covers_grid(self):

@@ -7,7 +7,9 @@ that property for construction campaigns, evaluation grids and
 trial-aggregated campaigns — with noise and outlier injection enabled,
 which is where hidden RNG sharing would show up first.  The 1-CPU-safe
 clamp is bypassed by patching the advertised CPU count: oversubscribed
-pools are a performance problem, never a correctness one.
+pools are a performance problem, never a correctness one.  Each side of
+a comparison measures on its own fresh spec, so neither is served from
+the other's run memo.
 """
 
 import pytest
@@ -47,39 +49,41 @@ def many_cpus(monkeypatch):
 
 
 @pytest.fixture(scope="module")
-def serial_campaign(spec, tiny_plan):
-    return run_campaign(spec, tiny_plan, noise=NOISE, seed=42, workers=1)
+def serial_campaign(tiny_plan):
+    return run_campaign(kishimoto_cluster(), tiny_plan, noise=NOISE, seed=42, workers=1)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
-def test_campaign_parallel_equals_serial(spec, tiny_plan, serial_campaign, workers):
-    result = run_campaign(spec, tiny_plan, noise=NOISE, seed=42, workers=workers)
+def test_campaign_parallel_equals_serial(tiny_plan, serial_campaign, workers):
+    result = run_campaign(kishimoto_cluster(), tiny_plan, noise=NOISE, seed=42, workers=workers)
     assert result.plan_name == serial_campaign.plan_name
     assert result.dataset.to_json() == serial_campaign.dataset.to_json()
     assert result.cost_by_kind_and_n == serial_campaign.cost_by_kind_and_n
 
 
 @pytest.mark.parametrize("workers", [2, 4])
-def test_evaluation_parallel_equals_serial(spec, tiny_plan, workers):
-    serial = run_evaluation(spec, tiny_plan, noise=NOISE, seed=42, workers=1)
-    parallel_ds = run_evaluation(spec, tiny_plan, noise=NOISE, seed=42, workers=workers)
+def test_evaluation_parallel_equals_serial(tiny_plan, workers):
+    serial = run_evaluation(kishimoto_cluster(), tiny_plan, noise=NOISE, seed=42, workers=1)
+    parallel_ds = run_evaluation(
+        kishimoto_cluster(), tiny_plan, noise=NOISE, seed=42, workers=workers
+    )
     assert parallel_ds.to_json() == serial.to_json()
 
 
-def test_trials_campaign_parallel_equals_serial(spec, tiny_plan):
+def test_trials_campaign_parallel_equals_serial(tiny_plan):
     serial = run_campaign_with_trials(
-        spec, tiny_plan, trials=3, noise=NOISE, seed=42, workers=1
+        kishimoto_cluster(), tiny_plan, trials=3, noise=NOISE, seed=42, workers=1
     )
     pooled = run_campaign_with_trials(
-        spec, tiny_plan, trials=3, noise=NOISE, seed=42, workers=4
+        kishimoto_cluster(), tiny_plan, trials=3, noise=NOISE, seed=42, workers=4
     )
     assert pooled.dataset.to_json() == serial.dataset.to_json()
     assert pooled.cost_by_kind_and_n == serial.cost_by_kind_and_n
 
 
-def test_noiseless_campaign_parallel_equals_serial(spec, tiny_plan):
-    serial = run_campaign(spec, tiny_plan, noise=None, seed=0, workers=1)
-    pooled = run_campaign(spec, tiny_plan, noise=None, seed=0, workers=2)
+def test_noiseless_campaign_parallel_equals_serial(tiny_plan):
+    serial = run_campaign(kishimoto_cluster(), tiny_plan, noise=None, seed=0, workers=1)
+    pooled = run_campaign(kishimoto_cluster(), tiny_plan, noise=None, seed=0, workers=2)
     assert pooled.dataset.to_json() == serial.dataset.to_json()
 
 

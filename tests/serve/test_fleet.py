@@ -345,9 +345,12 @@ class TestListenerSupport:
 
 
 class TestServeProcess:
-    def test_cli_fleet_answers_and_drains_on_sigint(self):
-        """``repro serve --workers 2`` comes up, answers ``repro client
-        --op fleet_status`` for both replicas and exits 0 on SIGINT."""
+    @staticmethod
+    def serve_then_interrupt(serve_args, client_args, timeout):
+        """Start ``repro serve`` on the golden pipeline and a free port
+        with ``serve_args``, run one ``repro client`` call with
+        ``client_args`` once it listens, then send SIGINT; returns the
+        client's completed process, the server's exit code and output."""
         with socket.socket() as probe:
             probe.bind(("127.0.0.1", 0))
             port = probe.getsockname()[1]
@@ -355,11 +358,11 @@ class TestServeProcess:
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
         server = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "--dir", f"golden={FIXTURE}",
-             "--port", str(port), "--workers", "2"],
+             "--port", str(port), *serve_args],
             env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
         )
         try:
-            deadline = time.monotonic() + 60
+            deadline = time.monotonic() + timeout
             while True:
                 try:
                     with socket.create_connection(("127.0.0.1", port), timeout=1.0):
@@ -369,18 +372,38 @@ class TestServeProcess:
                     assert time.monotonic() < deadline, "repro serve never came up"
                     time.sleep(0.1)
             client = subprocess.run(
-                [sys.executable, "-m", "repro", "client", "--port", str(port),
-                 "--op", "fleet_status"],
-                env=env, capture_output=True, text=True, timeout=60,
+                [sys.executable, "-m", "repro", "client", "--port", str(port), *client_args],
+                env=env, capture_output=True, text=True, timeout=timeout,
             )
-            assert client.returncode == 0, client.stderr
-            reply = json.loads(client.stdout)
-            assert reply["ok"] and len(reply["result"]["workers"]) == 2, client.stdout
             server.send_signal(signal.SIGINT)
-            out, _ = server.communicate(timeout=60)
-            assert server.returncode == 0, out
-            assert "replicas" in out, out
+            out, _ = server.communicate(timeout=timeout)
+            return client, server.returncode, out
         finally:
             if server.poll() is None:
                 server.kill()
                 server.wait()
+
+    def test_cli_server_answers_an_estimate_and_exits_on_sigint(self):
+        """One-process ``repro serve`` answers ``repro client --op
+        estimate`` and exits 0 on SIGINT with its metrics printed."""
+        client, code, out = self.serve_then_interrupt(
+            [], ["--op", "estimate", "--pipeline", "golden", "--config", "1,2,8,1",
+                 "--n", "3200"], timeout=30,
+        )
+        assert client.returncode == 0, client.stderr
+        reply = json.loads(client.stdout)
+        assert reply["ok"] and reply["result"]["totals"], client.stdout
+        assert code == 0, out
+        assert "requests" in out, out
+
+    def test_cli_fleet_answers_and_drains_on_sigint(self):
+        """``repro serve --workers 2`` comes up, answers ``repro client
+        --op fleet_status`` for both replicas and exits 0 on SIGINT."""
+        client, code, out = self.serve_then_interrupt(
+            ["--workers", "2"], ["--op", "fleet_status"], timeout=60
+        )
+        assert client.returncode == 0, client.stderr
+        reply = json.loads(client.stdout)
+        assert reply["ok"] and len(reply["result"]["workers"]) == 2, client.stdout
+        assert code == 0, out
+        assert "replicas" in out, out

@@ -11,13 +11,25 @@ directory hot-swaps without dropping requests.
 import asyncio
 import json
 import shutil
+import sys
 from pathlib import Path
+
+import pytest
 
 from repro.cluster.config import ClusterConfig
 from repro.core.persistence import load_pipeline
 from repro.serve import EstimationServer, ModelRegistry, fire_concurrent
 
 FIXTURE = Path(__file__).parent.parent / "golden" / "format1_pipeline"
+#: Distinct problem sizes, so no round is flattened by the estimate cache.
+SIZES = [1600 + 8 * i for i in range(256)]
+
+
+def estimate_payloads(sizes):
+    return [
+        {"op": "estimate", "pipeline": "golden", "config": [1, 2, 8, 1], "n": n}
+        for n in sizes
+    ]
 
 
 def serve(coro_factory, **server_kwargs):
@@ -50,13 +62,10 @@ async def roundtrip(host, port, payload):
 
 class TestGoldenIdentity:
     def test_served_estimates_bitwise_equal_direct_calls(self):
-        """Acceptance: 64 concurrent queries, every total bitwise equal
-        to the direct Estimator path on the same loaded pipeline."""
-        sizes = [1600 + 80 * i for i in range(64)]
-        payloads = [
-            {"op": "estimate", "pipeline": "golden", "config": [1, 2, 8, 1], "n": n}
-            for n in sizes
-        ]
+        """Acceptance: 256 queries at 64-way concurrency, every total
+        bitwise equal to the direct Estimator path on the same loaded
+        pipeline."""
+        payloads = estimate_payloads(SIZES)
 
         async def scenario(server, host, port):
             return await fire_concurrent(host, port, payloads, concurrency=64)
@@ -64,9 +73,9 @@ class TestGoldenIdentity:
         replies, _ = serve(scenario)
         direct = load_pipeline(FIXTURE)
         config = ClusterConfig.from_tuple(direct.plan.kinds, (1, 2, 8, 1))
-        want = direct.estimate_totals(config, sizes)
-        assert len(replies) == 64
-        for reply, n, expected in zip(replies, sizes, want):
+        want = direct.estimate_totals(config, SIZES)
+        assert len(replies) == 256
+        for reply, n, expected in zip(replies, SIZES, want):
             assert reply["ok"], reply
             assert reply["result"]["ns"] == [n]
             assert reply["result"]["totals"] == [float(expected)]  # bitwise
@@ -102,6 +111,52 @@ class TestGoldenIdentity:
             {"config": list(e.config.as_flat_tuple(kinds)), "estimate_s": e.estimate_s}
             for e in outcome.top(5)
         ]
+
+
+@pytest.mark.skipif(
+    sys.flags.dev_mode,
+    reason="asyncio debug mode times its own per-callback checks, not batching",
+)
+class TestBatchingThroughput:
+    """Micro-batching against a batching-off server (``max_batch=1``) at
+    64-way concurrency, each round on a fresh server.  The ratios are
+    loose so they hold on slow, noisy runners; the measured targets live
+    in ``benchmarks/bench_serve_throughput.py``."""
+
+    @staticmethod
+    def rates(payloads):
+        """Requests per second batched and batching-off, once every reply
+        is checked and the batched round is seen to coalesce."""
+        rates, largest = [], []
+        for server_kwargs in ({}, {"max_batch": 1}):
+
+            async def scenario(server, host, port):
+                replies, elapsed = await fire_concurrent(host, port, payloads, concurrency=64)
+                largest.append(server.metrics.batch_sizes.max)
+                return replies, elapsed
+
+            replies, elapsed = serve(scenario, **server_kwargs)
+            assert all(reply["ok"] for reply in replies), server_kwargs
+            rates.append(len(payloads) / elapsed)
+        assert largest[0] > 1, "concurrent traffic never coalesced into a micro-batch"
+        return rates
+
+    def test_batched_estimates_keep_half_the_batching_off_throughput(self):
+        batched, unbatched = self.rates(estimate_payloads(SIZES))
+        assert batched >= unbatched / 2, (
+            f"micro-batched estimates ({batched:.0f} rps) fell below half "
+            f"the batching-off throughput ({unbatched:.0f} rps)"
+        )
+
+    def test_batched_optimize_beats_batching_off(self):
+        payloads = [
+            {"op": "optimize", "pipeline": "golden", "n": n, "top": 3} for n in SIZES[:128]
+        ]
+        batched, unbatched = self.rates(payloads)
+        assert batched > unbatched, (
+            f"micro-batching ({batched:.0f} rps) failed to beat "
+            f"batching-off ({unbatched:.0f} rps) on the optimize workload"
+        )
 
 
 class TestOverload:

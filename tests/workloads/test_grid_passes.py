@@ -1,8 +1,9 @@
 """Work counts of the paper's measurement grids (counted, not timed).
 
-Every family's grid runner walks a grid once per process count, and a
-process places each configuration of a spec once, however many
-pipelines it builds on that spec.
+Every family's grid runner walks a grid once per process count (each
+grid measured on a fresh spec, so none of its runs comes from a spec's
+run memo), and a process places each configuration of a spec once,
+however many pipelines it builds on that spec.
 """
 
 import pytest
@@ -20,9 +21,7 @@ WALKERS = {"sorting": (sorting, "_walk_sorting"), "montecarlo": (montecarlo, "_w
 
 
 @pytest.mark.parametrize("family", sorted(WALKERS))
-def test_six_paper_grids_take_one_pass_per_grid_and_process_count(
-    spec, family, monkeypatch
-):
+def test_six_paper_grids_take_one_pass_per_grid_and_process_count(family, monkeypatch):
     module, name = WALKERS[family]
     walk = getattr(module, name)
     passes = []
@@ -40,9 +39,9 @@ def test_six_paper_grids_take_one_pass_per_grid_and_process_count(
                                (plan.evaluation_configs, plan.evaluation_sizes)):
             expected_passes += len({config.total_processes for config in configs})
             expected_runs += len(configs) * len(sizes)
-        run_campaign(spec, plan, noise=NoiseSpec(), seed=7,
+        run_campaign(kishimoto_cluster(), plan, noise=NoiseSpec(), seed=7,
                      batch_runner=workload.batch_runner())
-        run_evaluation(spec, plan, noise=NoiseSpec(), seed=7,
+        run_evaluation(kishimoto_cluster(), plan, noise=NoiseSpec(), seed=7,
                        batch_runner=workload.batch_runner())
     assert expected_passes == 99  # against 300 configuration walks
     assert len(passes) == expected_passes

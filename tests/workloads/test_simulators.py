@@ -8,6 +8,7 @@ from repro.cluster.config import ClusterConfig
 from repro.errors import SimulationError
 from repro.hpl.driver import NoiseSpec
 from repro.measure.grids import PAPER_KINDS
+from repro.workloads import create_workload
 from repro.workloads.montecarlo import run_montecarlo_grid, simulate_montecarlo_reference
 from repro.workloads.sorting import run_sorting_grid, simulate_sorting_reference
 
@@ -110,6 +111,12 @@ class TestResultInterface:
             run_sorting_grid(spec, [(config_of((1, 1, 0, 0)), [0], 0)])
         with pytest.raises(SimulationError, match=">= 1"):
             run_montecarlo_grid(spec, [(config_of((1, 1, 0, 0)), [1024, 0], 0)])
+
+    @pytest.mark.parametrize("family", ["hpl", "sorting", "montecarlo", "summa"])
+    def test_group_without_sizes_gives_no_runs(self, spec, family):
+        runner = create_workload(family).batch_runner()
+        assert runner(spec, [(config_of((1, 1, 2, 1)), [], 0)]) == [[]]
+        assert runner(spec, []) == []
 
     def test_trial_length_mismatch_rejected(self, spec):
         with pytest.raises(SimulationError, match="trial indices"):
