@@ -114,9 +114,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="workload family tag (see `repro workloads`)",
     )
     campaign.add_argument(
-        "--workers", type=int, default=1, help="process-pool width for the runs"
-    )
-    campaign.add_argument(
         "--profile",
         action="store_true",
         help=(
@@ -364,8 +361,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=1,
         help=(
             "replica processes; 1 = classic single process, 0 = one per "
-            "available CPU, N = a fleet of N sharing the port with "
-            "zero-copy shared model artifacts"
+            "available CPU, N = a fleet of N sharing the port"
         ),
     )
     serve.add_argument(
@@ -671,11 +667,8 @@ def _run_fleet(args: argparse.Namespace) -> None:
             f"{supervisor.host}:{supervisor.port} "
             f"(listener={supervisor.listener}); Ctrl-C to stop"
         )
-        for name, segment in sorted(supervisor._segments.items()):
-            print(
-                f"  shared {name!r}: {segment.size} bytes, "
-                f"fingerprint {segment.meta.get('fingerprint')}"
-            )
+        for name, fingerprint in supervisor.status()["pipelines"].items():
+            print(f"  {name!r}: fingerprint {fingerprint}")
         stop.wait()
         status = supervisor.status()
         totals = status["totals"]
@@ -841,12 +834,7 @@ def _dispatch(args: argparse.Namespace) -> None:
         print("\nFigure 3(b): multiprocessing [Gflops]")
         print(series_table(fig3b_series(seed=args.seed, spec=spec), "N"))
     elif args.command == "campaign":
-        pipeline = EstimationPipeline(
-            _spec(args),
-            PipelineConfig(
-                protocol=args.protocol, seed=args.seed, workers=args.workers
-            ),
-        )
+        pipeline = _pipeline(args)
         result = pipeline.campaign
         print(
             f"{result.plan_name} campaign: {len(result.dataset)} measurements, "

@@ -77,7 +77,7 @@ def _load_blob(
     parse but lack required structure raise ``KeyError`` / ``TypeError``
     / ``ValueError`` from the loader.  All of those mean the same thing
     to a caller — this pipeline cannot be served — so they surface
-    uniformly, with the origin (a file path or shared-segment slot),
+    uniformly, with the origin (the file path it was read from),
     instead of as tracebacks.
     """
     origin = origins.get(name, name)
@@ -106,11 +106,11 @@ def pipeline_from_blobs(
 
     ``blobs`` maps artifact filenames (``manifest.json`` …) to the raw
     bytes a saved pipeline directory would contain; ``origins`` maps the
-    same names to human-readable locations for error messages (file
-    paths when loading from disk, segment slots when loading from shared
-    memory).  This is the common core behind :func:`load_pipeline` and
-    the zero-copy shared-memory loader in :mod:`repro.serve.shared` —
-    both produce identical pipelines because both land here.
+    same names to human-readable locations for error messages (the
+    file paths they were read from).  This is the common core behind
+    :func:`load_pipeline` and a fleet replica's load path
+    (:meth:`repro.serve.registry.ModelRegistry.fleet_entry`) — both
+    produce identical pipelines because both land here.
     """
     if origins is None:
         origins = {}
@@ -192,7 +192,8 @@ def read_pipeline_blobs(directory: Path | str) -> tuple[dict, dict]:
 
     Returns ``(blobs, origins)`` suitable for :func:`pipeline_from_blobs`
     — the single disk pass shared by :func:`load_pipeline` and the
-    shared-memory packer (which must ship the *same* bytes it validated).
+    fleet supervisor (which must hand its replicas the *same* bytes it
+    validated).
 
     Raises :class:`~repro.errors.MeasurementError` when ``directory`` is
     not a saved pipeline at all.

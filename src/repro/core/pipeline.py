@@ -93,12 +93,6 @@ class PipelineConfig:
     #: per-kind Ta/Tc measurements.  The tag is persisted with pipeline
     #: artifacts and travels through served requests and observation logs.
     workload: str = "hpl"
-    #: Process-pool width for the measurement campaigns (1 = today's
-    #: serial loop; >1 fans runs out via :mod:`repro.perf.parallel`
-    #: without changing any produced number — runs are independently
-    #: seeded).  Requests beyond the machine's CPUs are clamped with a
-    #: one-time warning.
-    workers: int = 1
     #: Default search backend for :meth:`EstimationPipeline.optimize` —
     #: any tag in :func:`repro.core.search.registered_search_backends`
     #: ("exhaustive", the paper's enumeration; "branch-bound", exact with

@@ -231,8 +231,7 @@ class StageGraph:
 def _measure(ctx: PipelineContext, stage: str, measure: Callable):
     """Run ``measure`` (:func:`run_campaign` or :func:`run_evaluation`) on
     the context's inputs, and record on the perf report the walker
-    counters it moved and the runs it simulated and reused (main-process
-    walker counters only: pool workers keep their own)."""
+    counters it moved and the runs it simulated and reused."""
     walked, runs = walker_stats().snapshot(), run_counts()
     artifact = measure(
         ctx.spec,
@@ -241,7 +240,6 @@ def _measure(ctx: PipelineContext, stage: str, measure: Callable):
         noise=ctx.config.noise,
         seed=ctx.config.seed,
         batch_runner=ctx.workload.batch_runner(),
-        workers=ctx.config.workers,
     )
     ctx.perf.record_walker(walker_stats().delta(walked))
     ctx.perf.record_runs(stage, run_counts() - runs)

@@ -200,16 +200,14 @@ class ScheduleResult:
 
 @dataclass
 class WalkerStats:
-    """Counters of both schedule walkers (per process; see note below).
+    """Counters of both schedule walkers, in module state (per process).
 
     ``scalar_*`` track the reference per-step loop, ``batch_*`` the
     vectorized grid walker (``batch_calls`` = walker passes, one per
     process count of each grid call; ``batch_sizes`` = runs simulated
     across them; ``batch_max`` = the largest pass's runs; ``batch_seconds``
     = time inside grid calls), and ``table_*`` the :class:`PanelTable`
-    memo.  Counters live in module state: campaigns fanned out over a
-    process pool accumulate them in the workers, so a parallel campaign's
-    main-process report only covers work done in the main process.
+    memo.
     """
 
     scalar_calls: int = 0

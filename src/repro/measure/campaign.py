@@ -24,7 +24,6 @@ from __future__ import annotations
 import threading
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.config import ClusterConfig
@@ -35,7 +34,6 @@ from repro.hpl.schedule import HPLParameters
 from repro.measure.dataset import Dataset
 from repro.measure.grids import CampaignPlan, group_runs_by_config
 from repro.measure.record import MeasurementRecord
-from repro.perf.parallel import ParallelRunner
 from repro.runs import WorkloadResult
 
 #: Grid runner: every run of a grid of ``(config, sizes, trials)`` groups in
@@ -107,25 +105,6 @@ def run_counts() -> RunCounts:
     return getattr(_counts, "value", RunCounts())
 
 
-def _measure_chunk(
-    groups: Sequence[Tuple[ClusterConfig, List[int], List[int]]],
-    spec: ClusterSpec,
-    kinds: Tuple[str, ...],
-    params: Optional[HPLParameters],
-    noise: Optional[NoiseSpec],
-    seed: int,
-    batch_runner: GridRunner,
-) -> List[List[MeasurementRecord]]:
-    """Every run of a chunk of ``(config, sizes, trials)`` groups in one
-    grid-runner call, and each group's records from its phase block —
-    module-level so process-pool workers can unpickle it."""
-    results = batch_runner(spec, groups, params=params, noise=noise, seed=seed)
-    return [
-        MeasurementRecord.from_results(group_results, kinds, seed=seed, trials=trials)
-        for (_, _, trials), group_results in zip(groups, results)
-    ]
-
-
 def _simulate(
     runs: Sequence[Tuple[int, ClusterConfig, int]],
     spec: ClusterSpec,
@@ -134,30 +113,19 @@ def _simulate(
     noise: Optional[NoiseSpec],
     seed: int,
     batch_runner: GridRunner,
-    workers: int,
 ) -> List[MeasurementRecord]:
     """Simulate ``(n, config, trial)`` runs, grouped by configuration, in
-    one grid-runner call — or, with ``workers > 1``, one contiguous chunk
-    of configurations per worker — and return their records in order."""
+    one grid-runner call, and return their records in order; each group's
+    records come from its phase block."""
     grouped = group_runs_by_config([(n, config) for n, config, _ in runs])
     groups = [
         (config, [n for _, n in indexed], [runs[i][2] for i, _ in indexed])
         for config, indexed in grouped
     ]
-    runner = ParallelRunner(workers=workers)
-    size = max(1, -(-len(groups) // runner.workers))
-    measure = partial(
-        _measure_chunk,
-        spec=spec,
-        kinds=kinds,
-        params=params,
-        noise=noise,
-        seed=seed,
-        batch_runner=batch_runner,
-    )
-    chunks = runner.map(measure, [groups[i:i + size] for i in range(0, len(groups), size)])
+    results = batch_runner(spec, groups, params=params, noise=noise, seed=seed)
     records: List[MeasurementRecord] = [None] * len(runs)  # type: ignore[list-item]
-    for (_, indexed), group in zip(grouped, (group for chunk in chunks for group in chunk)):
+    for (_, indexed), (_, _, trials), group_results in zip(grouped, groups, results):
+        group = MeasurementRecord.from_results(group_results, kinds, seed=seed, trials=trials)
         for (i, _), record in zip(indexed, group):
             records[i] = record
     return records
@@ -171,7 +139,6 @@ def _measure_entries(
     noise: Optional[NoiseSpec],
     seed: int,
     batch_runner: GridRunner,
-    workers: int,
     trials: int = 1,
 ) -> List[List[MeasurementRecord]]:
     """Measure plan entries, ``trials`` runs each, and return every
@@ -181,9 +148,9 @@ def _measure_entries(
     everything that fixes its record (:data:`RunKey`) and bounded to
     ``_RUNS_PER_SPEC`` runs; records are frozen, so datasets share them.
     Only the misses reach the grid runner, each once.  Every run seeds
-    its own noise, so a record depends neither on the chunking nor on
-    which runs the memo served.  Simulated records are stored once the
-    grid call has returned, so a call that raises stores nothing.
+    its own noise, so a record does not depend on which runs the memo
+    served.  Simulated records are stored once the grid call has
+    returned, so a call that raises stores nothing.
     """
     context = (batch_runner, params, noise, seed, tuple(kinds))
     memo = spec._runs
@@ -204,7 +171,7 @@ def _measure_entries(
     if misses:
         runs = list(misses.values())
         simulated = _simulate(
-            [run[:3] for run in runs], spec, kinds, params, noise, seed, batch_runner, workers
+            [run[:3] for run in runs], spec, kinds, params, noise, seed, batch_runner
         )
         with _memo_lock:
             memo.update(zip(misses, simulated))
@@ -228,23 +195,17 @@ def run_campaign(
     noise: Optional[NoiseSpec] = None,
     seed: int = 0,
     batch_runner: GridRunner = run_hpl_grid,
-    workers: int = 1,
 ) -> CampaignResult:
     """Execute every construction measurement of ``plan``.
 
     ``batch_runner`` (HPL's grid runner by default) simulates, in one
     call, every run of the construction grid the spec's run memo does not
-    hold; records are reassembled into plan order.
-
-    ``workers > 1`` fans the work out over a process pool
-    (:class:`repro.perf.parallel.ParallelRunner`) — one chunk of
-    configurations per worker.  Every run derives its own noise stream
-    from ``(seed, config, N, trial)``, so results do not depend on
-    chunking or ``workers``; the default ``workers=1`` never forks.
+    hold; records are reassembled into plan order.  Every run derives its
+    own noise stream from ``(seed, config, N, trial)``.
     """
     entries = _measure_entries(
         list(plan.construction_runs()),
-        spec, plan.kinds, params, noise, seed, batch_runner, workers,
+        spec, plan.kinds, params, noise, seed, batch_runner,
     )
     dataset = Dataset()
     cost: Dict[Tuple[str, int], float] = defaultdict(float)
@@ -263,16 +224,15 @@ def run_evaluation(
     noise: Optional[NoiseSpec] = None,
     seed: int = 0,
     batch_runner: GridRunner = run_hpl_grid,
-    workers: int = 1,
 ) -> Dataset:
     """Measure the full evaluation grid (the ground-truth runs the paper
     uses to find the *actual* best configuration).
 
-    Batching and ``workers`` behave exactly as in :func:`run_campaign`.
+    Batching and the run memo behave exactly as in :func:`run_campaign`.
     """
     entries = _measure_entries(
         list(plan.evaluation_runs()),
-        spec, plan.kinds, params, noise, seed, batch_runner, workers,
+        spec, plan.kinds, params, noise, seed, batch_runner,
     )
     return Dataset(record for (record,) in entries)
 

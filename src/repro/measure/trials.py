@@ -109,7 +109,6 @@ def run_campaign_with_trials(
     noise: Optional[NoiseSpec] = None,
     seed: int = 0,
     batch_runner: GridRunner = run_hpl_grid,
-    workers: int = 1,
 ) -> CampaignResult:
     """A construction campaign with repeated, robustly aggregated trials.
 
@@ -118,17 +117,14 @@ def run_campaign_with_trials(
 
     ``batch_runner`` (HPL's grid runner by default) simulates the
     ``configs x sizes x trials`` runs the spec's run memo does not hold in
-    one call (one chunk of configurations per worker when ``workers >
-    1``); trial 0 is the run a plain campaign with the same noise
-    measures.  Every ``(config, N, trial)`` seeds its own noise stream,
-    so datasets and cost ledgers do not depend on chunking or
-    ``workers``.
+    one call; trial 0 is the run a plain campaign with the same noise
+    measures.  Every ``(config, N, trial)`` seeds its own noise stream.
     """
     if trials < 1:
         raise MeasurementError("trials must be >= 1")
     entries = _measure_entries(
         list(plan.construction_runs()),
-        spec, plan.kinds, params, noise, seed, batch_runner, workers, trials=trials,
+        spec, plan.kinds, params, noise, seed, batch_runner, trials=trials,
     )
     dataset = Dataset()
     cost: Dict[Tuple[str, int], float] = defaultdict(float)

@@ -1,11 +1,9 @@
-"""Performance engine: parallel campaigns, cached/batched estimation,
-and stage-level timing.
+"""Performance engine: cached/batched estimation and stage-level timing.
 
 Three coordinated layers (see DESIGN.md "Performance engine"):
 
-1. :mod:`repro.perf.parallel` — fan measurement runs out over a process
-   pool with deterministic per-run seeding (``workers=`` knob on
-   :func:`repro.measure.campaign.run_campaign` and friends);
+1. :mod:`repro.perf.parallel` — the CPUs this process may use
+   (affinity- and cgroup-aware), which size the serving fleet;
 2. :mod:`repro.perf.cache` — memoized model evaluation keyed by
    ``(config, N, model fingerprint)``, feeding the batched
    ``optimize_many`` search path;
@@ -14,24 +12,15 @@ Three coordinated layers (see DESIGN.md "Performance engine"):
 """
 
 from repro.perf.cache import CacheStats, EstimateCache, model_fingerprint
-from repro.perf.parallel import (
-    ParallelRunner,
-    available_cpu_count,
-    default_worker_count,
-    reset_oversubscription_warning,
-    resolve_workers,
-)
+from repro.perf.parallel import available_cpu_count, default_worker_count
 from repro.perf.report import PIPELINE_STAGES, PerfReport, StageTiming
 
 __all__ = [
     "CacheStats",
     "EstimateCache",
     "model_fingerprint",
-    "ParallelRunner",
     "available_cpu_count",
     "default_worker_count",
-    "reset_oversubscription_warning",
-    "resolve_workers",
     "PIPELINE_STAGES",
     "PerfReport",
     "StageTiming",

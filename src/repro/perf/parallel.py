@@ -1,34 +1,15 @@
-"""Parallel fan-out of measurement runs (perf-engine layer 1).
+"""How many CPUs this process may use.
 
-The paper's whole economic argument is that model construction is cheap
-relative to measuring everything (Tables 3/6) — but our *simulated*
-campaigns were still a serial Python loop.  Every measurement in a
-campaign is independent and deterministically seeded by
-``(seed, config, N, trial)`` (see :func:`repro.hpl.driver.run_hpl`), so
-the runs can be fanned out over a process pool without changing a single
-bit of the resulting dataset: :class:`ParallelRunner` preserves task
-order and each task derives its own noise stream, hence
-``workers=k`` produces the same records as ``workers=1`` in the same
-order.  The determinism tests in ``tests/measure/test_parallel_campaign.py``
-assert exactly that, outliers and all.
-
-Oversubscription guard: asking for more workers than the machine has
-CPUs silently *slows down* CPU-bound fan-out, so :func:`resolve_workers`
-clamps the requested count to the available CPUs and warns (once per
-process) when it does.
+The serving fleet sizes itself from :func:`default_worker_count`
+(``repro serve --workers 0``).  Campaigns run in one process: a grid's
+whole walk is one grid-runner call, shorter than a process pool's
+start-up (DESIGN.md §7).
 """
 
 from __future__ import annotations
 
 import os
-import warnings
-from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, List, Optional, Sequence, TypeVar
-
-from repro.errors import MeasurementError
-
-T = TypeVar("T")
-R = TypeVar("R")
+from typing import Optional
 
 
 #: cgroup v2 CPU quota file (``"max 100000"`` or ``"<quota> <period>"``).
@@ -84,67 +65,3 @@ def default_worker_count(cap: Optional[int] = None) -> int:
     if cap is not None:
         cpus = min(cpus, cap)
     return max(1, cpus)
-
-
-_oversubscription_warned = False
-
-
-def reset_oversubscription_warning() -> None:
-    """Re-arm the once-per-process oversubscription warning (test hook)."""
-    global _oversubscription_warned
-    _oversubscription_warned = False
-
-
-def resolve_workers(workers: int) -> int:
-    """Validate and clamp a ``workers=`` request.
-
-    Returns ``min(workers, available CPUs)``; the first time a request is
-    clamped, a :class:`RuntimeWarning` explains why (after that the clamp
-    stays silent — campaigns resolve workers per call and one nag is
-    enough).
-    """
-    global _oversubscription_warned
-    if workers < 1:
-        raise MeasurementError(f"workers must be >= 1, got {workers}")
-    cpus = available_cpu_count()
-    if workers > cpus:
-        if not _oversubscription_warned:
-            warnings.warn(
-                f"workers={workers} exceeds the {cpus} available CPU(s); "
-                f"clamping to {cpus} to avoid oversubscription",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            _oversubscription_warned = True
-        return cpus
-    return workers
-
-
-class ParallelRunner:
-    """Ordered map over a process pool (or inline when ``workers == 1``).
-
-    The callable must be picklable (a module-level function or a
-    :func:`functools.partial` of one) because workers are separate
-    processes; the items likewise.  Results come back in input order, so
-    a campaign assembled from them is indistinguishable from the serial
-    loop's.
-    """
-
-    def __init__(self, workers: int = 1):
-        self.workers = resolve_workers(workers)
-
-    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
-        """Apply ``fn`` to every item, preserving order.
-
-        Falls back to the plain serial loop when the pool cannot help
-        (one worker or at most one item) — that path is byte-for-byte
-        today's behavior and never forks.
-        """
-        items = list(items)
-        if self.workers <= 1 or len(items) <= 1:
-            return [fn(item) for item in items]
-        # Chunking amortizes IPC: a campaign run is ~ms-scale, so per-task
-        # submission overhead would eat the win.
-        chunksize = max(1, len(items) // (self.workers * 4))
-        with ProcessPoolExecutor(max_workers=self.workers) as pool:
-            return list(pool.map(fn, items, chunksize=chunksize))

@@ -17,11 +17,12 @@ many schedulers/clients can share:
   size distribution, cache hit rates;
 * :mod:`repro.serve.client` — a blocking client (``repro client``) and
   an asyncio load generator for benches and smoke tests;
-* :mod:`repro.serve.shared` — zero-copy shared model artifacts and the
-  fleet-wide stats block (``multiprocessing.shared_memory``);
+* :mod:`repro.serve.shared` — the fleet-wide stats block
+  (``multiprocessing.shared_memory``);
 * :mod:`repro.serve.fleet` — the multi-process serving fleet: N
   replicas sharding one port (``SO_REUSEPORT`` or a front-router),
-  shared artifacts, two-phase promotion fan-out, crash respawn.
+  each built from the artifact bytes the supervisor validated,
+  two-phase promotion fan-out, crash respawn.
 
 Run it: ``repro serve --dir name=path/to/saved-pipeline`` (add
 ``--workers N`` for a fleet).
@@ -34,15 +35,9 @@ from repro.serve.metrics import ServeMetrics
 from repro.serve.protocol import Overloaded, ProtocolError, Request, parse_request
 from repro.serve.registry import ModelRegistry, RegistryEntry, UnknownPipeline
 from repro.serve.server import EstimationServer
-from repro.serve.shared import (
-    ArtifactSegment,
-    FleetStatsBlock,
-    load_pipeline_from_segment,
-    pack_pipeline_segment,
-)
+from repro.serve.shared import FleetStatsBlock
 
 __all__ = [
-    "ArtifactSegment",
     "EstimationServer",
     "FleetConfig",
     "FleetStatsBlock",
@@ -59,8 +54,6 @@ __all__ = [
     "UnknownPipeline",
     "fire_concurrent",
     "fire_timed",
-    "load_pipeline_from_segment",
-    "pack_pipeline_segment",
     "parse_request",
     "reuse_port_supported",
 ]

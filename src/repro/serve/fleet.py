@@ -14,21 +14,33 @@ with ``listener="router"``) replicas listen on private ports and a
 lightweight asyncio byte-splicing router round-robins accepted
 connections across them.
 
-**Zero-copy artifacts.**  The supervisor packs each served pipeline
-directory into one :class:`~repro.serve.shared.ArtifactSegment`
-(artifact bytes + coefficient array) and workers attach: N replicas pay
-~1x artifact load cost (the supervisor's single pack validates
-everything) and share one physical copy of the packed pages.
+**Validated artifacts.**  The supervisor reads each served pipeline
+directory once and builds it once, so a corrupt directory fails in the
+supervisor, never in a replica.  It keeps each generation's artifact
+bytes, their origins and the fingerprint they build, and hands them to
+every replica it spawns or respawns as process arguments (under
+``fork`` nothing is copied).  Each replica builds its own pipeline from
+those bytes and checks that it has that fingerprint
+(:meth:`~repro.serve.registry.ModelRegistry.fleet_entry`).  A respawned
+replica therefore serves the current generation, whatever has happened
+on disk since.
 
 **Two-phase promotion.**  :meth:`FleetSupervisor.promote` — the same
 ``(name, directory)`` signature as :meth:`ModelRegistry.promote`, so a
 :class:`~repro.calibrate.manager.Calibrator` drives a whole fleet
-exactly as it drives one registry — packs the candidate once, then:
+exactly as it drives one registry — validates the candidate once, then:
 
-1. *prepare*: every replica attaches the new segment and fully builds +
-   bitwise-verifies its entry **beside** the live one;
+1. *prepare*: every replica reads the candidate directory and builds
+   its entry **beside** the live one, which must have the fingerprint
+   the supervisor validated (a directory rewritten in between aborts
+   the transaction);
 2. *commit*: only after **all** replicas acked prepare, each installs
    the staged entry (one dict assignment on its event loop).
+
+Control messages stay small (a name, a directory, a fingerprint):
+``Connection.send`` has no timeout, so artifact bytes sent down a
+replica's pipe could block the supervisor, while it holds its lock, on
+a replica that is alive but not reading.
 
 A replica therefore never serves a mix: before its commit it answers
 with the old fingerprint, after with the new — and because every
@@ -60,15 +72,35 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
+from repro.core.persistence import pipeline_from_blobs, read_pipeline_blobs
 from repro.errors import ReproError
 from repro.perf.parallel import default_worker_count
-from repro.serve.shared import ArtifactSegment, FleetStatsBlock, pack_pipeline_segment
+from repro.serve.shared import FleetStatsBlock
+
 
 #: Default cap on auto-sized fleets (``workers=0``): beyond the CPU
 #: count there is nothing left to shard.
 MAX_AUTO_WORKERS = 16
+
+
+class _Generation(NamedTuple):
+    """One served generation: a directory's artifact bytes and their
+    origins, and the fingerprint of the pipeline they build."""
+
+    directory: Path
+    blobs: Dict[str, bytes]
+    origins: Dict[str, str]
+    fingerprint: str
+
+
+def _validated(directory: Path | str) -> _Generation:
+    """Read ``directory`` once and build it once: the generation a
+    supervisor hands its replicas (a corrupt directory raises here)."""
+    blobs, origins = read_pipeline_blobs(directory)
+    fingerprint = pipeline_from_blobs(blobs, origins).estimate_cache.fingerprint
+    return _Generation(Path(directory), blobs, origins, fingerprint)
 
 
 def reuse_port_supported() -> bool:
@@ -156,7 +188,7 @@ async def _worker_async(
     epoch: int,
     config: FleetConfig,
     listener: str,
-    segments: Dict[str, str],
+    served: Dict[str, _Generation],
     stats_name: str,
     conn,
 ) -> None:
@@ -164,16 +196,10 @@ async def _worker_async(
     from repro.serve.registry import ModelRegistry
     from repro.serve.server import EstimationServer
 
-    untrack = config.start_method == "spawn"
-    block = FleetStatsBlock.attach(stats_name, untrack=untrack)
-    # Segments stay attached (never closed) for the process lifetime: a
-    # staged promotion may be referenced by in-flight batches after commit.
-    attached: List[ArtifactSegment] = []
+    block = FleetStatsBlock.attach(stats_name, untrack=config.start_method == "spawn")
     registry = ModelRegistry(cache_capacity=config.cache_capacity)
-    for name in sorted(segments):
-        segment = ArtifactSegment.attach(segments[name], untrack=untrack)
-        attached.append(segment)
-        registry.add_shared(name, segment)
+    for name in sorted(served):
+        registry.install_entry(registry.fleet_entry(name, *served[name]))
 
     reuseport = listener == "reuseport"
     server = EstimationServer(
@@ -182,7 +208,7 @@ async def _worker_async(
         port=config.port if reuseport else 0,
         max_pending=config.max_pending,
         max_batch=config.max_batch,
-        refresh_interval_s=None,  # shared entries never watch disk
+        refresh_interval_s=None,  # fleet entries never watch disk
         reuse_port=reuseport,
     )
     host, port = await server.start()
@@ -221,7 +247,7 @@ async def _worker_async(
 
     loop.add_reader(conn.fileno(), on_control_readable)
 
-    staged: Dict[int, Tuple[str, object]] = {}
+    staged: Dict[int, object] = {}
     draining = False
     get: Optional[asyncio.Task] = None
     while not draining:
@@ -237,18 +263,16 @@ async def _worker_async(
         get = None
         kind = message[0]
         if kind == "prepare":
-            _, txn, name, segment_name = message
+            _, txn, name, directory, fingerprint = message
             try:
-                segment = ArtifactSegment.attach(segment_name, untrack=untrack)
-                attached.append(segment)
-                entry = registry.entry_from_segment(name, segment)
-                staged[txn] = (name, entry)
+                blobs, origins = read_pipeline_blobs(directory)
+                staged[txn] = registry.fleet_entry(name, directory, blobs, origins, fingerprint)
                 conn.send(("prepared", index, txn, None))
             except Exception as exc:  # the supervisor aborts the txn
                 conn.send(("prepared", index, txn, f"{type(exc).__name__}: {exc}"))
         elif kind == "commit":
             _, txn = message
-            name, entry = staged.pop(txn)
+            entry = staged.pop(txn)
             # One dict assignment on the event loop: in-flight batches
             # keep the old entry, no later request sees it.
             registry.install_entry(entry)
@@ -284,7 +308,7 @@ def _worker_main(
     epoch: int,
     config: FleetConfig,
     listener: str,
-    segments: Dict[str, str],
+    served: Dict[str, _Generation],
     stats_name: str,
     conn,
 ) -> None:
@@ -292,7 +316,7 @@ def _worker_main(
     # order); replicas must not die out from under it.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     asyncio.run(
-        _worker_async(index, epoch, config, listener, segments, stats_name, conn)
+        _worker_async(index, epoch, config, listener, served, stats_name, conn)
     )
 
 
@@ -424,7 +448,7 @@ class _Worker:
 
 
 class FleetSupervisor:
-    """Owns the shared segments, the stats block, and N replicas."""
+    """Owns the served generations, the stats block, and N replicas."""
 
     def __init__(
         self,
@@ -440,8 +464,7 @@ class FleetSupervisor:
         self.listener = self.config.resolve_listener()
         self.workers = self.config.resolve_workers()
         self._ctx = multiprocessing.get_context(self.config.start_method)
-        self._segments: Dict[str, ArtifactSegment] = {}
-        self._retired_segments: List[ArtifactSegment] = []
+        self._served: Dict[str, _Generation] = {}
         self._block: Optional[FleetStatsBlock] = None
         self._workers: List[_Worker] = []
         self._router: Optional[_FrontRouter] = None
@@ -457,13 +480,13 @@ class FleetSupervisor:
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> Tuple[str, int]:
-        """Pack, spawn, and wait for every replica; returns the public
-        ``(host, port)`` clients should connect to."""
+        """Validate every pipeline, spawn and wait for every replica;
+        returns the public ``(host, port)`` clients should connect to."""
         if self._started:
             raise ReproError("fleet already started")
         self._started = True
         for name, directory in self.pipelines.items():
-            self._segments[name] = pack_pipeline_segment(directory)
+            self._served[name] = _validated(directory)
         self._block = FleetStatsBlock.create(self.workers)
 
         if self.listener == "reuseport":
@@ -502,7 +525,7 @@ class FleetSupervisor:
                 epoch,
                 self.config,
                 self.listener,
-                {name: seg.name for name, seg in self._segments.items()},
+                self._served,
                 self._block.name,
                 child_conn,
             ),
@@ -588,12 +611,12 @@ class FleetSupervisor:
         supervisor as its ``registry`` promotes all replicas at once.
         See the module docstring for the two-phase protocol.
         """
-        if name not in self._segments:
+        if name not in self._served:
             raise ReproError(
                 f"no pipeline named {name!r} "
-                f"(serving: {', '.join(sorted(self._segments)) or '(none)'})"
+                f"(serving: {', '.join(sorted(self._served)) or '(none)'})"
             )
-        segment = pack_pipeline_segment(directory)
+        candidate = _validated(directory)
         with self._lock:
             self._txn += 1
             txn = self._txn
@@ -606,7 +629,8 @@ class FleetSupervisor:
                 failures: List[str] = []
                 for worker in live:
                     try:
-                        worker.conn.send(("prepare", txn, name, segment.name))
+                        worker.conn.send(("prepare", txn, name, str(candidate.directory),
+                                          candidate.fingerprint))
                     except OSError as exc:
                         failures.append(f"worker {worker.index}: {exc}")
                 for worker in live:
@@ -628,13 +652,11 @@ class FleetSupervisor:
                             worker.conn.send(("abort", txn))
                         except OSError:
                             pass
-                segment.close()
-                segment.unlink()
                 raise
 
             # Phase 2 — commit: the transaction is decided.  A replica
-            # dying here is not a rollback (its respawn attaches the new
-            # segment map below); the survivors all swap.
+            # dying here is not a rollback (its respawn serves the new
+            # generation recorded below); the survivors all swap.
             committed = 0
             for worker in live:
                 try:
@@ -643,16 +665,10 @@ class FleetSupervisor:
                     committed += 1
                 except (ReproError, OSError):
                     continue
-            old = self._segments[name]
-            self._segments[name] = segment
-            # Replicas keep the old segment attached (in-flight batches
-            # may still hold views); unlink so the memory is reclaimed
-            # when the last replica exits.
-            self._retired_segments.append(old)
-            old.unlink()
+            self._served[name] = candidate
         return {
             "pipeline": name,
-            "fingerprint": segment.meta.get("fingerprint"),
+            "fingerprint": candidate.fingerprint,
             "directory": str(directory),
             "replicas": committed,
             "txn": txn,
@@ -669,8 +685,8 @@ class FleetSupervisor:
                 "listener": self.listener,
                 "port": self.port,
                 "pipelines": {
-                    name: seg.meta.get("fingerprint")
-                    for name, seg in sorted(self._segments.items())
+                    name: generation.fingerprint
+                    for name, generation in sorted(self._served.items())
                 },
             }
         )
@@ -699,7 +715,8 @@ class FleetSupervisor:
     # -- shutdown --------------------------------------------------------------
 
     def shutdown(self) -> None:
-        """Drain every replica, stop the router/monitor, release shm."""
+        """Drain every replica, stop the router/monitor, release the
+        stats block."""
         if not self._started:
             return
         self._monitor_stop.set()
@@ -725,12 +742,6 @@ class FleetSupervisor:
             self._router.stop()
         if self._reserve_socket is not None:
             self._reserve_socket.close()
-        for segment in list(self._segments.values()) + self._retired_segments:
-            segment.close()
-            try:
-                segment.unlink()
-            except FileNotFoundError:
-                pass
         if self._block is not None:
             self._block.close()
             self._block.unlink()

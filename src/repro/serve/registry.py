@@ -28,14 +28,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.cluster.config import ClusterConfig
-from repro.core.persistence import load_pipeline
+from repro.core.persistence import load_pipeline, pipeline_from_blobs
 from repro.core.pipeline import EstimationPipeline
-from repro.errors import ReproError
+from repro.errors import ModelError, ReproError
 from repro.perf.cache import CacheStats, EstimateCache
 from repro.serve.protocol import ERROR_UNKNOWN_PIPELINE, ProtocolError
 
@@ -89,8 +89,9 @@ class RegistryEntry:
     generation: int
     loaded_monotonic: float
     #: Where the artifacts came from: ``"disk"`` (watched + reloadable)
-    #: or ``"shm:<segment>"`` (fleet-shared; swapped only by the
-    #: promotion protocol, never by the disk watcher).
+    #: or ``"fleet"`` (a fleet replica's, built from the bytes its
+    #: supervisor validated; swapped only by the promotion protocol,
+    #: never by the disk watcher).
     source: str = "disk"
 
     @property
@@ -218,43 +219,43 @@ class ModelRegistry:
         self._entries[name] = entry
         return entry
 
-    def entry_from_segment(self, name: str, segment, generation: int = 1) -> RegistryEntry:
-        """Build (but do not register) an entry from a packed
-        :class:`~repro.serve.shared.ArtifactSegment` — zero disk I/O.
+    def fleet_entry(
+        self,
+        name: str,
+        directory: Path | str,
+        blobs: Mapping[str, bytes],
+        origins: Mapping[str, str],
+        fingerprint: str,
+    ) -> RegistryEntry:
+        """Build (but do not register) a fleet replica's entry from the
+        artifact bytes of ``directory``.
 
-        This is the fleet replica's load path: the supervisor packed and
-        validated the artifacts once; here they are reconstituted from
-        the shared buffer, bitwise-verified against the packed
-        coefficient array, and wrapped in a fresh (process-local) cache.
+        ``fingerprint`` is the one the fleet supervisor validated; a
+        pipeline that fingerprints otherwise (the directory was rewritten
+        between the supervisor's read and this one) raises
+        :class:`~repro.errors.ModelError` naming both.  Fleet entries are
+        exempt from the disk watcher (:meth:`refresh`); they change only
+        through :meth:`install_entry`, driven by the fleet's promotion
+        protocol.
         """
-        from repro.serve.shared import load_pipeline_from_segment
-
-        pipeline = load_pipeline_from_segment(segment)
-        fingerprint = pipeline.estimate_cache.fingerprint
+        pipeline = pipeline_from_blobs(blobs, origins)
+        actual = pipeline.estimate_cache.fingerprint
+        if actual != fingerprint:
+            raise ModelError(
+                f"pipeline {name!r} in {directory} has fingerprint {actual}, "
+                f"not the {fingerprint} its fleet supervisor validated"
+            )
         return RegistryEntry(
             name=name,
-            directory=Path(str(segment.meta.get("directory", segment.name))),
+            directory=Path(directory),
             pipeline=pipeline,
-            fingerprint=fingerprint,
-            cache=EstimateCache(fingerprint, capacity=self.cache_capacity),
+            fingerprint=actual,
+            cache=EstimateCache(actual, capacity=self.cache_capacity),
             signature=(),
-            generation=generation,
+            generation=1,
             loaded_monotonic=time.monotonic(),
-            source=f"shm:{segment.name}",
+            source="fleet",
         )
-
-    def add_shared(self, name: str, segment) -> RegistryEntry:
-        """Register a pipeline served from a shared artifact segment.
-
-        Shared entries are exempt from the disk watcher
-        (:meth:`refresh`); they change only through
-        :meth:`install_entry`, driven by the fleet's promotion protocol.
-        """
-        if name in self._entries:
-            raise ReproError(f"pipeline name {name!r} already registered")
-        entry = self.entry_from_segment(name, segment, generation=1)
-        self._entries[name] = entry
-        return entry
 
     def install_entry(self, entry: RegistryEntry) -> RegistryEntry:
         """Atomically swap a fully-built entry in under its name.
@@ -336,7 +337,7 @@ class ModelRegistry:
         errors: List[Tuple[str, str]] = []
         for entry in list(self._entries.values()):
             if entry.source != "disk":
-                continue  # shared entries swap via the promotion protocol
+                continue  # fleet entries swap via the promotion protocol
             if not force and _directory_signature(entry.directory) == entry.signature:
                 continue
             try:

@@ -1,41 +1,20 @@
-"""Zero-copy shared model artifacts and fleet stats (serving layer).
+"""The fleet's shared stats block (serving layer).
 
-A fleet of N replica processes serving the same pipelines should pay
-~1x the artifact load cost and ~1x the resident model memory, not Nx.
-This module provides the two shared-memory primitives the fleet
-(:mod:`repro.serve.fleet`) builds on:
+:class:`FleetStatsBlock` is a fixed-layout int64 block of per-replica
+serving counters in one ``multiprocessing.shared_memory`` segment.  Each
+replica owns exactly one row (single writer, monotonically
+non-decreasing counts, so a reader sampling mid-update only ever lags —
+it never sees invented history); the supervisor owns the per-replica
+restart counters and aggregates everything for the ``fleet_status`` op.
+The model artifacts are not shared: each replica builds its pipelines
+from the bytes the supervisor validated (:mod:`repro.serve.fleet`).
 
-:class:`ArtifactSegment`
-    One ``multiprocessing.shared_memory`` segment holding a saved
-    pipeline's artifact bytes and its flattened model-coefficient array
-    — what a replica serves, and nothing of the simulator that measured
-    it.  The supervisor packs it once (:func:`pack_pipeline_segment`);
-    every replica attaches and reconstitutes its pipeline straight from
-    the shared buffer (:func:`load_pipeline_from_segment`) — zero disk
-    I/O, one physical copy of the packed pages for the whole fleet.
-
-:class:`FleetStatsBlock`
-    A fixed-layout int64 block of per-replica serving counters.  Each
-    replica owns exactly one row (single writer, monotonically
-    non-decreasing counts, so a reader sampling mid-update only ever
-    lags — it never sees invented history); the supervisor owns the
-    per-replica restart counters and aggregates everything for the
-    ``fleet_status`` op.
-
-**Torn-artifact detection.**  ``load_pipeline_from_segment`` re-derives
-the coefficient array from the parsed models and verifies it is bitwise
-equal to the packed array.  The two representations are written
-together at pack time, so any corruption — a half-written segment, a
-reader racing a swap that the two-phase promotion protocol should have
-made impossible — fails loudly as a :class:`~repro.errors.ModelError`
-instead of serving wrong numbers.
-
-**Lifecycle.**  The supervisor creates and unlinks segments; replicas
+**Lifecycle.**  The supervisor creates and unlinks the block; replicas
 attach and close.  Under the ``fork`` start method (the fleet default)
 every process shares the parent's ``resource_tracker``, so the
 creator's single registration is authoritative and attachers must not
 touch it.  Under ``spawn`` each attacher gets its *own* tracker, whose
-attach-time registration would unlink the segment when that one process
+attach-time registration would unlink the block when that one process
 exits, yanking it from under its siblings (bpo-39959; no ``track=False``
 before Python 3.13) — spawn-context attachers pass ``untrack=True`` to
 undo the registration.
@@ -43,278 +22,15 @@ undo the registration.
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
-from pathlib import Path
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.model_api import MODEL_META_KEYS, model_to_dict
-from repro.core.persistence import pipeline_from_blobs, read_pipeline_blobs
-from repro.core.pipeline import EstimationPipeline
 from repro.errors import ModelError
 from repro.perf.cache import CacheStats
 from repro.serve.metrics import FLEET_COUNTER_FIELDS, LATENCY_BUCKETS_MS
-
-_MAGIC = b"RPROSEG1"
-_ALIGN = 64
-
-
-def _attach(name: str, untrack: bool) -> shared_memory.SharedMemory:
-    """Attach to an existing segment, optionally undoing the tracker
-    registration (see module docstring: required under ``spawn``, wrong
-    under ``fork``)."""
-    shm = shared_memory.SharedMemory(name=name)
-    if untrack:
-        try:  # no ``track=False`` before Python 3.13; undo the registration
-            resource_tracker.unregister(shm._name, "shared_memory")
-        except Exception:  # pragma: no cover - tracker internals vary
-            pass
-    return shm
-
-
-def _align(offset: int) -> int:
-    return (offset + _ALIGN - 1) // _ALIGN * _ALIGN
-
-
-class ArtifactSegment:
-    """Named blobs + named numpy arrays in one shared-memory segment.
-
-    Layout: an 8-byte magic, a little-endian ``uint64`` header length,
-    a JSON header (``meta`` dict, blob/array directories with offsets
-    into the payload), then the 64-byte-aligned payload.  Arrays are
-    returned as read-only views into the shared buffer — no copies.
-    """
-
-    def __init__(self, shm: shared_memory.SharedMemory, owner: bool):
-        self._shm = shm
-        self._owner = owner
-        buf = shm.buf
-        if bytes(buf[:8]) != _MAGIC:
-            raise ModelError(
-                f"shared segment {shm.name!r} has no artifact header "
-                f"(bad magic); refusing to parse"
-            )
-        (header_len,) = struct.unpack_from("<Q", buf, 8)
-        try:
-            header = json.loads(bytes(buf[16:16 + header_len]).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ModelError(
-                f"corrupt header in shared segment {shm.name!r} ({exc})"
-            ) from exc
-        self.meta: Dict[str, object] = header.get("meta", {})
-        self._blobs: Dict[str, Tuple[int, int]] = {
-            name: (int(off), int(size))
-            for name, (off, size) in header.get("blobs", {}).items()
-        }
-        self._arrays: Dict[str, Tuple[str, Tuple[int, ...], int]] = {
-            name: (str(dtype), tuple(int(d) for d in shape), int(off))
-            for name, (dtype, shape, off) in header.get("arrays", {}).items()
-        }
-
-    # -- construction --------------------------------------------------------
-
-    @classmethod
-    def pack(
-        cls,
-        meta: Mapping[str, object],
-        blobs: Mapping[str, bytes],
-        arrays: Mapping[str, np.ndarray],
-    ) -> "ArtifactSegment":
-        """Create a new segment holding ``blobs`` and ``arrays``."""
-        blob_dir: Dict[str, List[int]] = {}
-        array_dir: Dict[str, List[object]] = {}
-        # Lay out the payload first against offset 0, then shift by the
-        # header size (which depends on the directory JSON, which depends
-        # on the offsets — resolved by computing relative offsets and one
-        # fixed shift).
-        offset = 0
-        chunks: List[Tuple[int, bytes]] = []
-        for name, blob in blobs.items():
-            offset = _align(offset)
-            blob_dir[name] = [offset, len(blob)]
-            chunks.append((offset, bytes(blob)))
-            offset += len(blob)
-        contiguous: List[Tuple[int, np.ndarray]] = []
-        for name, array in arrays.items():
-            arr = np.ascontiguousarray(array)
-            offset = _align(offset)
-            array_dir[name] = [arr.dtype.str, list(arr.shape), offset]
-            contiguous.append((offset, arr))
-            offset += arr.nbytes
-        payload_size = offset
-
-        # The shift must not change the header length; pad the header to
-        # a fixed alignment boundary so any directory size maps to the
-        # same payload base.
-        def header_bytes(shift: int) -> bytes:
-            directory = {
-                "meta": dict(meta),
-                "blobs": {k: [v[0] + shift, v[1]] for k, v in blob_dir.items()},
-                "arrays": {
-                    k: [v[0], v[1], v[2] + shift] for k, v in array_dir.items()
-                },
-            }
-            return json.dumps(directory, separators=(",", ":")).encode("utf-8")
-
-        probe = header_bytes(0)
-        base = _align(16 + len(probe) + 32)  # slack: offsets grow the JSON
-        header = header_bytes(base)
-        if 16 + len(header) > base:  # pragma: no cover - slack exhausted
-            base = _align(16 + len(header) + 64)
-            header = header_bytes(base)
-
-        shm = shared_memory.SharedMemory(create=True, size=max(base + payload_size, 16))
-        buf = shm.buf
-        buf[:8] = _MAGIC
-        struct.pack_into("<Q", buf, 8, len(header))
-        buf[16:16 + len(header)] = header
-        for off, blob in chunks:
-            buf[base + off:base + off + len(blob)] = blob
-        for off, arr in contiguous:
-            view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=buf, offset=base + off)
-            view[...] = arr
-        return cls(shm, owner=True)
-
-    @classmethod
-    def attach(cls, name: str, untrack: bool = False) -> "ArtifactSegment":
-        """Attach to a segment packed by another process (non-owning)."""
-        return cls(_attach(name, untrack), owner=False)
-
-    # -- access --------------------------------------------------------------
-
-    @property
-    def name(self) -> str:
-        return self._shm.name
-
-    @property
-    def size(self) -> int:
-        return self._shm.size
-
-    def blob_names(self) -> List[str]:
-        return sorted(self._blobs)
-
-    def blob(self, name: str) -> bytes:
-        off, size = self._blobs[name]
-        return bytes(self._shm.buf[off:off + size])
-
-    def array_names(self) -> List[str]:
-        return sorted(self._arrays)
-
-    def array(self, name: str) -> np.ndarray:
-        """Read-only zero-copy view of one packed array."""
-        dtype, shape, off = self._arrays[name]
-        view = np.ndarray(shape, dtype=np.dtype(dtype), buffer=self._shm.buf, offset=off)
-        view.flags.writeable = False
-        return view
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def close(self) -> None:
-        self._shm.close()
-
-    def unlink(self) -> None:
-        """Remove the segment (owner only; attached views stay valid
-        until their processes close)."""
-        if self._owner:
-            self._shm.unlink()
-
-    def __enter__(self) -> "ArtifactSegment":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-        if self._owner:
-            try:
-                self.unlink()
-            except FileNotFoundError:
-                pass
-
-
-# -- pipeline segments ---------------------------------------------------------
-
-
-def model_coefficients(pipeline: EstimationPipeline) -> np.ndarray:
-    """Every model's numeric coefficients flattened to one float64 array.
-
-    Deterministic order (store order, then sorted ``to_dict`` keys, meta
-    keys excluded), so two pipelines with bitwise-identical models yield
-    bitwise-identical arrays — the torn-artifact check in
-    :func:`load_pipeline_from_segment` relies on exactly that.
-    """
-    values: List[float] = []
-    for model in pipeline.models.models():
-        data = model_to_dict(model)
-        for key in sorted(data):
-            if key in MODEL_META_KEYS or key == "type":
-                continue
-            value = data[key]
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                values.append(float(value))
-            elif isinstance(value, (list, tuple)):
-                for item in value:
-                    if isinstance(item, (int, float)) and not isinstance(item, bool):
-                        values.append(float(item))
-    return np.asarray(values, dtype=np.float64)
-
-
-def pack_pipeline_segment(directory: Path | str) -> ArtifactSegment:
-    """Pack one saved pipeline directory into a shared segment.
-
-    Reads the artifact bytes once, validates them by building a real
-    pipeline (so a corrupt directory fails *here*, in the supervisor,
-    never in a replica), and ships the raw artifact blobs and the
-    flattened coefficient array.  ``segment.meta['fingerprint']`` is the
-    served model fingerprint.
-    """
-    src = Path(directory)
-    blobs, origins = read_pipeline_blobs(src)
-    pipeline = pipeline_from_blobs(blobs, origins)
-    meta = {
-        "kind": "pipeline",
-        "directory": str(src),
-        "fingerprint": pipeline.estimate_cache.fingerprint,
-    }
-    return ArtifactSegment.pack(meta, blobs, {"coefficients": model_coefficients(pipeline)})
-
-
-def load_pipeline_from_segment(segment: ArtifactSegment) -> EstimationPipeline:
-    """Reconstitute a pipeline from a packed segment — zero disk I/O.
-
-    Bitwise-verifies the parsed models against the packed coefficient
-    array (see module docstring) and raises
-    :class:`~repro.errors.ModelError` on any mismatch.  The returned
-    pipeline is the same object :func:`~repro.core.persistence.load_pipeline`
-    would build from the original directory: identical fingerprint,
-    identical answers.
-    """
-    names = segment.blob_names()
-    blobs = {name: segment.blob(name) for name in names}
-    origins = {name: f"shm:{segment.name}/{name}" for name in names}
-    pipeline = pipeline_from_blobs(blobs, origins)
-
-    packed = segment.array("coefficients")
-    derived = model_coefficients(pipeline)
-    if derived.shape != packed.shape or not np.array_equal(derived, packed):
-        raise ModelError(
-            f"torn shared artifact segment {segment.name!r}: parsed model "
-            f"coefficients do not match the packed array (fingerprint "
-            f"{segment.meta.get('fingerprint')!r})"
-        )
-    expected = segment.meta.get("fingerprint")
-    actual = pipeline.estimate_cache.fingerprint
-    if expected is not None and actual != expected:
-        raise ModelError(
-            f"torn shared artifact segment {segment.name!r}: fingerprint "
-            f"{actual} != packed {expected}"
-        )
-    return pipeline
-
-
-# -- fleet stats block ---------------------------------------------------------
 
 #: Per-row bookkeeping fields preceding the serve counters.
 STATS_META_FIELDS = ("pid", "port", "epoch", "heartbeat_us", "attached")
@@ -404,7 +120,16 @@ class FleetStatsBlock:
 
     @classmethod
     def attach(cls, name: str, untrack: bool = False) -> "FleetStatsBlock":
-        return cls(_attach(name, untrack), owner=False)
+        """Attach to a block another process created, optionally undoing
+        the tracker registration (see module docstring: required under
+        ``spawn``, wrong under ``fork``)."""
+        shm = shared_memory.SharedMemory(name=name)
+        if untrack:
+            try:  # no ``track=False`` before Python 3.13; undo the registration
+                resource_tracker.unregister(shm._name, "shared_memory")
+            except Exception:  # pragma: no cover - tracker internals vary
+                pass
+        return cls(shm, owner=False)
 
     @property
     def name(self) -> str:
@@ -546,12 +271,8 @@ class FleetStatsBlock:
 
 
 __all__ = [
-    "ArtifactSegment",
     "FleetStatsBlock",
     "WorkerRow",
     "STATS_META_FIELDS",
     "STATS_CACHE_FIELDS",
-    "model_coefficients",
-    "pack_pipeline_segment",
-    "load_pipeline_from_segment",
 ]

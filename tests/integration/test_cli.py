@@ -47,6 +47,14 @@ class TestCLI:
         assert "ns campaign: 120 measurements" in out
         assert "walker" not in out  # profile output only with --profile
 
+    @pytest.mark.parametrize("workload, cost", [("sorting", "129.2"), ("montecarlo", "466.6")])
+    def test_campaign_measures_the_named_workload(self, capsys, workload, cost):
+        """``--workload`` picks the family measured: its own cost, not
+        HPL's 1057.1 s."""
+        code, out, _ = run_cli(capsys, "campaign", "--protocol", "ns", "--workload", workload)
+        assert code == 0
+        assert f"ns campaign: 120 measurements, simulated cost {cost} s" in out
+
     def test_campaign_profile(self, capsys):
         code, out, _ = run_cli(
             capsys, "campaign", "--protocol", "ns", "--profile"

@@ -132,6 +132,15 @@ class TestCampaign:
         costs = [ns_result.cost_for_n("pentium2", n) for n in (400, 800, 1200, 1600)]
         assert all(b > a for a, b in zip(costs, costs[1:]))
 
+    def test_cost_rollup_matches_ledger(self, ns_result):
+        """The precomputed per-kind rollup must agree with a fresh scan."""
+        for kind in ("athlon", "pentium2"):
+            expected = sum(
+                cost for (k, _), cost in ns_result.cost_by_kind_and_n.items() if k == kind
+            )
+            assert ns_result.cost_for_kind(kind) == expected
+        assert ns_result.cost_for_kind("no-such-kind") == 0.0
+
     def test_campaign_reproducible(self):
         # Two fresh specs: on one spec the second campaign would be read
         # back from the first one's run memo.

@@ -1,61 +1,16 @@
-"""Unit tests for the parallel fan-out layer: worker resolution, the
-oversubscription guard, and ordered pool mapping."""
-
-import warnings
-
-import pytest
+"""Unit tests for the CPU count the serving fleet sizes itself with:
+the affinity mask, cgroup quotas and the default worker count."""
 
 import repro.perf.parallel as parallel
-from repro.errors import MeasurementError
-from repro.perf.parallel import (
-    ParallelRunner,
-    _cgroup_cpu_limit,
-    available_cpu_count,
-    default_worker_count,
-    reset_oversubscription_warning,
-    resolve_workers,
-)
-
-
-class TestResolveWorkers:
-    def test_rejects_non_positive(self):
-        with pytest.raises(MeasurementError):
-            resolve_workers(0)
-        with pytest.raises(MeasurementError):
-            resolve_workers(-3)
-
-    def test_within_budget_passes_through(self, monkeypatch):
-        monkeypatch.setattr(parallel, "available_cpu_count", lambda: 8)
-        for k in (1, 2, 8):
-            assert resolve_workers(k) == k
-
-    def test_oversubscription_clamps_and_warns_once(self, monkeypatch):
-        monkeypatch.setattr(parallel, "available_cpu_count", lambda: 2)
-        reset_oversubscription_warning()
-        with pytest.warns(RuntimeWarning, match="clamping to 2"):
-            assert resolve_workers(16) == 2
-        # the second oversubscribed request is clamped silently
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert resolve_workers(16) == 2
-        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        reset_oversubscription_warning()
-
-    def test_exact_fit_does_not_warn(self, monkeypatch):
-        monkeypatch.setattr(parallel, "available_cpu_count", lambda: 4)
-        reset_oversubscription_warning()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert resolve_workers(4) == 4
-        assert not caught
-
-    def test_available_cpu_count_positive(self):
-        assert available_cpu_count() >= 1
+from repro.perf.parallel import _cgroup_cpu_limit, available_cpu_count, default_worker_count
 
 
 class TestCgroupLimit:
-    """Container CPU quotas (cgroup v2 ``cpu.max``) bound the worker pool
+    """Container CPU quotas (cgroup v2 ``cpu.max``) bound the CPU count
     even when the affinity mask still shows the whole machine."""
+
+    def test_available_cpu_count_positive(self):
+        assert available_cpu_count() >= 1
 
     def test_quota_rounds_up_to_whole_cpus(self, tmp_path):
         path = tmp_path / "cpu.max"
@@ -97,27 +52,3 @@ class TestDefaultWorkerCount:
     def test_never_below_one(self, monkeypatch):
         monkeypatch.setattr(parallel, "available_cpu_count", lambda: 1)
         assert default_worker_count(cap=16) == 1
-
-
-class TestParallelRunner:
-    def test_serial_path_preserves_order(self):
-        runner = ParallelRunner(workers=1)
-        assert runner.map(str, list(range(20))) == [str(i) for i in range(20)]
-
-    def test_pool_path_preserves_order(self, monkeypatch):
-        monkeypatch.setattr(parallel, "available_cpu_count", lambda: 4)
-        runner = ParallelRunner(workers=3)
-        assert runner.workers == 3
-        assert runner.map(str, list(range(50))) == [str(i) for i in range(50)]
-
-    def test_single_item_never_forks(self, monkeypatch):
-        monkeypatch.setattr(parallel, "available_cpu_count", lambda: 4)
-
-        def boom(*args, **kwargs):  # pragma: no cover - must not be reached
-            raise AssertionError("pool created for a single item")
-
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", boom)
-        assert ParallelRunner(workers=4).map(str, [7]) == ["7"]
-
-    def test_empty_items(self):
-        assert ParallelRunner(workers=1).map(str, []) == []

@@ -1,6 +1,6 @@
 """Multi-process fleet tests: sharded serving, two-phase promotion
-under live traffic, crash respawn, shared residency and the
-``repro serve --workers`` process.
+under live traffic and under faults, crash respawn, the replicas'
+shared-memory mappings and the ``repro serve --workers`` process.
 
 These spawn real worker processes (fork) over real sockets, so they are
 the serving layer's heaviest tests — kept to 2 replicas and small
@@ -10,7 +10,6 @@ request counts.
 import asyncio
 import json
 import os
-import re
 import shutil
 import signal
 import socket
@@ -35,7 +34,6 @@ from repro.serve.fleet import (
 
 FIXTURE = Path(__file__).parent.parent / "golden" / "format1_pipeline"
 SRC = Path(__file__).resolve().parent.parent.parent / "src"
-MAPPING_HEADER = re.compile(r"^[0-9a-f]+-[0-9a-f]+ ")
 
 
 def make_candidate(tmp_path, factor=1.25):
@@ -51,6 +49,35 @@ def make_candidate(tmp_path, factor=1.25):
     ]
     manifest_path.write_text(json.dumps(manifest, indent=1))
     return target
+
+
+def fingerprint_of(directory):
+    return load_pipeline(directory).estimate_cache.fingerprint
+
+
+def wait_for_epoch(supervisor, index, epoch, timeout=30.0):
+    """Wait until replica ``index`` of ``epoch`` is alive and has
+    published its stats row."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if (len(supervisor.worker_pids()) == supervisor.workers
+                and supervisor.status()["workers"][index]["epoch"] == epoch):
+            return
+        time.sleep(0.05)
+    raise AssertionError(f"replica {index} never reached epoch {epoch}")
+
+
+def fingerprints_by_replica(supervisor, tries=200):
+    """The served fingerprint of every replica: a fresh connection per
+    probe, until each replica has answered one."""
+    seen = {}
+    for _ in range(tries):
+        with ServeClient(supervisor.host, supervisor.port) as client:
+            index = client.fleet_status()["answered_by"]
+            seen[index] = client.estimate("golden", [1, 2, 8, 1], [1600])["fingerprint"]
+        if len(seen) == supervisor.workers:
+            return seen
+    raise AssertionError(f"only replicas {sorted(seen)} answered in {tries} connections")
 
 
 @pytest.fixture
@@ -163,30 +190,27 @@ class TestFleetServing:
         assert len(status["workers"]) == 2
         assert status["totals"]["requests"] >= len(payloads)
 
-    def test_shared_segment_is_resident_once(self, fleet):
-        """Each replica maps the whole segment, but their proportional set
-        sizes split its pages: together at most 1.5x the segment."""
-        segment = fleet._segments["golden"]
-        with ServeClient(fleet.host, fleet.port) as client:
-            client.estimate("golden", [1, 2, 8, 1], [1600])
-        total_kb = 0
-        for pid in fleet.worker_pids():
-            try:
-                smaps = Path(f"/proc/{pid}/smaps").read_text()
-            except OSError:
-                pytest.skip("/proc/<pid>/smaps cannot be read; residency not measured")
-            inside, found = False, False
-            for line in smaps.splitlines():
-                if MAPPING_HEADER.match(line):
-                    inside = segment.name in line
-                    found = found or inside
-                elif inside and line.startswith("Pss:"):
-                    total_kb += int(line.split()[1])
-            assert found, f"worker {pid} has no mapping of {segment.name}"
-        assert total_kb <= 1.5 * segment.size / 1024, (
-            f"{total_kb} KiB PSS across the workers for a "
-            f"{segment.size / 1024:.0f} KiB segment: copied, not shared"
-        )
+    def test_replicas_map_no_shared_memory_but_the_stats_block(self, fleet, tmp_path):
+        """Every shared-memory mapping of every replica is the stats
+        block's, at start and after three promotions: the model artifacts
+        reach a replica as process arguments, not as segments."""
+        block = f"/dev/shm/{fleet._block.name}"
+
+        def check():
+            for pid in fleet.worker_pids():
+                try:
+                    maps = Path(f"/proc/{pid}/maps").read_text()
+                except OSError:
+                    pytest.skip("/proc/<pid>/maps cannot be read; mappings not checked")
+                shared = [line for line in maps.splitlines() if "/dev/shm/" in line]
+                assert shared, f"worker {pid} does not map the stats block"
+                assert all(block in line for line in shared), shared
+
+        check()
+        candidate_dir = make_candidate(tmp_path)
+        for directory in (candidate_dir, FIXTURE, candidate_dir):
+            assert fleet.promote("golden", directory)["replicas"] == 2
+        check()
 
     def test_router_listener_serves(self):
         supervisor = FleetSupervisor(
@@ -257,6 +281,30 @@ class TestPromotion:
         with pytest.raises(ReproError, match="no pipeline named"):
             fleet.promote("nope", make_candidate(tmp_path))
 
+    def test_replicas_building_another_fingerprint_abort_the_promotion(
+        self, fleet, tmp_path, monkeypatch
+    ):
+        """The replicas read the candidate directory themselves; if it
+        builds another fingerprint than the supervisor validated (here the
+        supervisor's read is pointed at another directory), the
+        transaction aborts naming both, and every replica keeps serving
+        the incumbent."""
+        import repro.serve.fleet as fleet_mod
+
+        old = fingerprint_of(FIXTURE)
+        candidate_dir = make_candidate(tmp_path)
+        (tmp_path / "other").mkdir()
+        other_dir = make_candidate(tmp_path / "other", factor=1.5)
+        built, validated = fingerprint_of(candidate_dir), fingerprint_of(other_dir)
+        assert len({old, built, validated}) == 3
+        read = fleet_mod.read_pipeline_blobs
+        monkeypatch.setattr(fleet_mod, "read_pipeline_blobs", lambda _: read(other_dir))
+        with pytest.raises(ReproError, match="aborted in prepare") as caught:
+            fleet.promote("golden", candidate_dir)
+        assert built in str(caught.value) and validated in str(caught.value)
+        assert fingerprints_by_replica(fleet) == {0: old, 1: old}
+        assert fleet.status()["pipelines"]["golden"] == old
+
     def test_promote_bad_directory_aborts_cleanly(self, fleet, tmp_path):
         with pytest.raises(ReproError):
             fleet.promote("golden", tmp_path / "not-a-pipeline")
@@ -269,6 +317,48 @@ class TestPromotion:
 
 
 class TestCrashResilience:
+    def test_respawn_serves_the_start_time_generation(self, tmp_path):
+        """A re-save of the served directory after start does not reach a
+        respawned replica: it serves the bytes the supervisor validated."""
+        served = tmp_path / "served"
+        shutil.copytree(FIXTURE, served)
+        start = fingerprint_of(served)
+        supervisor = FleetSupervisor(
+            {"golden": served}, FleetConfig(workers=2, stats_interval_s=0.05)
+        )
+        with supervisor:
+            resaved = make_candidate(tmp_path)
+            for item in resaved.iterdir():
+                shutil.copy2(item, served / item.name)
+            assert fingerprint_of(served) != start
+            supervisor.kill_worker(0)
+            wait_for_epoch(supervisor, 0, 2)
+            assert fingerprints_by_replica(supervisor) == {0: start, 1: start}
+            assert supervisor.status()["pipelines"]["golden"] == start
+
+    def test_replica_killed_between_prepare_and_commit(self, fleet, tmp_path, monkeypatch):
+        """A replica that dies after acking prepare does not roll the
+        promotion back: the survivor commits, and the respawned replica
+        serves the candidate."""
+        candidate_dir = make_candidate(tmp_path)
+        new = fingerprint_of(candidate_dir)
+        recv, killed = FleetSupervisor._recv, []
+
+        def recv_then_kill(self, worker, deadline, expected):
+            message = recv(self, worker, deadline, expected)
+            if expected == "prepared" and worker.index == 0 and not killed:
+                killed.append(self.kill_worker(0))
+            return message
+
+        monkeypatch.setattr(FleetSupervisor, "_recv", recv_then_kill)
+        outcome = fleet.promote("golden", candidate_dir)
+        monkeypatch.undo()
+        assert killed and outcome["replicas"] == 1
+        assert outcome["fingerprint"] == new
+        wait_for_epoch(fleet, 0, 2)
+        assert fleet.status()["restarts"] == [1, 0]
+        assert fingerprints_by_replica(fleet) == {0: new, 1: new}
+
     def test_killed_replica_respawns_and_fleet_keeps_serving(self, fleet):
         pid = fleet.kill_worker(0)
         assert pid not in fleet.worker_pids()

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.persistence import load_pipeline
+from repro.core.persistence import load_pipeline, read_pipeline_blobs
 from repro.errors import ModelError, ReproError
 from repro.serve.registry import ModelRegistry, UnknownPipeline
 
@@ -246,6 +246,51 @@ class TestPromote:
         with pytest.raises(ReproError):
             registry.promote("golden", broken)
         assert registry.get("golden") is entry  # still serving
+
+
+class TestFleetEntry:
+    """A fleet replica's entry: built from the bytes its supervisor
+    validated, checked against the fingerprint the supervisor saw."""
+
+    def test_entry_is_bitwise_the_disk_pipeline(self):
+        disk = load_pipeline(FIXTURE)
+        registry = ModelRegistry()
+        entry = registry.fleet_entry(
+            "golden", FIXTURE, *read_pipeline_blobs(FIXTURE),
+            disk.estimate_cache.fingerprint,
+        )
+        assert entry.fingerprint == disk.estimate_cache.fingerprint
+        assert entry.source == "fleet" and entry.directory == FIXTURE
+        config = entry.parse_config([1, 2, 8, 1])
+        for n in (1600, 3200):
+            assert entry.pipeline.estimate(config, n).total == disk.estimate(
+                config, n
+            ).total
+
+    def test_fingerprint_skew_is_detected(self, served_dir):
+        """Bytes that build another pipeline than the supervisor validated
+        (the directory was rewritten in between) are refused, naming both
+        fingerprints."""
+        validated = load_pipeline(served_dir).estimate_cache.fingerprint
+        _rewrite_adjustment(served_dir, factor=2.0)
+        rewritten = load_pipeline(served_dir).estimate_cache.fingerprint
+        assert rewritten != validated
+        with pytest.raises(ModelError) as caught:
+            ModelRegistry().fleet_entry(
+                "golden", served_dir, *read_pipeline_blobs(served_dir), validated
+            )
+        assert validated in str(caught.value) and rewritten in str(caught.value)
+
+    def test_fleet_entries_never_watch_disk(self, served_dir):
+        registry = ModelRegistry()
+        fingerprint = load_pipeline(served_dir).estimate_cache.fingerprint
+        entry = registry.install_entry(registry.fleet_entry(
+            "golden", served_dir, *read_pipeline_blobs(served_dir), fingerprint
+        ))
+        _rewrite_adjustment(served_dir, factor=2.0)
+        assert registry.refresh(force=True) == []
+        assert registry.get("golden") is entry
+        assert registry.snapshot()["pipelines"]["golden"]["source"] == "fleet"
 
 
 class TestReloadFailureCounters:
